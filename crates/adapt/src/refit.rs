@@ -15,7 +15,7 @@
 //! census scenario sat at PR-AUC 0.27 before and after); this path can.
 
 use crate::ProbePool;
-use holo_channel::{augment_to_ratio, AugmentConfig, NaiveBayesRepair, Policy, RepairConfig};
+use holo_channel::{augment_to_ratio, AugmentConfig, Policy};
 use holo_data::{CellId, Dataset, Label};
 use holo_eval::{ModelError, TrainedModel};
 use holo_trace::Stopwatch;
@@ -69,18 +69,6 @@ pub struct AdaptConfig {
     /// them keep polluting the count-based statistics every other cell
     /// is scored against).
     pub repair_labeled: bool,
-    /// After the label-driven retrain, run one model-guided repair pass
-    /// over the rest of the reference: cells the refitted classifier
-    /// flags (score ≥ threshold) whose Naive-Bayes co-occurrence repair
-    /// confidently suggests a different value are updated to the
-    /// suggestion, and the classifier retrained once more over the
-    /// cleaned counts. Labels fix the rows an operator saw; this pass
-    /// chases the same channel through the rows nobody labeled. Off by
-    /// default: on the scenario suite it buys ~0.003 PR-AUC for twice
-    /// the refit wall-clock.
-    pub self_repair: bool,
-    /// Cap on cells one self-repair pass may update.
-    pub max_self_repairs: usize,
     /// Cap on the value pool backing the random-swap augmentation move.
     pub max_swap_pool: usize,
     /// RNG seed for the augmentation pass (fixed → deterministic refit).
@@ -101,8 +89,6 @@ impl Default for AdaptConfig {
             max_replication: 25,
             broadcast_contexts: 256,
             repair_labeled: true,
-            self_repair: false,
-            max_self_repairs: 512,
             max_swap_pool: 1000,
             seed: 0xADA7,
             threads: None,
@@ -129,9 +115,6 @@ pub struct AdaptReport {
     /// Labeled error cells repaired into the reference before the
     /// retrain (0 when [`AdaptConfig::repair_labeled`] is off).
     pub repaired_cells: usize,
-    /// Unlabeled cells the model-guided self-repair pass updated (0
-    /// when [`AdaptConfig::self_repair`] is off).
-    pub self_repaired_cells: usize,
     /// Replication factor applied to the fresh examples so they reach
     /// [`AdaptConfig::fresh_weight`] of the post-refit training set
     /// (1 = no replication was needed; 0 = no fresh examples at all).
@@ -149,8 +132,7 @@ pub struct AdaptTiming {
     pub channel_learn_micros: u64,
     /// Amplifying and broadcasting the channel (Algorithm 4).
     pub augment_micros: u64,
-    /// `FittedHoloDetect::refit_with` (plus the optional self-repair
-    /// pass and its retrain) — the expensive retrain itself.
+    /// `FittedHoloDetect::refit_with` — the expensive retrain itself.
     pub refit_with_micros: u64,
 }
 
@@ -423,57 +405,9 @@ impl AdaptiveRefit {
             }
         }
         let train_clock = Stopwatch::start();
-        let mut refitted = model.refit_with(examples)?;
-        if self.cfg.self_repair {
-            report.self_repaired_cells = self.self_repair_pass(&mut refitted, labels)?;
-            if report.self_repaired_cells > 0 {
-                refitted = refitted.refit_with(Vec::new())?;
-            }
-        }
+        let refitted = model.refit_with(examples)?;
         timing.refit_with_micros = train_clock.elapsed_micros();
         Ok((refitted, report, timing))
-    }
-
-    /// The model-guided repair pass: score every reference cell with
-    /// the freshly adapted classifier, and for flagged cells outside
-    /// the labeled rows apply the Naive-Bayes co-occurrence repair when
-    /// it confidently suggests a different value. Returns how many
-    /// cells were updated.
-    fn self_repair_pass(
-        &self,
-        model: &mut FittedHoloDetect,
-        labels: &[RowLabel],
-    ) -> Result<usize, ModelError> {
-        let Some(artifact) = model.artifact() else {
-            return Ok(0);
-        };
-        let reference = artifact.reference().clone();
-        let cells: Vec<CellId> = reference.cell_ids().collect();
-        let scores = model.score_batch(&reference, &cells)?;
-        let threshold = model.threshold();
-        let budget = labels.len().min(self.cfg.max_labels);
-        let labeled: std::collections::HashSet<usize> =
-            labels.iter().take(budget).map(|l| l.row).collect();
-        let nb = NaiveBayesRepair::build(&reference, RepairConfig::default());
-        let mut applied = 0usize;
-        for (&cell, &score) in cells.iter().zip(scores.iter()) {
-            if applied >= self.cfg.max_self_repairs {
-                break;
-            }
-            if score < threshold || labeled.contains(&cell.t()) {
-                continue;
-            }
-            let Some(repair) = nb.suggest(&reference, cell.t(), cell.a()) else {
-                continue;
-            };
-            model.apply_delta(&holo_data::DeltaOp::Update {
-                tuple: cell.t(),
-                attr: cell.a(),
-                value: repair.suggested,
-            })?;
-            applied += 1;
-        }
-        Ok(applied)
     }
 
     /// Replicate the fresh example set until it makes up

@@ -1,8 +1,7 @@
 //! The serving-throughput benchmark: the same fitted artifact driven
-//! four ways — in-process `score_batch` (the ceiling), then over HTTP
-//! with one worker, a worker pool, and a worker pool plus
-//! micro-batching — so the cost of the network layer and the payoff of
-//! pooling/batching both land in the perf trajectory.
+//! three ways — in-process `score_batch` (the ceiling), then over HTTP
+//! with one worker and with a worker pool — so the cost of the network
+//! layer and the payoff of pooling both land in the perf trajectory.
 //!
 //! Each iteration fires `CLIENTS` threads x `REQUESTS_PER_CLIENT`
 //! score requests (fresh connection each, as a load balancer would) at
@@ -12,15 +11,13 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use holo_data::{CellId, Dataset, DatasetBuilder, GroundTruth, Schema};
 use holo_eval::{FitContext, TrainedModel};
 use holo_serve::{
-    BatchConfig, HttpConfig, Json, ModelRegistry, ProfConfig, RunningServer, ServeConfig,
-    TraceConfig,
+    HttpConfig, Json, ModelRegistry, ProfConfig, RunningServer, ServeConfig, TraceConfig,
 };
 use holodetect::{FittedHoloDetect, HoloDetect, HoloDetectConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 const CLIENTS: usize = 4;
 const REQUESTS_PER_CLIENT: usize = 4;
@@ -99,16 +96,11 @@ fn post_score(addr: SocketAddr, body: &str) -> usize {
     raw.len()
 }
 
-fn start(path: &std::path::Path, workers: usize, batch: BatchConfig) -> RunningServer {
-    start_prof(path, workers, batch, ProfConfig::default())
+fn start(path: &std::path::Path, workers: usize) -> RunningServer {
+    start_prof(path, workers, ProfConfig::default())
 }
 
-fn start_prof(
-    path: &std::path::Path,
-    workers: usize,
-    batch: BatchConfig,
-    prof: ProfConfig,
-) -> RunningServer {
+fn start_prof(path: &std::path::Path, workers: usize, prof: ProfConfig) -> RunningServer {
     let registry = Arc::new(ModelRegistry::new());
     registry.load_insert("m", path).expect("load artifact");
     holo_serve::start(
@@ -118,30 +110,12 @@ fn start_prof(
                 workers,
                 ..HttpConfig::default()
             },
-            batch,
             trace: TraceConfig::default(),
             prof,
         },
         registry,
     )
     .expect("bind")
-}
-
-fn unbatched() -> BatchConfig {
-    BatchConfig {
-        max_batch_cells: 1, // singleton groups: every request scores solo
-        max_wait: Duration::ZERO,
-    }
-}
-
-fn batched() -> BatchConfig {
-    // The cell budget matches the offered load (4 clients x 20 cells),
-    // so under concurrency the gather window closes on the budget —
-    // max_wait only bounds the tail when traffic dries up.
-    BatchConfig {
-        max_batch_cells: 64,
-        max_wait: Duration::from_millis(2),
-    }
 }
 
 /// Fire the full client load at `addr` and wait for every response.
@@ -181,45 +155,17 @@ fn bench_serving(c: &mut Criterion) {
         })
     });
 
-    let single = start(&path, 1, unbatched());
-    c.bench_function("http_1worker_unbatched", |b| {
+    let single = start(&path, 1);
+    c.bench_function("http_1worker", |b| {
         b.iter(|| black_box(drive(single.addr(), &bodies)))
     });
     single.shutdown();
 
-    let pooled = start(&path, 4, unbatched());
-    c.bench_function("http_4workers_unbatched", |b| {
+    let pooled = start(&path, 4);
+    c.bench_function("http_4workers", |b| {
         b.iter(|| black_box(drive(pooled.addr(), &bodies)))
     });
     pooled.shutdown();
-
-    let pooled_batched = start(&path, 4, batched());
-    c.bench_function("http_4workers_batched", |b| {
-        b.iter(|| black_box(drive(pooled_batched.addr(), &bodies)))
-    });
-    let metrics = pooled_batched.metrics();
-    let page = metrics.render();
-    pooled_batched.shutdown();
-
-    // Sanity: the batched server really did coalesce (its per-call cell
-    // histogram must have seen calls larger than one request's cells).
-    let coalesced = page
-        .lines()
-        .find(|l| l.starts_with("holo_serve_batch_requests_sum"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0);
-    let calls = page
-        .lines()
-        .find(|l| l.starts_with("holo_serve_batch_requests_count"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0);
-    println!(
-        "\nbatched run: {coalesced} requests served by {calls} score_batch calls \
-         ({:.2} requests/call)",
-        coalesced as f64 / calls.max(1) as f64
-    );
 
     prof_overhead_guard(&path);
     std::fs::remove_file(&path).ok();
@@ -232,7 +178,7 @@ fn bench_serving(c: &mut Criterion) {
 /// this process there is no going back to a clean baseline.
 fn prof_overhead_guard(path: &std::path::Path) {
     let p50_micros = |prof: ProfConfig| -> u64 {
-        let server = start_prof(path, 4, batched(), prof);
+        let server = start_prof(path, 4, prof);
         let addr = server.addr();
         let body = rows_body(&unseen_batch(7));
         for _ in 0..10 {

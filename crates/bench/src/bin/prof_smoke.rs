@@ -16,7 +16,7 @@
 
 use holo_data::{DatasetBuilder, GroundTruth, Schema};
 use holo_eval::FitContext;
-use holo_serve::{BatchConfig, HttpConfig, ModelRegistry, ProfConfig, ServeConfig, TraceConfig};
+use holo_serve::{HttpConfig, ModelRegistry, ProfConfig, ServeConfig, TraceConfig};
 use holodetect::{HoloDetect, HoloDetectConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -88,10 +88,6 @@ fn main() -> ExitCode {
                 workers: 4,
                 ..HttpConfig::default()
             },
-            batch: BatchConfig {
-                max_batch_cells: 64,
-                max_wait: Duration::from_millis(2),
-            },
             trace: TraceConfig::default(),
             prof: ProfConfig { enabled: true },
         },
@@ -159,7 +155,7 @@ fn main() -> ExitCode {
             })
             .unwrap_or_default();
         ok &= check(
-            pools.contains(&"http-worker") && pools.contains(&"batcher"),
+            pools.contains(&"http-worker"),
             &format!("worker pools registered ({pools:?})"),
         );
     }

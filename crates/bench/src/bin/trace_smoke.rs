@@ -1,10 +1,9 @@
 //! Trace smoke: a live serving process scraped end to end.
 //!
-//! Fits a tiny model, serves it for real (TCP, worker pool,
-//! micro-batcher), fires a burst of scored requests, and then checks
-//! the whole observability surface from the outside: the
-//! `x-holo-trace` response header, `/v1/trace/{id}`,
-//! `/v1/trace/recent`, `/v1/trace/slow`, and the
+//! Fits a tiny model, serves it for real (TCP, worker pool), fires a
+//! burst of scored requests, and then checks the whole observability
+//! surface from the outside: the `x-holo-trace` response header,
+//! `/v1/trace/{id}`, `/v1/trace/recent`, `/v1/trace/slow`, and the
 //! `holo_trace_stage_micros` histograms on `/metrics`. The slow-trace
 //! exemplars are written to the path given as the first argument
 //! (default `slow-traces.json`) — CI uploads that file as a workflow
@@ -17,7 +16,7 @@
 
 use holo_data::{DatasetBuilder, GroundTruth, Schema};
 use holo_eval::FitContext;
-use holo_serve::{BatchConfig, HttpConfig, ModelRegistry, ProfConfig, ServeConfig, TraceConfig};
+use holo_serve::{HttpConfig, ModelRegistry, ProfConfig, ServeConfig, TraceConfig};
 use holodetect::{HoloDetect, HoloDetectConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -89,10 +88,6 @@ fn main() -> ExitCode {
                 workers: 4,
                 ..HttpConfig::default()
             },
-            batch: BatchConfig {
-                max_batch_cells: 64,
-                max_wait: Duration::from_millis(2),
-            },
             trace: TraceConfig::default(),
             prof: ProfConfig::default(),
         },
@@ -124,7 +119,7 @@ fn main() -> ExitCode {
     // The span tree is fetchable by id and names the scoring stages.
     let (status, _, trace) = http(addr, "GET", &format!("/v1/trace/{last_id}"), "");
     ok &= check(status == 200, "GET /v1/trace/{id}");
-    for stage in ["batch-wait", "score", "encode"] {
+    for stage in ["validate", "score", "encode"] {
         ok &= check(
             trace.contains(&format!("\"{stage}\"")),
             &format!("trace has a {stage} span"),

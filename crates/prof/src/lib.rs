@@ -19,12 +19,11 @@
 //!    acquires, contended acquires, wait-time totals + histograms
 //!    ([`LOCK_WAIT_BOUNDS_MICROS`]), and hold time, deduplicated by
 //!    name process-wide. These replace the raw locks on the serving hot
-//!    paths (`serve`: registry stripes, batcher, recorder, HTTP queue;
+//!    paths (`serve`: registry stripes, recorder, HTTP queue;
 //!    `stream`: state / log / drift / labels / timelines / refit).
 //! 3. **Worker-pool utilization** ([`PoolStats`], [`pool_snapshots`])
-//!    — busy/idle accounting per named pool (HTTP workers, the
-//!    micro-batcher, the refit scheduler), yielding the busy ratio that
-//!    sizing decisions need.
+//!    — busy/idle accounting per named pool (HTTP workers, the refit
+//!    scheduler), yielding the busy ratio that sizing decisions need.
 //!
 //! # Enabling
 //!

@@ -1,11 +1,10 @@
 //! Worker-pool utilization accounting.
 //!
-//! Long-lived worker threads (HTTP workers, the micro-batcher thread,
-//! the refit scheduler) register a [`PoolStats`] slot by name and book
-//! their time into two saturating buckets: **busy** (doing work —
-//! handling a connection, coalescing + scoring a batch, running a refit
-//! tick) and **idle** (blocked waiting for work or sleeping between
-//! ticks). The derived busy ratio — busy over busy-plus-idle — is the
+//! Long-lived worker threads (HTTP workers, the refit scheduler)
+//! register a [`PoolStats`] slot by name and book their time into two
+//! saturating buckets: **busy** (doing work — handling a connection,
+//! running a refit tick) and **idle** (blocked waiting for work or
+//! sleeping between ticks). The derived busy ratio — busy over busy-plus-idle — is the
 //! single number that answers "is this pool under- or over-sized",
 //! surfaced as `/v1/prof`'s `pools` array and the
 //! `holo_prof_worker_busy_ratio` metrics family.

@@ -218,7 +218,7 @@ mod tests {
                     ingest_rows_per_sec: 1000.0,
                     refit_secs: 0.9,
                     score_stage_micros: vec![
-                        ("batch-wait".into(), 2000),
+                        ("validate".into(), 2000),
                         ("score".into(), 1500),
                         ("encode".into(), 80),
                     ],
@@ -247,10 +247,7 @@ mod tests {
         let scenario = &with.get("scenarios").unwrap().as_arr().unwrap()[0];
         let latency = scenario.get("latency").expect("latency object");
         let stages = latency.get("score_stage_micros").expect("score stages");
-        assert_eq!(
-            stages.get("batch-wait").and_then(Json::as_f64),
-            Some(2000.0)
-        );
+        assert_eq!(stages.get("validate").and_then(Json::as_f64), Some(2000.0));
         let phases = latency.get("refit_phase_micros").expect("refit phases");
         assert_eq!(
             phases.get("refit_with").and_then(Json::as_f64),

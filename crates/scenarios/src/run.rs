@@ -99,8 +99,8 @@ pub struct ScenarioLatency {
     /// Seconds for the drift-triggered `/refit` round-trip.
     pub refit_secs: f64,
     /// Per-stage breakdown of the HTTP score probe, from the server's
-    /// own trace of the request (`parse`/`validate`/`batch-wait`/
-    /// `score`/`encode`), as `(stage, micros)` in span order.
+    /// own trace of the request (`parse`/`validate`/`score`/`encode`),
+    /// as `(stage, micros)` in span order.
     pub score_stage_micros: Vec<(String, u64)>,
     /// Phase durations of the refit's recorded timeline (`snapshot`,
     /// `adapt`, `refit_with`, `persist`, `install`, …).

@@ -36,8 +36,8 @@
 //! Every request is traced: the handler opens a `holo-trace` span tree
 //! named after the *normalized* endpoint (`/v1/models/{name}/score`,
 //! never the raw path — label cardinality stays bounded), records
-//! per-stage child spans (`parse`, `validate`, `batch-wait`, `score`,
-//! `encode`; `log-append` / `apply-delta` / `drift-update` on ingest),
+//! per-stage child spans (`parse`, `validate`, `score`, `encode`;
+//! `log-append` / `apply-delta` / `drift-update` on ingest),
 //! and echoes the trace id back as the `x-holo-trace` response header.
 //! Finished traces land in a bounded in-memory ring
 //! ([`holo_trace::SpanRecorder`]) the three `/v1/trace/*` endpoints
@@ -88,7 +88,6 @@
 //! category in the metrics, so a schema-mismatch storm is visible on
 //! `GET /metrics` as such.
 
-use crate::batch::{BatchConfig, MicroBatcher};
 use crate::http::{self, Handler, HttpConfig, Request, Response, ServerHandle};
 use crate::json::{self, Json, ParseLimits};
 use crate::metrics::{
@@ -110,8 +109,6 @@ use std::sync::Arc;
 pub struct ServeConfig {
     /// HTTP layer knobs.
     pub http: HttpConfig,
-    /// Micro-batching knobs.
-    pub batch: BatchConfig,
     /// Request-tracing knobs.
     pub trace: TraceConfig,
     /// Continuous-profiling knobs (`--prof`).
@@ -182,7 +179,6 @@ type GaugeFn<'a> = &'a dyn Fn(&LivePageEntry) -> String;
 /// Shared state behind the handler closure.
 struct App {
     registry: Arc<ModelRegistry>,
-    batcher: MicroBatcher,
     metrics: Arc<Metrics>,
     limits: ParseLimits,
     tracer: Tracer,
@@ -190,7 +186,7 @@ struct App {
     prof_enabled: bool,
 }
 
-/// A running serving stack: HTTP server + batcher + registry.
+/// A running serving stack: HTTP server + registry.
 pub struct RunningServer {
     /// Captured at bind time so `addr()` never depends on whether the
     /// handle has been taken for shutdown.
@@ -221,13 +217,12 @@ impl RunningServer {
         Arc::clone(self.app.tracer.recorder())
     }
 
-    /// Graceful shutdown: drain in-flight HTTP requests, then the
-    /// batching queue, then join every thread.
+    /// Graceful shutdown: drain in-flight HTTP requests, then join
+    /// every worker.
     pub fn shutdown(mut self) {
         if let Some(h) = self.http.take() {
             h.shutdown();
         }
-        self.app.batcher.shutdown();
     }
 }
 
@@ -236,7 +231,6 @@ impl Drop for RunningServer {
         if let Some(h) = self.http.take() {
             h.shutdown();
         }
-        self.app.batcher.shutdown();
     }
 }
 
@@ -252,14 +246,12 @@ pub fn start(
         // attribution stays on (see `ProfConfig`).
         holo_prof::set_enabled(true);
     }
-    let batcher = MicroBatcher::start(cfg.batch, Arc::clone(&metrics))?;
     let recorder = Arc::new(SpanRecorder::new(RecorderConfig {
         ring_bytes: cfg.trace.ring_bytes,
         slow_per_endpoint: cfg.trace.slow_per_endpoint,
     }));
     let app = Arc::new(App {
         registry,
-        batcher,
         metrics,
         limits: ParseLimits::default(),
         tracer: Tracer::new(recorder),
@@ -333,10 +325,12 @@ impl Failure {
 impl App {
     fn route(&self, req: &Request) -> Response {
         let clock = Stopwatch::start();
-        let mut trace = self.tracer.span(&endpoint_label(req));
+        // The trace starts at the request's first byte, so `parse`
+        // sits at offset 0 and the handler's stages follow it.
+        let mut trace = self.tracer.span_since(&endpoint_label(req), req.received);
         trace.note("method", Value::Str(req.method.clone()));
         if req.parse_micros > 0 {
-            trace.child_micros("parse", req.parse_micros);
+            trace.child_at("parse", 0, req.parse_micros);
         }
         let resp = self
             .dispatch(req, &mut trace)
@@ -830,24 +824,18 @@ impl App {
         drop(validate_scope);
         trace.close();
 
-        let (result, timing) = self.batcher.score_timed(Arc::clone(&model), data, cells);
-        let scores = result.map_err(Failure::model)?;
-        // Queue wait and model call were measured on the batcher's
-        // side; lay them out back-to-back ending now.
-        let now = trace.elapsed_micros();
-        let score_start = now.saturating_sub(timing.score_micros);
-        trace.child_at(
-            "batch-wait",
-            score_start.saturating_sub(timing.batch_wait_micros),
-            timing.batch_wait_micros,
-        );
-        trace.child_at("score", score_start, timing.score_micros);
+        trace.child("score");
+        let score_scope = holo_prof::scope("score");
+        let score_bytes = holo_prof::thread_alloc_bytes();
+        let result = guarded(|| model.score_batch(&data, &cells));
         if prof {
-            // Measured on the batcher thread around the score_batch
-            // call; `annotate_last` reaches the closed "score" span.
-            trace.annotate_last("alloc_bytes", Value::U64(timing.score_alloc_bytes));
+            let delta = holo_prof::thread_alloc_bytes().wrapping_sub(score_bytes);
+            trace.annotate("alloc_bytes", Value::U64(delta));
         }
-        trace.note("merged_requests", Value::U64(timing.merged_requests as u64));
+        drop(score_scope);
+        trace.close();
+        let scores = result.map_err(Failure::model)?;
+        self.metrics.record_scored_cells(scores.len());
 
         trace.child("encode");
         let encode_scope = holo_prof::scope("encode");
@@ -1078,6 +1066,13 @@ impl App {
     }
 }
 
+/// Run scoring behind panic isolation: a panic in model code becomes a
+/// typed `format` error (a counted 500), not an untyped worker-level 500.
+fn guarded<F: FnOnce() -> Result<Vec<f64>, ModelError>>(f: F) -> Result<Vec<f64>, ModelError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .unwrap_or_else(|_| Err(ModelError::Format("model panicked while scoring".into())))
+}
+
 /// The normalized endpoint label a request's trace is filed under.
 /// Path parameters become placeholders and unknown paths collapse to
 /// one bucket: the label keys the slow-exemplar store and the stage
@@ -1270,6 +1265,17 @@ mod tests {
         );
         assert_eq!(error_status(&ModelError::Io(io::Error::other("x"))), 500);
         assert_eq!(error_status(&ModelError::Format("x".into())), 500);
+    }
+
+    #[test]
+    fn panicking_model_code_is_a_typed_error() {
+        let r = guarded(|| panic!("poisoned model"));
+        let Err(ModelError::Format(msg)) = r else {
+            panic!("panic was not converted to a typed error")
+        };
+        assert!(msg.contains("panicked"));
+        // Non-panicking work passes through untouched.
+        assert_eq!(guarded(|| Ok(vec![0.5])).unwrap(), vec![0.5]);
     }
 
     #[test]

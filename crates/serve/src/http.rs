@@ -71,9 +71,14 @@ pub struct Request {
     pub headers: Vec<(String, String)>,
     /// The body (empty when no `Content-Length`).
     pub body: Vec<u8>,
+    /// When the request's first bytes arrived. The handler's trace
+    /// starts here, so a keep-alive connection's idle gap before the
+    /// request is billed to no stage.
+    pub received: Stopwatch,
     /// How long the HTTP layer spent reading + parsing this request
-    /// (head and body), in microseconds — the handler's trace records
-    /// it as the `parse` stage, which happens before the handler runs.
+    /// (head and body) from its first byte, in microseconds — the
+    /// handler's trace records it as the `parse` stage, which happens
+    /// before the handler runs.
     pub parse_micros: u64,
 }
 
@@ -395,10 +400,18 @@ fn handle_connection(
 }
 
 fn read_request(reader: &mut BufReader<TcpStream>, cfg: &HttpConfig) -> Result<Request, ReadError> {
-    let parse_clock = Stopwatch::start();
     // Overall deadline for this one request: per-read timeouts restart
     // on every byte, so a trickler is bounded here instead.
     let deadline = Instant::now() + cfg.request_timeout;
+    // `parse` starts at the first byte, not at the wait for it.
+    let received = loop {
+        match reader.fill_buf() {
+            Ok([]) => return Err(ReadError::Eof),
+            Ok(_) => break Stopwatch::start(),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return Err(ReadError::Io),
+        }
+    };
     let mut head_budget = cfg.max_head_bytes;
     let line = read_crlf_line(reader, &mut head_budget, true, deadline)?;
     let mut parts = line.split_whitespace();
@@ -428,6 +441,7 @@ fn read_request(reader: &mut BufReader<TcpStream>, cfg: &HttpConfig) -> Result<R
         version: version.to_string(),
         headers,
         body: Vec::new(),
+        received,
         parse_micros: 0,
     };
     if req
@@ -463,7 +477,7 @@ fn read_request(reader: &mut BufReader<TcpStream>, cfg: &HttpConfig) -> Result<R
         }
         req.body = body;
     }
-    req.parse_micros = parse_clock.elapsed_micros();
+    req.parse_micros = received.elapsed_micros();
     Ok(req)
 }
 

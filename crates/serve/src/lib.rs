@@ -32,42 +32,32 @@
 //!   `holo_stream::LiveModel` with streaming ingest, drift monitoring,
 //!   and background drift-triggered refit — endpoints
 //!   `POST .../rows`, `GET .../drift`, `POST .../refit`).
-//! * [`batch`] — [`batch::MicroBatcher`]: coalesces concurrent score
-//!   requests into larger `score_batch` calls under a max-batch /
-//!   max-wait policy, with a merge-safety rule that keeps served scores
-//!   bitwise-identical to direct in-process scoring.
-//! * [`metrics`] — saturating counters, monotonic latency/batch-size
-//!   histograms, and per-category [`holo_eval::ModelError`] counts on
+//! * [`metrics`] — saturating counters, a monotonic latency histogram,
+//!   and per-category [`holo_eval::ModelError`] counts on
 //!   `GET /metrics`, rendered as parseable Prometheus text format.
 //! * [`app`] — the endpoints, request/response schemas, and the
 //!   `ModelError` → HTTP status mapping.
 //!
 //! Every request is traced through `holo-trace`: per-stage spans
-//! (`parse` / `validate` / `batch-wait` / `score` / `encode`), the
-//! trace id echoed as the `x-holo-trace` response header, a bounded
-//! in-memory ring served by `GET /v1/trace/recent`, `/v1/trace/{id}`,
-//! and `/v1/trace/slow`, and per-stage latency histograms on
-//! `GET /metrics` ([`app::TraceConfig`]).
+//! (`parse` / `validate` / `score` / `encode`), the trace id echoed as
+//! the `x-holo-trace` response header, a bounded in-memory ring served
+//! by `GET /v1/trace/recent`, `/v1/trace/{id}`, and `/v1/trace/slow`,
+//! and per-stage latency histograms on `GET /metrics`
+//! ([`app::TraceConfig`]).
 //!
 //! The stack is continuously profiled through `holo-prof`: the serving
-//! locks (registry stripes, batcher queue, HTTP accept queue) are
-//! instrumented [`holo_prof::ProfMutex`]/[`holo_prof::ProfRwLock`]
-//! wrappers, the worker pools book busy/idle time, and the counting
-//! allocator attributes heap traffic to request stages when `--prof`
+//! locks (registry stripes, HTTP accept queue) are instrumented
+//! [`holo_prof::ProfMutex`]/[`holo_prof::ProfRwLock`] wrappers, the
+//! worker pools book busy/idle time, and the counting allocator
+//! attributes heap traffic to request stages when `--prof`
 //! ([`app::ProfConfig`]) is on. `GET /v1/prof` serves the snapshot and
 //! `/metrics` carries the `holo_prof_*` families.
 //!
-//! ## Batching semantics
+//! ## Scoring concurrency
 //!
-//! A request is answered from the micro-batching queue: the batcher
-//! waits up to `max_wait` (default 2ms) after the first pending request,
-//! gathering compatible requests until `max_batch_cells` cells are
-//! pending, then issues one merged `score_batch`. Merging never changes
-//! scores: requests whose rows would collide with the model's reference
-//! rows under re-indexing are scored solo (see [`batch`] docs). Latency
-//! cost is bounded by `max_wait`; throughput gain comes from
-//! featurization fanning out across the model's worker threads once per
-//! merged call instead of once per request.
+//! Each score request is scored by one `score_batch` call on the HTTP
+//! worker that parsed it, so at most `--workers` calls run at once.
+//! Each call spreads its featurization over the model's `cfg.threads`.
 //!
 //! ## Quickstart
 //!
@@ -81,14 +71,12 @@
 #![deny(rust_2018_idioms)]
 
 pub mod app;
-pub mod batch;
 pub mod http;
 pub mod json;
 pub mod metrics;
 pub mod registry;
 
 pub use app::{error_status, start, ProfConfig, RunningServer, ServeConfig, TraceConfig};
-pub use batch::{BatchConfig, MicroBatcher, ScoreTiming};
 pub use holo_trace::{format_trace_id, parse_trace_id, SpanRecorder, Trace, Tracer};
 pub use http::{HttpConfig, Request, Response, ServerHandle};
 pub use json::{parse as parse_json, Json, JsonError, ParseLimits};

@@ -3,14 +3,13 @@
 //! ```text
 //! holo-serve --model food=artifacts/food.holoart \
 //!            --model census=artifacts/census.holoart \
-//!            --addr 127.0.0.1:7878 --workers 8 \
-//!            --max-batch-cells 512 --max-wait-ms 2
+//!            --addr 127.0.0.1:7878 --workers 8
 //! ```
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
-use holo_serve::{BatchConfig, HttpConfig, ModelRegistry, ProfConfig, ServeConfig, TraceConfig};
+use holo_serve::{HttpConfig, ModelRegistry, ProfConfig, ServeConfig, TraceConfig};
 use holo_stream::{LiveModel, RefitScheduler, RefitTarget, StreamConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -24,7 +23,6 @@ struct Args {
     stream: StreamConfig,
     refit_interval: Duration,
     http: HttpConfig,
-    batch: BatchConfig,
     trace: TraceConfig,
     prof: ProfConfig,
 }
@@ -36,8 +34,6 @@ options:
   --addr HOST:PORT       listen address          (default 127.0.0.1:7878)
   --workers N            HTTP worker threads     (default 4)
   --max-body-bytes N     request body cap        (default 1048576)
-  --max-batch-cells N    micro-batch cell cap    (default 512; 1 disables batching)
-  --max-wait-ms N        micro-batch gather wait (default 2)
   --access-log           one JSON log line per request on stderr
                          (trace id, endpoint, status, micros)
   --trace-ring-bytes N   trace ring byte budget  (default 1048576)
@@ -69,7 +65,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         stream: StreamConfig::default(),
         refit_interval: Duration::from_millis(1000),
         http: HttpConfig::default(),
-        batch: BatchConfig::default(),
         trace: TraceConfig::default(),
         prof: ProfConfig::default(),
     };
@@ -95,16 +90,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--max-body-bytes" => {
                 args.http.max_body_bytes =
                     parse_num(&value("--max-body-bytes")?, "--max-body-bytes")?;
-            }
-            "--max-batch-cells" => {
-                args.batch.max_batch_cells =
-                    parse_num(&value("--max-batch-cells")?, "--max-batch-cells")?;
-            }
-            "--max-wait-ms" => {
-                args.batch.max_wait = Duration::from_millis(parse_num(
-                    &value("--max-wait-ms")?,
-                    "--max-wait-ms",
-                )? as u64);
             }
             "--access-log" => args.trace.access_log = true,
             "--prof" => args.prof.enabled = true,
@@ -241,7 +226,6 @@ fn main() -> ExitCode {
 
     let cfg = ServeConfig {
         http: args.http,
-        batch: args.batch,
         trace: args.trace,
         prof: args.prof,
     };

@@ -403,7 +403,7 @@ pub fn model_error_category(e: &ModelError) -> &'static str {
     }
 }
 
-/// All serving metrics, shared across workers and the batcher.
+/// All serving metrics, shared across the HTTP workers.
 pub struct Metrics {
     started: Instant,
     requests_total: AtomicU64,
@@ -417,10 +417,6 @@ pub struct Metrics {
     labels_received_total: AtomicU64,
     /// Request latency in microseconds.
     latency_micros: Histogram,
-    /// Cells per `score_batch` call issued by the micro-batcher.
-    batch_cells: Histogram,
-    /// Requests coalesced per `score_batch` call.
-    batch_requests: Histogram,
     model_errors: [AtomicU64; MODEL_ERROR_CATEGORIES.len()],
 }
 
@@ -448,8 +444,6 @@ impl Metrics {
                 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
                 1_000_000,
             ]),
-            batch_cells: Histogram::new(vec![1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]),
-            batch_requests: Histogram::new(vec![1, 2, 4, 8, 16, 32]),
             model_errors: Default::default(),
         }
     }
@@ -470,13 +464,6 @@ impl Metrics {
         sat_add(class, 1);
         let micros = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
         self.latency_micros.observe(micros);
-    }
-
-    /// Record the shape of one `score_batch` call issued by the
-    /// micro-batcher (issued, whatever its outcome).
-    pub fn record_batch(&self, cells: usize, coalesced_requests: usize) {
-        self.batch_cells.observe(cells as u64);
-        self.batch_requests.observe(coalesced_requests as u64);
     }
 
     /// Record cells that were actually scored (successful calls only —
@@ -615,16 +602,6 @@ impl Metrics {
             "End-to-end request latency in microseconds.",
             &mut out,
         );
-        self.batch_cells.render(
-            "holo_serve_batch_cells",
-            "Cells per score_batch call issued by the micro-batcher.",
-            &mut out,
-        );
-        self.batch_requests.render(
-            "holo_serve_batch_requests",
-            "Requests coalesced per score_batch call.",
-            &mut out,
-        );
         out
     }
 }
@@ -687,10 +664,10 @@ mod tests {
     #[test]
     fn scored_cells_count_successes_only() {
         let m = Metrics::new();
-        m.record_batch(100, 4); // issued, but the call failed
+        // A failed call records a model error and no scored cells.
+        m.record_model_error(&ModelError::Format("model panicked while scoring".into()));
         let page = m.render();
         assert!(page.contains("holo_serve_cells_scored_total 0"), "{page}");
-        assert!(page.contains("holo_serve_batch_cells_count 1"));
         m.record_scored_cells(100);
         assert!(m.render().contains("holo_serve_cells_scored_total 100"));
     }
@@ -753,7 +730,6 @@ mod tests {
         m.record_response(200, Duration::from_micros(300));
         m.record_response(404, Duration::from_micros(80));
         m.record_response(500, Duration::from_secs(30)); // beyond last bound
-        m.record_batch(40, 3);
         m.record_scored_cells(40);
         let page = m.render();
         assert!(page.contains("holo_serve_requests_total 3"));
@@ -761,8 +737,6 @@ mod tests {
         assert!(page.contains("holo_serve_responses_total{class=\"4xx\"} 1"));
         assert!(page.contains("holo_serve_responses_total{class=\"5xx\"} 1"));
         assert!(page.contains("holo_serve_request_latency_micros_bucket{le=\"+Inf\"} 3"));
-        assert!(page.contains("holo_serve_batch_cells_count 1"));
-        assert!(page.contains("holo_serve_batch_requests_bucket{le=\"4\"} 1"));
         assert!(page.contains("holo_serve_cells_scored_total 40"));
     }
 
@@ -879,7 +853,6 @@ mod tests {
         m.record_response(200, Duration::from_micros(300));
         m.record_response(500, Duration::from_secs(30));
         m.record_protocol_error(431);
-        m.record_batch(40, 3);
         m.record_scored_cells(40);
         m.record_model_error(&ModelError::Format("bad".into()));
         m.record_reload();
@@ -958,7 +931,7 @@ mod tests {
         let mut out = String::new();
         render_stage_histograms(
             &[StageStat {
-                stage: "batch-wait".to_string(),
+                stage: "log-append".to_string(),
                 buckets,
                 count: 4,
                 sum_micros: 2_000_400,
@@ -966,10 +939,10 @@ mod tests {
             &mut out,
         );
         assert!(out.contains("# TYPE holo_trace_stage_micros histogram"));
-        assert!(out.contains("holo_trace_stage_micros_bucket{stage=\"batch-wait\",le=\"100\"} 2"));
-        assert!(out.contains("holo_trace_stage_micros_bucket{stage=\"batch-wait\",le=\"250\"} 3"));
-        assert!(out.contains("holo_trace_stage_micros_bucket{stage=\"batch-wait\",le=\"+Inf\"} 4"));
-        assert!(out.contains("holo_trace_stage_micros_count{stage=\"batch-wait\"} 4"));
-        assert!(out.contains("holo_trace_stage_micros_sum{stage=\"batch-wait\"} 2000400"));
+        assert!(out.contains("holo_trace_stage_micros_bucket{stage=\"log-append\",le=\"100\"} 2"));
+        assert!(out.contains("holo_trace_stage_micros_bucket{stage=\"log-append\",le=\"250\"} 3"));
+        assert!(out.contains("holo_trace_stage_micros_bucket{stage=\"log-append\",le=\"+Inf\"} 4"));
+        assert!(out.contains("holo_trace_stage_micros_count{stage=\"log-append\"} 4"));
+        assert!(out.contains("holo_trace_stage_micros_sum{stage=\"log-append\"} 2000400"));
     }
 }

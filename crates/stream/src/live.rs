@@ -14,9 +14,12 @@
 //!   through an in-memory save/load under a read lock, entirely outside
 //!   the state lock. The refitted artifact is persisted
 //!   (temp-file + rename), the log compacted to its epoch, and the
-//!   result installed under a brief write lock that replays whatever
-//!   ops arrived mid-refit — so a refit never loses deltas and never
-//!   blocks scoring beyond the final pointer swap.
+//!   result installed: the ops that arrived mid-refit are replayed and
+//!   the drift baseline anchored off the state lock, then a brief write
+//!   lock catches up on any later ops and swaps model, baseline and
+//!   generation together — so a refit never loses deltas, never blocks
+//!   scoring beyond the final swap, and a score never runs on a model
+//!   newer than the generation it can observe.
 //!
 //! Lock order (outermost first):
 //! `refit_lock → state → log → drift → labels → timelines`. Any path
@@ -806,10 +809,17 @@ impl LiveModel {
 
     /// Install a model that corresponds to the log's compaction horizon
     /// (e.g. the operator's original plain artifact): replay the log
-    /// tail onto it, swap it in under a brief write lock, re-anchor the
-    /// drift baseline, and bump the generation. Returns the new
-    /// generation. For the artifact *file* — which may be epoch-stamped
-    /// by a refit — use [`LiveModel::reload_install`].
+    /// tail onto it, anchor a drift baseline on it, then swap in model,
+    /// baseline and a bumped generation under one brief write lock.
+    /// Returns the new generation. For the artifact *file* — which may
+    /// be epoch-stamped by a refit — use [`LiveModel::reload_install`].
+    ///
+    /// # Errors
+    /// [`ModelError::Degenerate`] for an artifact with no fitted state;
+    /// [`ModelError::Format`] for a schema mismatch, an artifact epoch
+    /// outside the log's range, or a log compacted past the replayed
+    /// epoch while the install ran (a newer refit artifact exists:
+    /// reload that one).
     pub fn install(&self, loaded: FittedHoloDetect) -> Result<u64, ModelError> {
         self.install_at(loaded, None)
     }
@@ -838,8 +848,11 @@ impl LiveModel {
                 "installed artifact schema does not match the live model".into(),
             ));
         }
-        let artifact_epoch = {
-            let mut st = self.state.write().map_err(|_| poisoned("live state"))?;
+        // Replay the log tail and anchor the drift baseline on the
+        // incoming model before it goes live, holding no state lock: the
+        // anchor scores a reference sample, and holding the write lock
+        // for it would block every concurrent scorer mid-swap.
+        let (artifact_epoch, tail, replayed_epoch) = {
             let log = self.log.lock().map_err(|_| poisoned("delta log"))?;
             let artifact_epoch = file_epoch.unwrap_or_else(|| log.base_epoch());
             if artifact_epoch < log.base_epoch() || artifact_epoch > log.epoch() {
@@ -850,33 +863,46 @@ impl LiveModel {
                     log.epoch()
                 )));
             }
-            for op in log.ops_after(artifact_epoch) {
+            (
+                artifact_epoch,
+                log.ops_after(artifact_epoch).to_vec(),
+                log.epoch(),
+            )
+        };
+        for op in &tail {
+            loaded.apply_delta(op)?;
+        }
+        let anchored = DriftMonitor::new_anchored(&loaded, &self.cfg)?;
+        // One write-locked step catches up on ops ingested since the
+        // replay, then publishes model, drift baseline and generation
+        // together: a scorer that reads N's model sees generation N, and
+        // anyone observing generation N also observes N's drift state
+        // (the scheduler's post-swap check relies on it).
+        let generation = {
+            let mut st = self.state.write().map_err(|_| poisoned("live state"))?;
+            let log = self.log.lock().map_err(|_| poisoned("delta log"))?;
+            if replayed_epoch < log.base_epoch() {
+                return Err(ModelError::Format(format!(
+                    "the log was compacted through epoch {} while this install \
+                     replayed to epoch {replayed_epoch}; reload the newer artifact",
+                    log.base_epoch()
+                )));
+            }
+            for op in log.ops_after(replayed_epoch) {
                 loaded.apply_delta(op)?;
             }
             st.model = loaded;
             st.epoch = log.epoch();
-            artifact_epoch
-        };
-        // Re-anchor the drift baseline under a *read* lock: the anchor
-        // scores a reference sample, and holding the write lock for it
-        // would block every concurrent scorer mid-swap.
-        let anchored = {
-            let st = self.state.read().unwrap_or_else(PoisonError::into_inner);
-            DriftMonitor::new_anchored(&st.model, &self.cfg)?
-        };
-        // Whole-value overwrite, so recovery is safe even on this write.
-        *self.drift.lock().unwrap_or_else(PoisonError::into_inner) = anchored;
-        // Bump the generation only after the drift baseline is
-        // re-anchored: anyone observing generation N must also observe
-        // N's drift state (the scheduler's post-swap check relies on it).
-        let generation =
+            // Whole-value overwrite, so recovery is safe even on this write.
+            *self.drift.lock().unwrap_or_else(PoisonError::into_inner) = anchored;
             match self
                 .generation
                 .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |g| {
                     Some(g.saturating_add(1))
                 }) {
                 Ok(prev) | Err(prev) => prev.saturating_add(1),
-            };
+            }
+        };
         // Close the matching refit timeline, if one is still retained —
         // a plain-artifact install (epoch at the log horizon with no
         // pending refit) simply finds nothing to mark.

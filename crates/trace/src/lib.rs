@@ -1,14 +1,14 @@
 //! # holo-trace
 //!
 //! Request-scoped span tracing for the serving stack: the instrumentation
-//! seam that turns "the p99 got slow" into "batch-wait grew 4× while
+//! seam that turns "the p99 got slow" into "validate grew 4× while
 //! score stayed flat".
 //!
 //! `/metrics` aggregates answer *how much*; they cannot answer *where*.
-//! A scored request crosses HTTP parse → validation → the micro-batch
-//! queue → `score_batch` → JSON encode, and a background refit crosses
-//! snapshot → adapt (label-drain, channel-learn, augment) → `refit_with`
-//! → persist → install. This crate records both paths as cheap
+//! A scored request crosses HTTP parse → validation → `score_batch` →
+//! JSON encode, and a background refit crosses snapshot → adapt
+//! (label-drain, channel-learn, augment) → `refit_with` → persist →
+//! install. This crate records both paths as cheap
 //! monotonic-clock span trees so exemplars (individual slow requests)
 //! and aggregates (per-stage histograms) are derived from the *same*
 //! measurements and can never disagree.
@@ -22,7 +22,8 @@
 //!   spans below) goes through it instead of ad-hoc
 //!   [`std::time::Instant`] arithmetic.
 //! * [`Tracer`] / [`TraceBuilder`] — build one span tree per request:
-//!   `tracer.span("score")` opens the root, `.child("validate")` nests,
+//!   `tracer.span("score")` opens the root (`span_since` backdates it,
+//!   e.g. to a request's first byte), `.child("validate")` nests,
 //!   [`TraceBuilder::finish`] closes everything and hands the completed
 //!   [`Trace`] to the recorder. Trace ids are u64s from a process-wide
 //!   counter mixed through splitmix64, rendered as 16 hex digits.
@@ -47,12 +48,12 @@
 //! t.child("validate");
 //! t.annotate("rows", Value::U64(10));
 //! t.close();
-//! t.child_micros("batch-wait", 1_900);
-//! t.child_micros("score", 450);
+//! t.child_micros("score", 1_900);
+//! t.child_micros("encode", 450);
 //! let trace = t.finish();
 //!
 //! assert_eq!(recorder.get(trace.id).map(|t| t.spans.len()), Some(4));
-//! assert!(trace.stage_micros("batch-wait") >= 1_900);
+//! assert!(trace.stage_micros("score") >= 1_900);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -24,14 +24,14 @@ pub enum Value {
     F64(f64),
     /// Labels (model names, error categories).
     Str(String),
-    /// Flags (cache hit, merged into a batch).
+    /// Boolean flags.
     Bool(bool),
 }
 
 /// One completed span inside a [`Trace`].
 #[derive(Debug, Clone)]
 pub struct Span {
-    /// Stage name, e.g. `"batch-wait"` or `"apply-delta"`.
+    /// Stage name, e.g. `"score"` or `"apply-delta"`.
     pub name: String,
     /// Index of the parent span within [`Trace::spans`]; `None` only
     /// for the root span at index 0.
@@ -152,7 +152,15 @@ impl Tracer {
     /// replaced by placeholders) — it keys the slow-exemplar store, so
     /// unbounded label cardinality would unbound its memory.
     pub fn span(&self, endpoint: &str) -> TraceBuilder {
-        TraceBuilder::with_recorder(endpoint, Some(Arc::clone(&self.recorder)))
+        self.span_since(endpoint, Stopwatch::start())
+    }
+
+    /// [`Tracer::span`] for a trace whose clock started at `started`
+    /// (e.g. when a request's first bytes arrived), so work measured
+    /// before the builder existed can be attached at its true offset
+    /// with [`TraceBuilder::child_at`].
+    pub fn span_since(&self, endpoint: &str, started: Stopwatch) -> TraceBuilder {
+        TraceBuilder::with_recorder(endpoint, Some(Arc::clone(&self.recorder)), started)
     }
 }
 
@@ -187,7 +195,11 @@ pub struct TraceBuilder {
 }
 
 impl TraceBuilder {
-    fn with_recorder(endpoint: &str, recorder: Option<Arc<SpanRecorder>>) -> Self {
+    fn with_recorder(
+        endpoint: &str,
+        recorder: Option<Arc<SpanRecorder>>,
+        clock: Stopwatch,
+    ) -> Self {
         let root = OpenSpan {
             name: endpoint.to_string(),
             parent: None,
@@ -198,7 +210,7 @@ impl TraceBuilder {
         TraceBuilder {
             id: next_trace_id(),
             endpoint: endpoint.to_string(),
-            clock: Stopwatch::start(),
+            clock,
             spans: vec![root],
             stack: vec![0],
             notes: Vec::new(),
@@ -209,7 +221,7 @@ impl TraceBuilder {
     /// A builder with no recorder attached; [`TraceBuilder::finish`]
     /// just returns the trace. Used by tests and standalone callers.
     pub fn detached(endpoint: &str) -> Self {
-        Self::with_recorder(endpoint, None)
+        Self::with_recorder(endpoint, None, Stopwatch::start())
     }
 
     /// This trace's id (echoed to clients before the trace finishes).
@@ -288,21 +300,6 @@ impl TraceBuilder {
         self
     }
 
-    /// Annotates the most recently added span, open or closed.
-    ///
-    /// [`TraceBuilder::annotate`] targets the innermost *open* span, so
-    /// it cannot reach spans attached already-completed via
-    /// [`TraceBuilder::child_at`] / [`TraceBuilder::child_micros`] —
-    /// this method can, and is how measurements that arrive with a
-    /// completed duration (e.g. the batcher's per-batch allocation
-    /// delta) land on the span they describe.
-    pub fn annotate_last(&mut self, key: &str, value: Value) -> &mut Self {
-        if let Some(span) = self.spans.last_mut() {
-            span.notes.push((key.to_string(), value));
-        }
-        self
-    }
-
     /// Annotates the trace itself (status, model name, …) rather than
     /// any one span.
     pub fn note(&mut self, key: &str, value: Value) -> &mut Self {
@@ -321,9 +318,9 @@ impl TraceBuilder {
                 }
             }
         }
-        // The trace covers every span: attached durations measured on
-        // another clock (child_micros from a batcher reply) may end
-        // past this builder's own elapsed time.
+        // The trace covers every span: a completed child attached with
+        // an explicit start (child_at), or one clamped forward to its
+        // parent's start, may end past this builder's own elapsed time.
         let end = self
             .spans
             .iter()
@@ -410,37 +407,39 @@ mod tests {
     }
 
     #[test]
+    fn span_since_places_earlier_work_before_later_stages() {
+        let tracer = Tracer::new(Arc::new(SpanRecorder::new(
+            crate::recorder::RecorderConfig::default(),
+        )));
+        let started = Stopwatch::start();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let parse = started.elapsed_micros();
+        let mut t = tracer.span_since("/x", started);
+        t.child_at("parse", 0, parse);
+        t.child("validate");
+        t.close();
+        let trace = t.finish();
+        assert_eq!(trace.spans[1].start_micros, 0);
+        let validate = &trace.spans[2];
+        assert!(
+            validate.start_micros >= parse,
+            "validate starts after parse"
+        );
+        assert!(trace.total_micros >= parse + validate.duration_micros);
+    }
+
+    #[test]
     fn completed_children_clamp_into_parent() {
         let mut t = TraceBuilder::detached("/x");
-        t.child_micros("batch-wait", 5_000);
+        t.child_micros("log-append", 5_000);
         t.child_at("score", 0, 250);
         let trace = t.finish();
-        assert_eq!(trace.stage_micros("batch-wait"), 5_000);
+        assert_eq!(trace.stage_micros("log-append"), 5_000);
         assert_eq!(trace.stage_micros("score"), 250);
         assert_eq!(trace.stage_micros("absent"), 0);
         for s in &trace.spans {
             assert!(s.start_micros <= trace.total_micros.max(s.start_micros));
         }
-    }
-
-    #[test]
-    fn annotate_last_reaches_completed_children() {
-        let mut t = TraceBuilder::detached("/x");
-        t.child_micros("score", 250);
-        t.annotate_last("alloc_bytes", Value::U64(4096));
-        // annotate() still targets the open root, not the closed child.
-        t.annotate("status", Value::Str("ok".into()));
-        let trace = t.finish();
-        let score = trace
-            .spans
-            .iter()
-            .find(|s| s.name == "score")
-            .expect("score span");
-        assert_eq!(
-            score.notes,
-            vec![("alloc_bytes".to_string(), Value::U64(4096))]
-        );
-        assert_eq!(trace.spans[0].notes.len(), 1);
     }
 
     #[test]

@@ -53,7 +53,7 @@
 //! * [`eval`] — the detector API, splits, metrics, multi-seed runs,
 //! * [`datagen`] — simulated stand-ins for the paper's five datasets,
 //! * [`serve`] — the std-only serving subsystem: HTTP scoring server,
-//!   model registry with hot reload, micro-batching, metrics,
+//!   model registry with hot reload, metrics,
 //! * [`stream`] — streaming ingest: durable delta logs, incremental
 //!   model maintenance (bitwise-equal to a rebuild at the same epoch),
 //!   drift monitoring, and background drift-triggered refit,

@@ -1,6 +1,6 @@
 //! End-to-end tests for the `holo-serve` subsystem: a real fitted
 //! artifact served over real TCP by the full stack (HTTP worker pool →
-//! JSON ingest → registry → micro-batcher → `score_batch`).
+//! JSON ingest → registry → `score_batch`).
 //!
 //! The contract under test (the PR's acceptance criterion):
 //!
@@ -17,8 +17,7 @@ use holodetect_repro::core::{FittedHoloDetect, HoloDetect, HoloDetectConfig};
 use holodetect_repro::data::{CellId, Dataset, DatasetBuilder, GroundTruth, Schema};
 use holodetect_repro::eval::{FitContext, TrainedModel};
 use holodetect_repro::serve::{
-    self, BatchConfig, HttpConfig, Json, ModelRegistry, ProfConfig, RunningServer, ServeConfig,
-    TraceConfig,
+    self, HttpConfig, Json, ModelRegistry, ProfConfig, RunningServer, ServeConfig, TraceConfig,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -78,10 +77,6 @@ fn start_server_with(path: &std::path::Path, prof: ProfConfig) -> RunningServer 
                 workers: 4,
                 ..HttpConfig::default()
             },
-            batch: BatchConfig {
-                max_batch_cells: 64,
-                max_wait: Duration::from_millis(10),
-            },
             trace: TraceConfig::default(),
             prof,
         },
@@ -95,8 +90,21 @@ fn start_server_with(path: &std::path::Path, prof: ProfConfig) -> RunningServer 
 /// One raw HTTP/1.1 round-trip on a fresh connection, returning the
 /// status, the raw header block, and the body.
 fn http_full(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
+    http_full_after(Duration::ZERO, addr, method, path, body)
+}
+
+/// [`http_full`], idling `pause` between connecting and sending the
+/// request's first byte.
+fn http_full_after(
+    pause: Duration,
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> (u16, String, String) {
     let mut s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    std::thread::sleep(pause);
     let req = format!(
         "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
@@ -167,6 +175,17 @@ fn unseen_batch(tag: usize) -> Dataset {
     b.build()
 }
 
+/// The reference's first `k` rows: every row equals the reference row
+/// at its own index, so the featurizer takes its index-aligned path.
+fn reference_rows(k: usize) -> Dataset {
+    let (dirty, _) = world();
+    let mut b = DatasetBuilder::new(dirty.schema().clone());
+    for t in 0..k {
+        b.push_row(&dirty.tuple_values(t));
+    }
+    b.build()
+}
+
 // ---------------------------------------------------------------- tests
 
 #[test]
@@ -175,16 +194,23 @@ fn concurrent_scores_are_bitwise_identical_to_in_process_score_batch() {
     let server = start_server(&path);
     let addr = server.addr();
 
-    // 6 client threads x 4 requests, concurrently, through the
-    // micro-batcher; every response must equal a direct score_batch.
-    std::thread::scope(|s| {
+    // 6 client threads x 6 requests, concurrently: 4 of unseen rows and
+    // 2 of reference rows 0..k (the aligned path). Every response must
+    // equal a direct score_batch.
+    let sent_cells: usize = std::thread::scope(|s| {
         let model = &model;
         let handles: Vec<_> = (0..6)
             .map(|client| {
                 s.spawn(move || {
-                    for round in 0..4 {
-                        let batch = unseen_batch(client * 10 + round);
+                    let mut sent = 0;
+                    for round in 0..6 {
+                        let batch = if round < 4 {
+                            unseen_batch(client * 10 + round)
+                        } else {
+                            reference_rows(client + round - 2)
+                        };
                         let cells: Vec<CellId> = batch.cell_ids().collect();
+                        sent += cells.len();
                         let expected = model.score_batch(&batch, &cells).expect("direct");
                         let (status, body) = post(
                             addr,
@@ -199,19 +225,25 @@ fn concurrent_scores_are_bitwise_identical_to_in_process_score_batch() {
                             "served scores differ from in-process score_batch"
                         );
                     }
+                    sent
                 })
             })
             .collect();
-        for h in handles {
-            h.join().expect("client thread");
-        }
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .sum()
     });
 
-    // The metrics page saw the traffic and the batcher's histograms.
+    // The metrics page saw the traffic, and counted every served cell
+    // exactly once.
     let (status, page) = http(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     assert!(page.contains("holo_serve_requests_total"));
-    assert!(page.contains("holo_serve_batch_cells_bucket"));
+    assert!(
+        page.contains(&format!("holo_serve_cells_scored_total {sent_cells}\n")),
+        "expected {sent_cells} scored cells: {page}"
+    );
     server.shutdown();
     std::fs::remove_file(&path).ok();
 }
@@ -322,6 +354,12 @@ fn errors_map_to_documented_statuses_and_server_survives() {
     );
     assert_eq!(status, 400, "body: {body}");
     assert!(body.contains("cell_out_of_bounds"), "body: {body}");
+    // No request so far scored a cell; the failed call counts none.
+    let (_, page) = http(addr, "GET", "/metrics", "");
+    assert!(
+        page.contains("holo_serve_cells_scored_total 0\n"),
+        "page: {page}"
+    );
     // Raw garbage that isn't HTTP → 400, connection closed.
     let mut s = TcpStream::connect(addr).unwrap();
     s.write_all(b"\x00\x01\x02 utter garbage\r\n\r\n").unwrap();
@@ -332,10 +370,16 @@ fn errors_map_to_documented_statuses_and_server_survives() {
     // After all of that, the server still scores fine.
     let (status, _) = post(addr, "/v1/models/food/score", &ok_rows);
     assert_eq!(status, 200);
-    // …and the error storm is visible per category on /metrics.
+    // …and the error storm is visible per category on /metrics, next to
+    // the one successful call's cells.
     let (_, page) = http(addr, "GET", "/metrics", "");
     assert!(
         page.contains("holo_serve_model_errors_total{category=\"cell_out_of_bounds\"} 1"),
+        "page: {page}"
+    );
+    let ok_cells = unseen_batch(1).cell_ids().count();
+    assert!(
+        page.contains(&format!("holo_serve_cells_scored_total {ok_cells}\n")),
         "page: {page}"
     );
     server.shutdown();
@@ -417,8 +461,12 @@ fn traced_score_request_attributes_its_wall_time_to_stages() {
     let server = start_server(&path);
     let addr = server.addr();
 
-    // A scored request comes back with an `x-holo-trace` id…
-    let (status, head, body) = http_full(
+    // A scored request comes back with an `x-holo-trace` id… The client
+    // idles after connecting: time before the request's first byte is
+    // the client's, and no stage may bill it.
+    let pause = Duration::from_millis(250);
+    let (status, head, body) = http_full_after(
+        pause,
         addr,
         "POST",
         "/v1/models/food/score",
@@ -429,8 +477,8 @@ fn traced_score_request_attributes_its_wall_time_to_stages() {
     assert_eq!(id.len(), 16, "trace id is 16 hex chars, got {id:?}");
 
     // …whose span tree is fetchable by id and attributes the request's
-    // wall time: batch-wait + score + encode must cover ≥ 90% of the
-    // measured total (the 10ms micro-batch gather wait dominates).
+    // wall time: parse (when present) + validate + score + encode must
+    // cover 90–110% of the measured total.
     let (status, trace_body) = http(addr, "GET", &format!("/v1/trace/{id}"), "");
     assert_eq!(status, 200, "body: {trace_body}");
     let doc = serve::parse_json(&trace_body).expect("trace json");
@@ -444,6 +492,10 @@ fn traced_score_request_attributes_its_wall_time_to_stages() {
         .and_then(Json::as_f64)
         .expect("total_micros");
     assert!(total > 0.0);
+    assert!(
+        total < pause.as_micros() as f64,
+        "the client's {pause:?} idle before its first byte was traced: {trace_body}"
+    );
     let spans = doc.get("spans").and_then(Json::as_arr).expect("spans");
     let stage = |name: &str| -> f64 {
         spans
@@ -454,10 +506,28 @@ fn traced_score_request_attributes_its_wall_time_to_stages() {
             .and_then(Json::as_f64)
             .expect("duration_micros")
     };
-    let attributed = stage("batch-wait") + stage("score") + stage("encode");
+    // Scoring runs on the HTTP worker that parsed the request, so the
+    // root has no queueing stage: every child is one of these four.
+    let stages: Vec<&str> = spans
+        .iter()
+        .skip(1)
+        .filter_map(|s| s.get("name").and_then(Json::as_str))
+        .collect();
+    assert!(
+        stages
+            .iter()
+            .all(|s| ["parse", "validate", "score", "encode"].contains(s)),
+        "unexpected stage in {stages:?}"
+    );
+    let parse = if stages.contains(&"parse") {
+        stage("parse")
+    } else {
+        0.0
+    };
+    let attributed = parse + stage("validate") + stage("score") + stage("encode");
     assert!(
         attributed >= 0.9 * total && attributed <= 1.1 * total,
-        "stages must attribute the wall time: batch-wait+score+encode = \
+        "stages must attribute the wall time: parse+validate+score+encode = \
          {attributed}us of {total}us total ({trace_body})"
     );
 

@@ -8,8 +8,7 @@ use holodetect_repro::core::{HoloDetect, HoloDetectConfig};
 use holodetect_repro::data::{CellId, Dataset, DatasetBuilder, GroundTruth, Schema};
 use holodetect_repro::eval::FitContext;
 use holodetect_repro::serve::{
-    self, BatchConfig, HttpConfig, Json, ModelRegistry, ProfConfig, RunningServer, ServeConfig,
-    TraceConfig,
+    self, HttpConfig, Json, ModelRegistry, ProfConfig, RunningServer, ServeConfig, TraceConfig,
 };
 use holodetect_repro::stream::{LiveModel, RefitScheduler, RefitTarget, StreamConfig};
 use std::io::{Read, Write};
@@ -63,10 +62,6 @@ fn start_server(registry: Arc<ModelRegistry>) -> RunningServer {
             http: HttpConfig {
                 workers: 4,
                 ..HttpConfig::default()
-            },
-            batch: BatchConfig {
-                max_batch_cells: 64,
-                max_wait: Duration::from_millis(5),
             },
             trace: TraceConfig::default(),
             prof: ProfConfig::default(),
