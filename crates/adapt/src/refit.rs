@@ -34,64 +34,51 @@ pub struct RowLabel {
     pub clean: Vec<String>,
 }
 
+/// Target error fraction of the adaptation examples after
+/// augmentation (Figure 6's forced ratio).
+const TARGET_ERROR_RATIO: f64 = 0.5;
+
+/// Fraction of the post-refit training set the *fresh* examples
+/// (labeled cells + their amplified errors) should occupy. The stale
+/// fit-time examples teach the pre-drift channel; left unweighted, a
+/// few dozen fresh examples drown in thousands of stale ones and the
+/// retrained classifier barely moves. The trainer has no per-example
+/// weights, so the weight is realised by replicating the fresh set
+/// (capped at [`MAX_REPLICATION`]).
+const FRESH_WEIGHT: f64 = 0.5;
+
+/// Upper bound on the fresh-set replication factor — keeps a tiny label
+/// batch against a huge fit-time set from exploding the training
+/// matrix.
+const MAX_REPLICATION: usize = 25;
+
+/// Reference cells (outside the labeled rows, strided across the whole
+/// dataset) the learned channel is *broadcast* into: the drifted
+/// transformations are re-applied in these unrelated tuple contexts so
+/// the classifier sees the new error class against many different
+/// co-occurrence/constraint neighbourhoods, not just the handful of
+/// labeled rows (HoloDetect §5.2's augmentation argument, pointed at
+/// adaptation).
+const BROADCAST_CONTEXTS: usize = 256;
+
+/// Cap on the value pool backing the random-swap augmentation move.
+const MAX_SWAP_POOL: usize = 1000;
+
 /// Knobs for [`AdaptiveRefit`].
 #[derive(Debug, Clone)]
 pub struct AdaptConfig {
     /// Label budget: at most this many labeled rows are consumed per
     /// refit (the paper's few-shot regime — default 20).
     pub max_labels: usize,
-    /// Target error fraction of the adaptation examples after
-    /// augmentation (Figure 6's forced ratio).
-    pub target_error_ratio: f64,
-    /// Fraction of the post-refit training set the *fresh* examples
-    /// (labeled cells + their amplified errors) should occupy. The
-    /// stale fit-time examples teach the pre-drift channel; left
-    /// unweighted, a few dozen fresh examples drown in thousands of
-    /// stale ones and the retrained classifier barely moves. The
-    /// trainer has no per-example weights, so the weight is realised by
-    /// replicating the fresh set (capped at [`AdaptConfig::max_replication`]).
-    pub fresh_weight: f64,
-    /// Upper bound on the fresh-set replication factor — keeps a tiny
-    /// label batch against a huge fit-time set from exploding the
-    /// training matrix.
-    pub max_replication: usize,
-    /// Reference cells (outside the labeled rows, strided across the
-    /// whole dataset) the learned channel is *broadcast* into: the
-    /// drifted transformations are re-applied in these unrelated tuple
-    /// contexts so the classifier sees the new error class against
-    /// many different co-occurrence/constraint neighbourhoods, not just
-    /// the handful of labeled rows (HoloDetect §5.2's augmentation
-    /// argument, pointed at adaptation). 0 disables the broadcast.
-    pub broadcast_contexts: usize,
-    /// Repair each labeled error cell in the model's maintained
-    /// reference to its clean value before retraining (the labels are
-    /// ground truth; leaving known-wrong values in the reference lets
-    /// them keep polluting the count-based statistics every other cell
-    /// is scored against).
-    pub repair_labeled: bool,
-    /// Cap on the value pool backing the random-swap augmentation move.
-    pub max_swap_pool: usize,
     /// RNG seed for the augmentation pass (fixed → deterministic refit).
     pub seed: u64,
-    /// Worker threads for the retrain's sharded SGD loop (`None` keeps
-    /// the model's own `cfg.threads`). Purely a wall-clock knob: the
-    /// trainer's shard decomposition is fixed, so the refitted model is
-    /// bitwise-identical at any thread count.
-    pub threads: Option<usize>,
 }
 
 impl Default for AdaptConfig {
     fn default() -> Self {
         AdaptConfig {
             max_labels: 20,
-            target_error_ratio: 0.5,
-            fresh_weight: 0.5,
-            max_replication: 25,
-            broadcast_contexts: 256,
-            repair_labeled: true,
-            max_swap_pool: 1000,
             seed: 0xADA7,
-            threads: None,
         }
     }
 }
@@ -110,14 +97,14 @@ pub struct AdaptReport {
     /// Distinct transformations in the learned drift channel.
     pub channel_size: usize,
     /// Synthetic errors broadcast into unlabeled reference contexts
-    /// (see [`AdaptConfig::broadcast_contexts`]).
+    /// (up to 256 strided reference cells outside the labeled rows).
     pub broadcast_errors: usize,
     /// Labeled error cells repaired into the reference before the
-    /// retrain (0 when [`AdaptConfig::repair_labeled`] is off).
+    /// retrain.
     pub repaired_cells: usize,
     /// Replication factor applied to the fresh examples so they reach
-    /// [`AdaptConfig::fresh_weight`] of the post-refit training set
-    /// (1 = no replication was needed; 0 = no fresh examples at all).
+    /// half of the post-refit training set, capped at 25 (1 = no
+    /// replication was needed; 0 = no fresh examples at all).
     pub replication: usize,
 }
 
@@ -254,9 +241,9 @@ impl AdaptiveRefit {
         let synthetic = augment_to_ratio(
             &values,
             report.error_cells,
-            self.cfg.target_error_ratio,
+            TARGET_ERROR_RATIO,
             &policy,
-            &swap_pool(reference, self.cfg.max_swap_pool),
+            &swap_pool(reference, MAX_SWAP_POOL),
             &aug_cfg,
         );
         report.synthetic_errors = synthetic.len();
@@ -282,15 +269,14 @@ impl AdaptiveRefit {
         // example and fed to the channel for Error variants. Cells of
         // labeled rows are skipped — the loop above covered them with
         // actual labels.
-        if self.cfg.broadcast_contexts > 0 && !pairs.is_empty() {
+        if !pairs.is_empty() {
             let labeled: std::collections::HashSet<usize> =
                 labels.iter().take(budget).map(|l| l.row).collect();
             let total = nt.saturating_mul(na);
-            let want = self.cfg.broadcast_contexts;
-            let stride = (total / want.max(1)).max(1);
+            let stride = (total / BROADCAST_CONTEXTS).max(1);
             let mut ctx: Vec<(CellId, String)> = Vec::new();
             let mut idx = 0usize;
-            while idx < total && ctx.len() < want {
+            while idx < total && ctx.len() < BROADCAST_CONTEXTS {
                 let (t, a) = (idx / na, idx % na);
                 if !labeled.contains(&t) {
                     ctx.push((CellId::new(t, a), reference.value(t, a).to_owned()));
@@ -302,14 +288,8 @@ impl AdaptiveRefit {
                 seed: self.cfg.seed.wrapping_add(0xB0_CA57),
                 ..AugmentConfig::default()
             };
-            let bcast = augment_to_ratio(
-                &ctx_values,
-                0,
-                self.cfg.target_error_ratio,
-                &policy,
-                &[],
-                &bcast_cfg,
-            );
+            let bcast =
+                augment_to_ratio(&ctx_values, 0, TARGET_ERROR_RATIO, &policy, &[], &bcast_cfg);
             report.broadcast_errors = bcast.len();
             for g in bcast {
                 let Some(&(cell, _)) = ctx.get(g.source) else {
@@ -372,35 +352,30 @@ impl AdaptiveRefit {
         };
         let (examples, mut report, mut timing) =
             self.examples_timed(artifact.reference(), labels)?;
-        let examples = self.weight_fresh(examples, model.n_train_examples(), &mut report);
+        let examples = Self::weight_fresh(examples, model.n_train_examples(), &mut report);
         let mut model = model;
-        if let Some(threads) = self.cfg.threads {
-            model.set_threads(threads);
-        }
-        if self.cfg.repair_labeled {
-            // The labels are ground truth — fold them into the
-            // representation: every labeled error cell is repaired to
-            // its clean value, purging the drifted values from the
-            // count-based statistics (co-occurrence, violations,
-            // frequencies) every *other* cell is scored against. The
-            // error examples above keep their observed values — they
-            // now featurize as drifted values in clean contexts, which
-            // is exactly the contrast the classifier must learn.
-            let budget = labels.len().min(self.cfg.max_labels);
-            for label in labels.iter().take(budget) {
-                for (a, clean) in label.clean.iter().enumerate() {
-                    if model
-                        .artifact()
-                        .map(|s| s.reference().value(label.row, a) != clean)
-                        .unwrap_or(false)
-                    {
-                        model.apply_delta(&holo_data::DeltaOp::Update {
-                            tuple: label.row,
-                            attr: a,
-                            value: clean.clone(),
-                        })?;
-                        report.repaired_cells += 1;
-                    }
+        // The labels are ground truth — fold them into the
+        // representation: every labeled error cell is repaired to its
+        // clean value, purging the drifted values from the count-based
+        // statistics (co-occurrence, violations, frequencies) every
+        // *other* cell is scored against. The error examples above keep
+        // their observed values — they now featurize as drifted values
+        // in clean contexts, which is exactly the contrast the
+        // classifier must learn.
+        let budget = labels.len().min(self.cfg.max_labels);
+        for label in labels.iter().take(budget) {
+            for (a, clean) in label.clean.iter().enumerate() {
+                if model
+                    .artifact()
+                    .map(|s| s.reference().value(label.row, a) != clean)
+                    .unwrap_or(false)
+                {
+                    model.apply_delta(&holo_data::DeltaOp::Update {
+                        tuple: label.row,
+                        attr: a,
+                        value: clean.clone(),
+                    })?;
+                    report.repaired_cells += 1;
                 }
             }
         }
@@ -411,13 +386,12 @@ impl AdaptiveRefit {
     }
 
     /// Replicate the fresh example set until it makes up
-    /// [`AdaptConfig::fresh_weight`] of the post-refit training data
-    /// (`stale` stale examples plus the replicated fresh set), capped
-    /// at [`AdaptConfig::max_replication`] copies. Replication keeps
-    /// the fresh set's internal error ratio intact — it scales the
-    /// whole slice, not just the error examples.
+    /// [`FRESH_WEIGHT`] of the post-refit training data (`stale` stale
+    /// examples plus the replicated fresh set), capped at
+    /// [`MAX_REPLICATION`] copies. Replication keeps the fresh set's
+    /// internal error ratio intact — it scales the whole slice, not
+    /// just the error examples.
     fn weight_fresh(
-        &self,
         fresh: Vec<TrainExample>,
         stale: usize,
         report: &mut AdaptReport,
@@ -426,14 +400,10 @@ impl AdaptiveRefit {
             report.replication = 0;
             return fresh;
         }
-        let w = self.cfg.fresh_weight.clamp(0.0, 0.95);
+        let w = FRESH_WEIGHT;
         // reps·|fresh| / (stale + reps·|fresh|) ≥ w  ⇒  solve for reps.
-        let needed = if w > 0.0 {
-            (w * stale as f64) / ((1.0 - w) * fresh.len() as f64)
-        } else {
-            1.0
-        };
-        let reps = (needed.ceil() as usize).clamp(1, self.cfg.max_replication.max(1));
+        let needed = (w * stale as f64) / ((1.0 - w) * fresh.len() as f64);
+        let reps = (needed.ceil() as usize).clamp(1, MAX_REPLICATION);
         report.replication = reps;
         if reps == 1 {
             return fresh;
@@ -571,28 +541,7 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_disabled_stays_in_labeled_contexts() {
-        let d = reference();
-        let labels = vec![RowLabel {
-            row: 10,
-            clean: vec!["60612".into(), "Chicago".into()],
-        }];
-        let adapt = AdaptiveRefit::new(AdaptConfig {
-            broadcast_contexts: 0,
-            ..AdaptConfig::default()
-        });
-        let (examples, report) = adapt.examples(&d, &labels).unwrap();
-        assert_eq!(report.broadcast_errors, 0);
-        assert!(examples.iter().all(|e| e.cell.t() == 10));
-    }
-
-    #[test]
     fn weight_fresh_replicates_to_the_target_share() {
-        let adapt = AdaptiveRefit::new(AdaptConfig {
-            fresh_weight: 0.5,
-            max_replication: 25,
-            ..AdaptConfig::default()
-        });
         let fresh = vec![TrainExample {
             cell: CellId::new(0, 0),
             value: "v".into(),
@@ -600,20 +549,15 @@ mod tests {
         }];
         let mut report = AdaptReport::default();
         // 1 fresh example vs 10 stale → 10 copies reach parity.
-        let out = adapt.weight_fresh(fresh.clone(), 10, &mut report);
+        let out = AdaptiveRefit::weight_fresh(fresh.clone(), 10, &mut report);
         assert_eq!(out.len(), 10);
         assert_eq!(report.replication, 10);
         // The cap wins when parity would need more copies.
-        let capped = AdaptiveRefit::new(AdaptConfig {
-            fresh_weight: 0.5,
-            max_replication: 3,
-            ..AdaptConfig::default()
-        });
-        let out = capped.weight_fresh(fresh.clone(), 1000, &mut report);
-        assert_eq!(out.len(), 3);
-        assert_eq!(report.replication, 3);
+        let out = AdaptiveRefit::weight_fresh(fresh.clone(), 1000, &mut report);
+        assert_eq!(out.len(), MAX_REPLICATION);
+        assert_eq!(report.replication, 25);
         // No fresh examples → nothing to replicate.
-        let out = adapt.weight_fresh(Vec::new(), 10, &mut report);
+        let out = AdaptiveRefit::weight_fresh(Vec::new(), 10, &mut report);
         assert!(out.is_empty());
         assert_eq!(report.replication, 0);
     }

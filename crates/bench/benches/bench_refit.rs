@@ -1,20 +1,14 @@
-//! The refit benchmark: what the sharded trainer and the incremental
-//! embedding refresh buy on the hot path of a few-shot system.
+//! The refit benchmark: what the sharded trainer buys on the hot path
+//! of a few-shot system.
 //!
-//! Two measurements, both asserted so CI keeps the claims honest:
-//!
-//! * **`refit_with` at 1 thread vs. 8** — the sharded SGD loop (plus
-//!   the already-parallel featurization it feeds on) must produce
-//!   *bitwise-identical* scores at any thread count, and on hardware
-//!   with ≥ 8 cores the 8-thread refit must finish ≥ 3× faster. On
-//!   smaller machines the determinism bar still holds and the measured
-//!   ratio is reported without the speedup assertion (a 1-core
-//!   container cannot demonstrate parallel speedup, only correctness).
-//! * **incremental embedding refresh vs. full retrain** — folding a
-//!   delta corpus into a trained skip-gram table with
-//!   `Embedding::refresh` must beat retraining from scratch
-//!   over the extended corpus: the refresh pass is `O(delta)`, the
-//!   retrain `O(corpus)`.
+//! **`refit_with` at 1 thread vs. 8**, asserted so CI keeps the claim
+//! honest: the sharded SGD loop (plus the already-parallel
+//! featurization it feeds on) must produce *bitwise-identical* scores
+//! at any thread count, and on hardware with ≥ 8 cores the 8-thread
+//! refit must finish ≥ 3× faster. On smaller machines the determinism
+//! bar still holds and the measured ratio is reported without the
+//! speedup assertion (a 1-core container cannot demonstrate parallel
+//! speedup, only correctness).
 //!
 //! The summary line prints a JSON object; `BENCH_refit.json` in the
 //! repo root is a committed snapshot of it (the perf trajectory's
@@ -22,7 +16,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use holo_data::{CellId, Dataset, DatasetBuilder, GroundTruth, Schema};
-use holo_embed::{Embedding, SkipGramConfig};
 use holo_eval::FitContext;
 use holo_trace::Stopwatch;
 use holodetect::{FittedHoloDetect, HoloDetect, HoloDetectConfig};
@@ -97,7 +90,7 @@ fn timed_refit(artifact: &[u8], threads: usize, probe: &Dataset) -> (f64, Vec<u3
     (secs, scores.iter().map(|s| s.to_bits()).collect())
 }
 
-fn bench_refit_threads(c: &mut Criterion) -> (f64, f64) {
+fn bench_thread_sweep(c: &mut Criterion) -> (f64, f64) {
     let artifact = staged_model();
     let mut b = DatasetBuilder::new(Schema::new(["Zip", "City", "State"]));
     b.push_row(&["60007", "Chicago", "IL"]);
@@ -141,70 +134,8 @@ fn bench_refit_threads(c: &mut Criterion) -> (f64, f64) {
     (secs_1, secs_8)
 }
 
-fn bench_embed_refresh(c: &mut Criterion) -> (f64, f64) {
-    // A corpus at fit-time scale and a small delta — the shape a refit
-    // sees after a drift window of new rows.
-    let (_, dirty) = world(WORLD_ROWS);
-    let base: Vec<Vec<String>> = (0..dirty.n_tuples())
-        .map(|t| {
-            (0..dirty.schema().len())
-                .map(|a| dirty.value(t, a).to_string())
-                .collect()
-        })
-        .collect();
-    let delta: Vec<Vec<String>> = (0..20)
-        .map(|i| {
-            vec![
-                format!("48{:03}", i % 4),
-                "Detroit".to_string(),
-                "MI".to_string(),
-            ]
-        })
-        .collect();
-    let mut extended = base.clone();
-    extended.extend(delta.iter().cloned());
-    let cfg = SkipGramConfig {
-        epochs: 3,
-        ..SkipGramConfig::default()
-    };
-    let trained = Embedding::train(&base, &cfg);
-
-    c.bench_function("embed_refresh_20row_delta", |bch| {
-        bch.iter(|| {
-            let mut e = trained.clone();
-            black_box(e.refresh(&delta, &cfg, 2))
-        })
-    });
-    c.bench_function("embed_full_retrain_1020rows", |bch| {
-        bch.iter(|| black_box(Embedding::train(&extended, &cfg)))
-    });
-
-    let clock = Stopwatch::start();
-    let refresh_rounds = 10;
-    for _ in 0..refresh_rounds {
-        let mut e = trained.clone();
-        black_box(e.refresh(&delta, &cfg, 2));
-    }
-    let refresh_secs = clock.elapsed_secs() / refresh_rounds as f64;
-
-    let clock = Stopwatch::start();
-    let retrain_rounds = 3;
-    for _ in 0..retrain_rounds {
-        black_box(Embedding::train(&extended, &cfg));
-    }
-    let retrain_secs = clock.elapsed_secs() / retrain_rounds as f64;
-
-    assert!(
-        refresh_secs < retrain_secs,
-        "incremental refresh ({refresh_secs:.4}s) must beat a full retrain \
-         ({retrain_secs:.4}s) over a {WORLD_ROWS}-row corpus"
-    );
-    (refresh_secs, retrain_secs)
-}
-
 fn bench_refit(c: &mut Criterion) {
-    let (refit_1t, refit_8t) = bench_refit_threads(c);
-    let (refresh_secs, retrain_secs) = bench_embed_refresh(c);
+    let (refit_1t, refit_8t) = bench_thread_sweep(c);
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
     println!(
@@ -214,12 +145,8 @@ fn bench_refit(c: &mut Criterion) {
          \"refit_secs_1_thread\": {refit_1t:.3}, \
          \"refit_secs_8_threads\": {refit_8t:.3}, \
          \"refit_speedup_x\": {:.2}, \
-         \"refit_bitwise_equal\": true, \
-         \"embed_refresh_secs\": {refresh_secs:.4}, \
-         \"embed_retrain_secs\": {retrain_secs:.4}, \
-         \"embed_refresh_speedup_x\": {:.1}}}",
+         \"refit_bitwise_equal\": true}}",
         refit_1t / refit_8t.max(1e-12),
-        retrain_secs / refresh_secs.max(1e-12),
     );
 }
 

@@ -309,29 +309,6 @@ impl FittedHoloDetect {
         }
     }
 
-    /// Incrementally refresh the representation's skip-gram embeddings
-    /// with `rows` (delta tuples in schema order): new tokens join the
-    /// vocabularies at deterministically seeded positions, then a
-    /// bounded `epochs`-pass SGNS update runs over the delta corpora
-    /// only. Cheap relative to a full re-fit and deterministic for a
-    /// given (state, delta, epochs). Returns `true` when any embedding
-    /// table changed (stale NN-cache entries are dropped).
-    ///
-    /// # Errors
-    /// [`ModelError::Degenerate`] for a model with no fitted state.
-    pub fn refresh_embeddings(
-        &mut self,
-        rows: &[Vec<String>],
-        epochs: usize,
-    ) -> Result<bool, ModelError> {
-        let Some(s) = &mut self.state else {
-            return Err(ModelError::Degenerate {
-                method: self.method.to_owned(),
-            });
-        };
-        Ok(s.pipeline.featurizer.refresh_embeddings(rows, epochs))
-    }
-
     /// Replace the representation's count-based state with one rebuilt
     /// from scratch over `d` (embeddings, classifier, and calibration
     /// untouched) — the reference implementation

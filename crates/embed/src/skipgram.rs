@@ -85,69 +85,8 @@ impl Embedding {
         }
 
         let resolved = emb.resolve(sentences);
-        emb.sgns_train(&resolved, cfg, cfg.epochs, &mut rng);
+        emb.sgns_train(&resolved, cfg, &mut rng);
         emb
-    }
-
-    /// Incrementally update a trained embedding with delta sentences —
-    /// the refit-time path that keeps representations from going stale
-    /// between full retrains without paying for one.
-    ///
-    /// Three steps, all deterministic given the table state and delta:
-    /// 1. **Vocabulary extension** ([`Vocab::extend`]): existing ids are
-    ///    stable, new tokens append after them; existing counts absorb
-    ///    the delta so negative sampling tracks the grown corpus.
-    /// 2. **Table growth**: new word rows are seeded per *token* (seed
-    ///    mixed with the token's hash, not its arrival order), new
-    ///    output rows start at zero — exactly how [`Embedding::train`]
-    ///    initializes, so a token's starting point is independent of
-    ///    when it arrived.
-    /// 3. **Bounded refresh pass**: `epochs` SGNS epochs over *only* the
-    ///    delta sentences (shared subword buckets pull existing
-    ///    neighbours along), instead of a full-corpus retrain.
-    ///
-    /// Returns `true` when anything changed (`false` for an empty delta
-    /// or `epochs == 0`). `cfg` must carry the same `dim` the table was
-    /// trained with.
-    pub fn refresh(
-        &mut self,
-        sentences: &[Vec<String>],
-        cfg: &SkipGramConfig,
-        epochs: usize,
-    ) -> bool {
-        assert_eq!(cfg.dim, self.dim, "refresh dim disagrees with table");
-        if epochs == 0 || sentences.is_empty() {
-            return false;
-        }
-        let dim = self.dim;
-        let old_v = self.vocab.len();
-        let n_new = self.vocab.extend(sentences, cfg.min_count);
-        let v = self.vocab.len();
-        if n_new > 0 {
-            // Grow the input table in its words-then-buckets layout:
-            // old word rows keep their values, new word rows are seeded
-            // per token, bucket rows shift up unchanged.
-            let buckets = self.vocab.buckets;
-            let mut input = Vec::with_capacity((v + buckets) * dim);
-            input.extend_from_slice(&self.input[..old_v * dim]);
-            for id in old_v..v {
-                let token_seed = crate::vocab::fnv1a(self.vocab.token(id).as_bytes());
-                let mut trng = StdRng::seed_from_u64(cfg.seed ^ token_seed);
-                for _ in 0..dim {
-                    input.push(trng.random_range(-0.5..0.5f32) / dim as f32);
-                }
-            }
-            input.extend_from_slice(&self.input[old_v * dim..]);
-            self.input = input;
-            self.output.resize(v * dim, 0.0);
-        }
-        if v == 0 {
-            return false;
-        }
-        let resolved = self.resolve(sentences);
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0x5EED_4EF1));
-        self.sgns_train(&resolved, cfg, epochs, &mut rng);
-        true
     }
 
     /// Pre-resolve sentences to (word id, subword buckets) pairs,
@@ -168,13 +107,11 @@ impl Embedding {
     }
 
     /// The SGNS training loop over pre-resolved sentences: linear lr
-    /// decay across `epochs` passes, shared verbatim by full training
-    /// and incremental refresh.
+    /// decay across `cfg.epochs` passes.
     fn sgns_train(
         &mut self,
         resolved: &[Vec<(usize, Vec<usize>)>],
         cfg: &SkipGramConfig,
-        epochs: usize,
         rng: &mut StdRng,
     ) {
         let v = self.vocab.len();
@@ -196,13 +133,13 @@ impl Embedding {
             })
             .sum::<usize>()
             .max(1)
-            * epochs;
+            * cfg.epochs;
 
         let mut seen_pairs = 0usize;
         let mut center_vec = vec![0.0f32; dim];
         let mut grad_in = vec![0.0f32; dim];
 
-        for _ in 0..epochs {
+        for _ in 0..cfg.epochs {
             for sent in resolved {
                 let n = sent.len();
                 for i in 0..n {
@@ -518,137 +455,6 @@ mod tests {
                 "vector for {token} not bit-identical"
             );
         }
-    }
-
-    /// Delta sentences introducing a new city token.
-    fn delta_corpus() -> Vec<Vec<String>> {
-        let mut out = Vec::new();
-        for _ in 0..40 {
-            out.push(vec!["detroit".into(), "il".into(), "urban".into()]);
-        }
-        out
-    }
-
-    #[test]
-    fn refresh_is_deterministic_and_preserves_structure() {
-        let run = || {
-            let mut emb = Embedding::train(&clustered_corpus(), &small_cfg());
-            assert!(emb.refresh(&delta_corpus(), &small_cfg(), 4));
-            emb
-        };
-        let (a, b) = (run(), run());
-        for token in ["chicago", "detroit", "banana"] {
-            assert_eq!(
-                a.vector(token)
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                b.vector(token)
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                "refresh not deterministic for {token}"
-            );
-        }
-    }
-
-    #[test]
-    fn refresh_noop_on_empty_delta_or_zero_epochs() {
-        let base = Embedding::train(&clustered_corpus(), &small_cfg());
-        let mut emb = base.clone();
-        assert!(!emb.refresh(&[], &small_cfg(), 4));
-        assert!(!emb.refresh(&delta_corpus(), &small_cfg(), 0));
-        assert_eq!(emb.vocab().len(), base.vocab().len());
-        assert_eq!(emb.vector("chicago"), base.vector("chicago"));
-    }
-
-    /// Rebuild-parity: a refreshed table must agree with a full retrain
-    /// over base+delta on the *structure* the features consume — the
-    /// new token clusters with its co-occurrence neighbours, away from
-    /// the other cluster, and existing cluster structure survives.
-    #[test]
-    fn refresh_matches_full_rebuild_cluster_structure() {
-        let mut full_corpus = clustered_corpus();
-        full_corpus.extend(delta_corpus());
-        let rebuilt = Embedding::train(&full_corpus, &small_cfg());
-
-        let mut refreshed = Embedding::train(&clustered_corpus(), &small_cfg());
-        refreshed.refresh(&delta_corpus(), &small_cfg(), 8);
-
-        // Same vocabulary (as a set) once the delta is absorbed.
-        let mut a: Vec<&String> = rebuilt.vocab().tokens().iter().collect();
-        let mut b: Vec<&String> = refreshed.vocab().tokens().iter().collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "vocabulary sets diverged");
-
-        // Both place the new token inside the city cluster.
-        for emb in [&rebuilt, &refreshed] {
-            let intra = emb.similarity("detroit", "chicago");
-            let inter = emb.similarity("detroit", "banana");
-            assert!(
-                intra > inter,
-                "detroit should join the city cluster: intra {intra} vs inter {inter}"
-            );
-        }
-        // And the pre-existing cluster structure survives the refresh.
-        assert!(
-            refreshed.similarity("chicago", "springfield")
-                > refreshed.similarity("chicago", "banana")
-        );
-    }
-
-    #[test]
-    fn refresh_new_token_init_is_arrival_order_independent() {
-        // The same new token must start from the same seeded vector
-        // whether it arrives alone or alongside other new tokens.
-        let mut a = Embedding::train(&clustered_corpus(), &small_cfg());
-        a.refresh(&[vec!["detroit".into()]], &small_cfg(), 1);
-        let mut b = Embedding::train(&clustered_corpus(), &small_cfg());
-        b.refresh(
-            &[vec!["aardvark".into()], vec!["detroit".into()]],
-            &small_cfg(),
-            1,
-        );
-        // Ids differ (append order) but single-token sentences generate
-        // no training pairs, so both vectors are pure seeded inits.
-        let va = a.vector("detroit");
-        let vb = b.vector("detroit");
-        assert_eq!(
-            va.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            vb.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn refresh_roundtrips_through_serialization() {
-        let mut emb = Embedding::train(&clustered_corpus(), &small_cfg());
-        emb.refresh(&delta_corpus(), &small_cfg(), 4);
-        let mut buf = Vec::new();
-        emb.write_to(&mut buf).unwrap();
-        let back = Embedding::read_from(&mut std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(back.vocab().len(), emb.vocab().len());
-        assert_eq!(
-            back.vector("detroit")
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>(),
-            emb.vector("detroit")
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "refresh dim")]
-    fn refresh_rejects_dim_mismatch() {
-        let mut emb = Embedding::train(&clustered_corpus(), &small_cfg());
-        let wrong = SkipGramConfig {
-            dim: 8,
-            ..small_cfg()
-        };
-        emb.refresh(&delta_corpus(), &wrong, 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::io::{self, Read, Write};
 
 /// FNV-1a, the classic cheap string hash FastText also relies on.
 #[inline]
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -61,39 +61,6 @@ impl Vocab {
             subword_range,
             buckets,
         }
-    }
-
-    /// Extend the vocabulary in place with tokens from delta sentences:
-    /// existing tokens get their counts bumped (keeping the negative-
-    /// sampling distribution honest), genuinely new tokens with
-    /// `count >= min_count` are appended *after* all existing ids in the
-    /// same deterministic order [`Vocab::build`] uses (descending count,
-    /// then token). Existing ids never move, so embedding tables indexed
-    /// by id stay valid — the invariant incremental refresh relies on.
-    /// Returns the number of new tokens added.
-    pub fn extend(&mut self, sentences: &[Vec<String>], min_count: u64) -> usize {
-        let mut freq: HashMap<&str, u64> = HashMap::new();
-        for s in sentences {
-            for t in s {
-                *freq.entry(t.as_str()).or_insert(0) += 1;
-            }
-        }
-        let mut fresh: Vec<(&str, u64)> = Vec::new();
-        for (t, c) in freq {
-            match self.ids.get(t) {
-                Some(&id) => self.counts[id] += c,
-                None if c >= min_count => fresh.push((t, c)),
-                None => {}
-            }
-        }
-        fresh.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        let n_new = fresh.len();
-        for (t, c) in fresh {
-            self.ids.insert(t.to_owned(), self.tokens.len());
-            self.tokens.push(t.to_owned());
-            self.counts.push(c);
-        }
-        n_new
     }
 
     /// Vocabulary size (distinct retained tokens).
@@ -269,38 +236,6 @@ mod tests {
     fn zero_buckets_disables_subwords() {
         let v = Vocab::build(&sentences(), 1, (3, 5), 0);
         assert!(v.subword_buckets("chicago").is_empty());
-    }
-
-    #[test]
-    fn extend_keeps_existing_ids_and_appends_deterministically() {
-        let mut v = Vocab::build(&sentences(), 1, (3, 5), 100);
-        let chicago = v.id("chicago").unwrap();
-        let wi = v.id("wi").unwrap();
-        let delta: Vec<Vec<String>> = vec![
-            vec!["detroit".into(), "mi".into(), "chicago".into()],
-            vec!["detroit".into(), "mi".into()],
-            vec!["ann-arbor".into(), "mi".into()],
-        ];
-        let added = v.extend(&delta, 1);
-        assert_eq!(added, 3); // detroit, mi, ann-arbor
-                              // Existing ids are stable; existing counts absorbed the delta.
-        assert_eq!(v.id("chicago"), Some(chicago));
-        assert_eq!(v.id("wi"), Some(wi));
-        assert_eq!(v.count(chicago), 3);
-        // New ids appended after all old ones, count-desc then lex.
-        assert_eq!(v.id("mi"), Some(4));
-        assert_eq!(v.id("detroit"), Some(5));
-        assert_eq!(v.id("ann-arbor"), Some(6));
-    }
-
-    #[test]
-    fn extend_respects_min_count() {
-        let mut v = Vocab::build(&sentences(), 1, (3, 5), 100);
-        let n = v.len();
-        let delta: Vec<Vec<String>> = vec![vec!["rare".into(), "common".into(), "common".into()]];
-        assert_eq!(v.extend(&delta, 2), 1);
-        assert_eq!(v.id("common"), Some(n));
-        assert_eq!(v.id("rare"), None);
     }
 
     #[test]

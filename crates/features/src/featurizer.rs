@@ -511,8 +511,7 @@ impl Featurizer {
     /// implementation the proptests compare against.
     ///
     /// The learned embeddings are deliberately *not* maintained: they
-    /// are train-once artifacts, refreshed by the drift-triggered refit
-    /// path, not per delta.
+    /// are train-once artifacts, learned from the dataset at fit time.
     pub fn apply_delta(&mut self, op: &DeltaOp) -> Result<(), DeltaError> {
         match op {
             DeltaOp::Append { values } => {
@@ -704,60 +703,6 @@ impl Featurizer {
             self.value_emb.clone(),
             neighbor_candidates,
         )
-    }
-
-    /// Incrementally refresh the learned embeddings from delta rows —
-    /// the refit-time path that closes the stale-representation gap
-    /// without retraining skip-gram from scratch.
-    ///
-    /// `rows` are full tuples (schema arity) appended since the last
-    /// refit; `epochs` bounds the SGNS refresh pass over the delta
-    /// corpora (see [`Embedding::refresh`]). Each enabled embedding is
-    /// refreshed with the same corpus view and configuration its
-    /// original fit used (char/token corpora deduplicated, tuple/value
-    /// corpora with a whole-sentence window). The nearest-neighbour memo
-    /// is invalidated when the value embedding moves, since cached
-    /// distances were computed against the old vectors.
-    ///
-    /// Returns `true` when any embedding changed. Deterministic given
-    /// the featurizer state and the delta — independent of thread count
-    /// or timing, so refit artifacts stay reproducible.
-    pub fn refresh_embeddings(&mut self, rows: &[Vec<String>], epochs: usize) -> bool {
-        if epochs == 0 || rows.is_empty() {
-            return false;
-        }
-        let mut b = holo_data::DatasetBuilder::new(self.reference.schema().clone());
-        for row in rows {
-            if row.len() == self.n_attrs {
-                b.push_row(row);
-            }
-        }
-        let delta = b.build();
-        if delta.n_tuples() == 0 {
-            return false;
-        }
-        let embed_cfg = self.cfg.embed.clone();
-        let bag_cfg = SkipGramConfig {
-            window: None,
-            ..embed_cfg.clone()
-        };
-        let mut changed = false;
-        if let Some(e) = &mut self.char_emb {
-            changed |= e.refresh(&dedup(corpus::char_corpus(&delta)), &embed_cfg, epochs);
-        }
-        if let Some(e) = &mut self.word_emb {
-            changed |= e.refresh(&dedup(corpus::token_corpus(&delta)), &embed_cfg, epochs);
-        }
-        if let Some(e) = &mut self.tuple_emb {
-            changed |= e.refresh(&corpus::tuple_bag_corpus(&delta), &bag_cfg, epochs);
-        }
-        if let Some(e) = &mut self.value_emb {
-            if e.refresh(&corpus::value_token_corpus(&delta), &bag_cfg, epochs) {
-                changed = true;
-                self.invalidate_nn_cache();
-            }
-        }
-        changed
     }
 
     /// Mean violations per tuple and the violating-tuple fraction of
@@ -1401,45 +1346,5 @@ mod tests {
         for x in f.features_with_value(&d, CellId::new(0, 0), "@@##!!") {
             assert!(x.is_finite());
         }
-    }
-
-    #[test]
-    fn refresh_embeddings_is_deterministic_and_moves_features() {
-        // fit() is deterministic, so two fresh fits stand in for clones.
-        let (d, f0) = fitted();
-        let (_, mut a) = fitted();
-        let (_, mut b) = fitted();
-        let delta: Vec<Vec<String>> = (0..10)
-            .map(|_| vec!["48201".into(), "Detroit".into(), "MI".into()])
-            .collect();
-        assert!(a.refresh_embeddings(&delta, 3));
-        assert!(b.refresh_embeddings(&delta, 3));
-        // Same delta, same epochs: the refresh is bitwise reproducible.
-        assert_eq!(feature_bits(&a, &d), feature_bits(&b, &d));
-        // And the embeddings actually moved somewhere.
-        assert_ne!(feature_bits(&a, &d), feature_bits(&f0, &d));
-    }
-
-    #[test]
-    fn refresh_embeddings_noop_on_empty_or_zero_epochs() {
-        let (d, f0) = fitted();
-        let (_, mut f) = fitted();
-        assert!(!f.refresh_embeddings(&[], 3));
-        assert!(!f.refresh_embeddings(&[vec!["1".into(), "2".into(), "3".into()]], 0));
-        // Rows with the wrong arity are skipped rather than panicking.
-        assert!(!f.refresh_embeddings(&[vec!["just-one".into()]], 3));
-        assert_eq!(feature_bits(&f, &d), feature_bits(&f0, &d));
-    }
-
-    #[test]
-    fn refresh_embeddings_drops_stale_nn_cache() {
-        let (d, mut f) = fitted();
-        f.features(&d, CellId::new(0, 1));
-        assert!(f.nn_cache_len() >= 1);
-        let delta: Vec<Vec<String>> = (0..10)
-            .map(|_| vec!["48201".into(), "Detroit".into(), "MI".into()])
-            .collect();
-        assert!(f.refresh_embeddings(&delta, 2));
-        assert_eq!(f.nn_cache_len(), 0, "value-emb refresh must drop nn cache");
     }
 }

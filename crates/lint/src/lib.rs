@@ -19,7 +19,7 @@
 //! | `lock-order` | `.lock()/.read()/.write()` acquisitions must follow the declared `refit_lock -> state -> log -> drift` hierarchy (outermost first), per function, in `crates/serve` + `crates/stream`. | The hierarchy `holo_stream::live` documents and every deadlock-free interleaving depends on (streaming-ingest PR). |
 //! | `no-panic-paths` | No `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!`/postfix indexing in the request and ingest hot paths (`serve::{http,app,batch,registry}`, `stream::live`). Typed errors only. | The serving PR made panic-isolated 500s the *backstop*; this rule makes typed propagation the *design*. |
 //! | `thread-entry-isolation` | Every detached `thread::spawn` / `Builder::spawn` closure must route through `catch_unwind` (directly, or via the single same-file function it delegates to). Scoped `thread::scope` spawns are exempt: their panics propagate deterministically to the joining caller. | The worker-pool hardening note from the serving PR ("panic isolation at every thread entry point"). |
-//! | `counter-discipline` | Atomic metrics counters in `crates/serve` + `crates/stream` must never use wrapping `fetch_add`/`fetch_sub`; the idiom is `fetch_update` + `saturating_add` (`holo_serve::metrics::sat_add`). Declared metrics files also reject bare `+=`/`-=`. | The metrics module's "counters saturate" rule, now enforced beyond that one file. |
+//! | `counter-discipline` | Atomic metrics counters in `crates/serve` + `crates/stream` must never use wrapping `fetch_add`/`fetch_sub`; the idiom is `fetch_update` + `saturating_add` (`holo_prof::sat_add`). Declared metrics files also reject bare `+=`/`-=`. | The metrics module's "counters saturate" rule, now enforced beyond that one file. |
 //! | `seed-hygiene` | No `SystemTime`, `thread_rng`, `from_entropy`, or nanosecond extraction (`.as_nanos()`/`.subsec_nanos()`) outside the bench allow-list — seeds are explicit so bitwise score parity holds. | Mechanizes the manual seed audit from the scenario-suite PR. |
 //! | `suppression-missing-reason` | Every `lint:allow` must carry a written reason; a reasonless suppression suppresses nothing and is itself a finding. | The suppression mechanism's own integrity rule. |
 //!
@@ -29,8 +29,8 @@
 //! config:
 //!
 //! ```text
-//! // lint:allow(no-panic-paths): index is hash % stripes.len(); stripes is non-empty by construction
-//! let stripe = &self.stripes[idx];
+//! // lint:allow(no-panic-paths): idx = hash % buckets.len(); buckets is non-empty by construction
+//! let bucket = &self.buckets[idx];
 //! ```
 //!
 //! A standalone comment covers itself and the next line; a trailing

@@ -492,7 +492,7 @@ fn delegate_catches_unwind(m: &FileModel, from: usize, to: usize) -> bool {
 
 /// Rule 4: in the configured crates, atomic counters must never use
 /// wrapping `fetch_add`/`fetch_sub` — the repo's idiom is
-/// `fetch_update` with `saturating_add` (`holo_serve::metrics::sat_add`),
+/// `fetch_update` with `saturating_add` (`holo_prof::sat_add`),
 /// so a long-lived server pegs at `u64::MAX` instead of faking a
 /// counter reset. In declared metrics files, bare `+=`/`-=` is flagged
 /// too.
@@ -517,7 +517,7 @@ fn counters(m: &FileModel, cfg: &Config, out: &mut Vec<Finding>) {
                     line: t.line,
                     message: format!(
                         "wrapping `{}` on an atomic counter; use fetch_update with saturating \
-                         arithmetic (the sat_add idiom in holo_serve::metrics)",
+                         arithmetic (holo_prof::sat_add)",
                         t.text
                     ),
                     suppressed: None,

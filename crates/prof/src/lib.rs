@@ -19,7 +19,7 @@
 //!    acquires, contended acquires, wait-time totals + histograms
 //!    ([`LOCK_WAIT_BOUNDS_MICROS`]), and hold time, deduplicated by
 //!    name process-wide. These replace the raw locks on the serving hot
-//!    paths (`serve`: registry stripes, recorder, HTTP queue;
+//!    paths (`serve`: model registry, recorder, HTTP queue;
 //!    `stream`: state / log / drift / labels / timelines / refit).
 //! 3. **Worker-pool utilization** ([`PoolStats`], [`pool_snapshots`])
 //!    — busy/idle accounting per named pool (HTTP workers, the refit
@@ -90,12 +90,13 @@ pub fn enabled() -> bool {
     alloc::ENABLED.load(Ordering::Relaxed)
 }
 
-/// Saturating add on a relaxed atomic counter.
+/// Saturating add on a relaxed atomic counter: lifetime counters peg
+/// at `u64::MAX` instead of wrapping back to zero and faking a reset.
 ///
 /// The workspace's counter-discipline lint bans `fetch_add` (which
-/// wraps) in instrumented crates; every counter bump in this crate
-/// funnels through here instead.
-pub(crate) fn sat_add(counter: &AtomicU64, v: u64) {
+/// wraps) in instrumented crates; every counter bump in the workspace
+/// (prof, trace, serve, stream) funnels through here instead.
+pub fn sat_add(counter: &AtomicU64, v: u64) {
     let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
         Some(c.saturating_add(v))
     });

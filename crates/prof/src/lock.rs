@@ -10,9 +10,8 @@
 //!   into a fixed histogram ([`LOCK_WAIT_BOUNDS_MICROS`]);
 //! * **hold time** — microseconds the guard lived, totalled.
 //!
-//! Stats are deduplicated by name in a process-wide registry, so the
-//! sixteen registry stripes all aggregate under `"stripe"` and every
-//! `LiveModel`'s state lock under `"state"` — the counters are
+//! Stats are deduplicated by name in a process-wide registry, so every
+//! `LiveModel`'s state lock aggregates under `"state"` — the counters are
 //! cumulative and monotone for the life of the process, which is what
 //! `/v1/prof` consumers (and its monotonicity test) rely on.
 //!

@@ -472,7 +472,6 @@ pub fn run_scenario(sc: &SchemaScenario, cfg: &SuiteConfig) -> Result<ScenarioRe
         let adapt = AdaptiveRefit::new(AdaptConfig {
             max_labels: b,
             seed,
-            ..AdaptConfig::default()
         });
         let take = b.min(all_labels.len());
         let (refitted, _) = adapt.refit(pre, &all_labels[..take])?;

@@ -834,7 +834,7 @@ impl App {
         }
         drop(score_scope);
         trace.close();
-        let scores = result.map_err(Failure::model)?;
+        let (scores, generation) = result.map_err(Failure::model)?;
         self.metrics.record_scored_cells(scores.len());
 
         trace.child("encode");
@@ -842,10 +842,7 @@ impl App {
         let encode_bytes = holo_prof::thread_alloc_bytes();
         let mut out = vec![
             ("model".to_string(), Json::Str(model.name().into())),
-            (
-                "generation".to_string(),
-                Json::Num(model.generation() as f64),
-            ),
+            ("generation".to_string(), Json::Num(generation as f64)),
         ];
         if predict {
             let threshold = match doc.get("threshold") {
@@ -1068,7 +1065,7 @@ impl App {
 
 /// Run scoring behind panic isolation: a panic in model code becomes a
 /// typed `format` error (a counted 500), not an untyped worker-level 500.
-fn guarded<F: FnOnce() -> Result<Vec<f64>, ModelError>>(f: F) -> Result<Vec<f64>, ModelError> {
+fn guarded<T>(f: impl FnOnce() -> Result<T, ModelError>) -> Result<T, ModelError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
         .unwrap_or_else(|_| Err(ModelError::Format("model panicked while scoring".into())))
 }
@@ -1269,7 +1266,7 @@ mod tests {
 
     #[test]
     fn panicking_model_code_is_a_typed_error() {
-        let r = guarded(|| panic!("poisoned model"));
+        let r = guarded::<()>(|| panic!("poisoned model"));
         let Err(ModelError::Format(msg)) = r else {
             panic!("panic was not converted to a typed error")
         };

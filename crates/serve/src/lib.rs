@@ -26,7 +26,7 @@
 //!   node caps on untrusted input; printing uses shortest-roundtrip
 //!   float formatting so scores survive the wire bit for bit.
 //! * [`registry`] — [`registry::ModelRegistry`]: names → `Arc`-held
-//!   loaded artifacts behind lock-striped reads, with atomic hot-swap
+//!   loaded artifacts behind one read-mostly lock, with atomic hot-swap
 //!   reload from disk (`POST /v1/models/{name}/reload`). Entries are
 //!   **static** (immutable artifact) or **live** (a
 //!   `holo_stream::LiveModel` with streaming ingest, drift monitoring,
@@ -46,7 +46,7 @@
 //! ([`app::TraceConfig`]).
 //!
 //! The stack is continuously profiled through `holo-prof`: the serving
-//! locks (registry stripes, HTTP accept queue) are instrumented
+//! locks (model registry, HTTP accept queue) are instrumented
 //! [`holo_prof::ProfMutex`]/[`holo_prof::ProfRwLock`] wrappers, the
 //! worker pools book busy/idle time, and the counting allocator
 //! attributes heap traffic to request stages when `--prof`

@@ -49,12 +49,6 @@ streaming (per model; see the README's Streaming section):
   --drift-threshold X    refit when drift exceeds X      (default 0.2)
   --min-refit-rows N     rows required between refits    (default 64)
   --refit-interval-ms N  drift poll interval             (default 1000)
-  --refit-threads N      worker threads for each refit's sharded SGD
-                         loop; scores are bitwise-identical at any N
-                         (default: the artifact's own thread count)
-  --embed-refresh N      incremental skip-gram passes over the rows
-                         appended since the last refit, run before each
-                         retrain (default 0: embeddings stay frozen)
 ";
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -119,14 +113,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     &value("--refit-interval-ms")?,
                     "--refit-interval-ms",
                 )? as u64);
-            }
-            "--refit-threads" => {
-                args.stream.refit_threads =
-                    Some(parse_num(&value("--refit-threads")?, "--refit-threads")?.max(1));
-            }
-            "--embed-refresh" => {
-                args.stream.embed_refresh_epochs =
-                    parse_num(&value("--embed-refresh")?, "--embed-refresh")?;
             }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other:?}")),

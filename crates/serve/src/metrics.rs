@@ -24,17 +24,10 @@
 //! exemplars can never disagree.
 
 use holo_eval::ModelError;
+use holo_prof::sat_add;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// Saturating increment-by-`v` for metric counters.
-fn sat_add(counter: &AtomicU64, v: u64) {
-    // fetch_update never fails with an always-Some closure.
-    let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-        Some(cur.saturating_add(v))
-    });
-}
 
 /// Writes the `# HELP` / `# TYPE` preamble for a metric family, as the
 /// Prometheus text exposition format requires before its first sample.

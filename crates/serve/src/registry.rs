@@ -1,9 +1,9 @@
-//! The model registry: names → loaded artifacts, with lock-striped
-//! reads and atomic hot-swap reloads.
+//! The model registry: names → loaded artifacts, with atomic hot-swap
+//! reloads.
 //!
 //! Models are held as `Arc<ServedModel>`. A lookup clones the `Arc`
-//! under a striped read lock and drops the lock before any scoring
-//! happens, so the locks only ever guard a pointer swap — never model
+//! under the registry's read lock and drops the lock before any scoring
+//! happens, so the lock only ever guards a pointer swap — never model
 //! work. Reloading loads the artifact from disk *outside* every lock,
 //! then swaps the map entry in one write-locked insert: requests that
 //! already resolved the old `Arc` finish on the old weights, requests
@@ -26,9 +26,7 @@ use holo_eval::ModelError;
 use holo_prof::ProfRwLock;
 use holo_stream::LiveModel;
 use holodetect::FittedHoloDetect;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, PoisonError};
 
@@ -98,18 +96,21 @@ impl ServedModel {
         }
     }
 
-    /// Score cells of `data` through whichever state is current.
+    /// Score cells of `data` through whichever state is current, and
+    /// return the generation that scored them. A live entry reads both
+    /// under one state lock, so a concurrent hot swap cannot label
+    /// old-model scores with the new generation.
     pub fn score_batch(
         &self,
         data: &holo_data::Dataset,
         cells: &[holo_data::CellId],
-    ) -> Result<Vec<f64>, ModelError> {
+    ) -> Result<(Vec<f64>, u64), ModelError> {
         match &self.source {
             ModelSource::Static(m) => {
                 use holo_eval::TrainedModel;
-                m.score_batch(data, cells)
+                Ok((m.score_batch(data, cells)?, self.static_generation))
             }
-            ModelSource::Live(l) => l.score_batch(data, cells),
+            ModelSource::Live(l) => l.score_with_generation(data, cells),
         }
     }
 
@@ -142,12 +143,11 @@ impl ServedModel {
     }
 }
 
-/// Names → current model version, striped to keep readers from
-/// contending on one lock. All stripes share the `"stripe"`
-/// [`ProfRwLock`] stats slot: what matters for tuning is contention on
-/// the registry as a whole, not which hash bucket a name landed in.
+/// Names → current model version, behind one [`ProfRwLock`] (stats
+/// slot `"models"`). The lock only ever guards an `Arc` clone or swap,
+/// never model work.
 pub struct ModelRegistry {
-    stripes: Vec<ProfRwLock<HashMap<String, Arc<ServedModel>>>>,
+    models: ProfRwLock<HashMap<String, Arc<ServedModel>>>,
 }
 
 impl Default for ModelRegistry {
@@ -157,25 +157,11 @@ impl Default for ModelRegistry {
 }
 
 impl ModelRegistry {
-    /// A registry with the default stripe count.
+    /// An empty registry.
     pub fn new() -> Self {
-        Self::with_stripes(8)
-    }
-
-    /// A registry with `n` lock stripes (≥ 1).
-    pub fn with_stripes(n: usize) -> Self {
         ModelRegistry {
-            stripes: (0..n.max(1))
-                .map(|_| ProfRwLock::new("stripe", HashMap::new()))
-                .collect(),
+            models: ProfRwLock::new("models", HashMap::new()),
         }
-    }
-
-    fn stripe(&self, name: &str) -> &ProfRwLock<HashMap<String, Arc<ServedModel>>> {
-        let mut h = DefaultHasher::new();
-        name.hash(&mut h);
-        // lint:allow(no-panic-paths): index is hash % stripes.len(); with_stripes guarantees stripes is non-empty
-        &self.stripes[(h.finish() as usize) % self.stripes.len()]
     }
 
     /// Load an artifact file and register (or replace) it under `name`
@@ -186,10 +172,7 @@ impl ModelRegistry {
     /// half-done, so a panic elsewhere must not wedge model lookups.
     pub fn load_insert(&self, name: &str, path: &Path) -> Result<Arc<ServedModel>, ModelError> {
         let model = FittedHoloDetect::load(path)?;
-        let mut map = self
-            .stripe(name)
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut map = self.models.write().unwrap_or_else(PoisonError::into_inner);
         let static_generation = map.get(name).map_or(0, |m| m.generation() + 1);
         let entry = Arc::new(ServedModel {
             name: name.to_string(),
@@ -211,7 +194,7 @@ impl ModelRegistry {
             static_generation: 0,
             source: ModelSource::Live(live),
         });
-        self.stripe(name)
+        self.models
             .write()
             .unwrap_or_else(PoisonError::into_inner)
             .insert(name.to_string(), Arc::clone(&entry));
@@ -220,7 +203,7 @@ impl ModelRegistry {
 
     /// The current version of `name`, if registered.
     pub fn get(&self, name: &str) -> Option<Arc<ServedModel>> {
-        self.stripe(name)
+        self.models
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .get(name)
@@ -249,15 +232,11 @@ impl ModelRegistry {
     /// All registered names, sorted.
     pub fn names(&self) -> Vec<String> {
         let mut out: Vec<String> = self
-            .stripes
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .keys()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
+            .models
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .keys()
+            .cloned()
             .collect();
         out.sort();
         out
@@ -265,10 +244,10 @@ impl ModelRegistry {
 
     /// Number of registered models.
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
+        self.models
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// `true` when no models are registered.
@@ -301,7 +280,7 @@ mod tests {
     #[test]
     fn load_get_reload_bumps_generation() {
         let path = tmp_artifact("gen");
-        let reg = ModelRegistry::with_stripes(4);
+        let reg = ModelRegistry::new();
         assert!(reg.is_empty());
         let v0 = reg.load_insert("food", &path).unwrap();
         assert_eq!(v0.generation(), 0);
@@ -351,8 +330,8 @@ mod tests {
     }
 
     #[test]
-    fn names_are_sorted_across_stripes() {
-        let reg = ModelRegistry::with_stripes(3);
+    fn names_are_sorted() {
+        let reg = ModelRegistry::new();
         for n in ["zeta", "alpha", "mid"] {
             let path = tmp_artifact(n);
             reg.load_insert(n, &path).unwrap();

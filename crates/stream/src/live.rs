@@ -55,22 +55,13 @@ use crate::drift::{DriftMonitor, DriftReport, DriftThresholds, SignalStat};
 use holo_adapt::{AdaptConfig, AdaptiveRefit, RowLabel};
 use holo_data::{binio, CellId, Dataset, DeltaLog, DeltaOp, Schema};
 use holo_eval::{ModelError, TrainedModel};
-use holo_prof::{ProfMutex, ProfRwLock};
+use holo_prof::{sat_add, ProfMutex, ProfRwLock};
 use holo_trace::{RefitTimeline, Stopwatch, TimelineRing};
 use holodetect::FittedHoloDetect;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::PoisonError;
-
-/// Saturating counter increment — lifetime counters must peg at
-/// `u64::MAX`, never wrap back to zero and fake a reset (the same
-/// `fetch_update` idiom the serving metrics use).
-fn sat_add(counter: &AtomicU64, v: u64) {
-    let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
-        Some(c.saturating_add(v))
-    });
-}
 
 /// The typed refusal mutating paths answer when a lock was poisoned by
 /// a panic elsewhere: half-applied state must not be mutated further.
@@ -173,18 +164,6 @@ pub struct StreamConfig {
     /// Labels one adaptive refit consumes at most (the few-shot
     /// budget — HoloDetect's §5 regime).
     pub refit_label_budget: usize,
-    /// SGNS passes of the incremental embedding refresh each refit runs
-    /// over the delta-log rows accumulated since the last refit, before
-    /// retraining the classifier (`0` disables the refresh and keeps the
-    /// fit-time embeddings frozen, the pre-refresh behaviour). The
-    /// refresh is deterministic and only touches new/changed contexts,
-    /// so it is cheap next to the retrain it precedes.
-    pub embed_refresh_epochs: usize,
-    /// Worker threads for the sharded refit SGD loop (`None` keeps the
-    /// artifact's own `cfg.threads`). Thread count never changes scores:
-    /// the trainer's shard decomposition is fixed, so an N-thread refit
-    /// is bitwise-equal to a single-threaded one at the same seed.
-    pub refit_threads: Option<usize>,
 }
 
 impl Default for StreamConfig {
@@ -200,8 +179,6 @@ impl Default for StreamConfig {
             score_bins: 40,
             max_label_buffer: 1024,
             refit_label_budget: 20,
-            embed_refresh_epochs: 0,
-            refit_threads: None,
         }
     }
 }
@@ -431,11 +408,22 @@ impl LiveModel {
 
     /// Score cells of `data` against the current maintained state.
     pub fn score_batch(&self, data: &Dataset, cells: &[CellId]) -> Result<Vec<f64>, ModelError> {
-        self.state
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .model
-            .score_batch(data, cells)
+        self.score_with_generation(data, cells)
+            .map(|(scores, _)| scores)
+    }
+
+    /// [`LiveModel::score_batch`] plus the generation of the model that
+    /// produced the scores. Both are read under one state read lock, and
+    /// installs bump the generation under the write lock, so a hot swap
+    /// can never pair old-model scores with the new generation.
+    pub fn score_with_generation(
+        &self,
+        data: &Dataset,
+        cells: &[CellId],
+    ) -> Result<(Vec<f64>, u64), ModelError> {
+        let st = self.state.read().unwrap_or_else(PoisonError::into_inner);
+        let scores = st.model.score_batch(data, cells)?;
+        Ok((scores, self.generation()))
     }
 
     /// Append validated rows (values in schema order) to the reference:
@@ -695,21 +683,6 @@ impl LiveModel {
             st.model.save_to(&mut buf)?;
             (buf, st.epoch)
         };
-        // Rows appended since the last refit (the log compacts at each
-        // refit, so everything it holds is this refit's delta) — the
-        // corpus the incremental embedding refresh trains over.
-        let delta_rows: Vec<Vec<String>> = if self.cfg.embed_refresh_epochs > 0 {
-            let log = self.log.lock().map_err(|_| poisoned("delta log"))?;
-            log.ops()
-                .iter()
-                .filter_map(|op| match op {
-                    DeltaOp::Append { values } => Some(values.clone()),
-                    _ => None,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         // Snapshot the label budget *after* the state snapshot: labels
         // are validated against the reference at add time and the
         // session is append-only, so every buffered label addresses
@@ -721,21 +694,8 @@ impl LiveModel {
                 .cloned()
                 .collect()
         };
-        let mut copy = FittedHoloDetect::load_from(&mut std::io::Cursor::new(snapshot))?;
-        if let Some(threads) = self.cfg.refit_threads {
-            copy.set_threads(threads);
-        }
+        let copy = FittedHoloDetect::load_from(&mut std::io::Cursor::new(snapshot))?;
         let snapshot_micros = snapshot_clock.elapsed_micros();
-        // Delta-aware embeddings: fold the new rows' tokens into the
-        // skip-gram tables before the classifier retrains over them, so
-        // the refit sees fresh representations instead of frozen ones.
-        let refresh_clock = Stopwatch::start();
-        let embeddings_refreshed = if delta_rows.is_empty() {
-            false
-        } else {
-            copy.refresh_embeddings(&delta_rows, self.cfg.embed_refresh_epochs)?
-        };
-        let embed_refresh_micros = refresh_clock.elapsed_micros();
         let adapt = AdaptiveRefit::new(AdaptConfig {
             max_labels: self.cfg.refit_label_budget,
             ..AdaptConfig::default()
@@ -770,11 +730,6 @@ impl LiveModel {
             .saturating_add(adapt_timing.augment_micros);
         let mut timeline = RefitTimeline::new(self.model_label(), trigger, base_epoch);
         timeline.push_phase("snapshot", snapshot_micros.max(1));
-        // Absent when the refresh is disabled or had no delta to fold —
-        // a phase on the timeline means the refresh actually ran.
-        if embeddings_refreshed {
-            timeline.push_phase("embed-refresh", embed_refresh_micros.max(1));
-        }
         timeline.push_phase("adapt", adapt_micros.max(1));
         timeline.push_phase("adapt.label-drain", adapt_timing.label_drain_micros.max(1));
         timeline.push_phase(
@@ -1363,6 +1318,43 @@ mod tests {
     }
 
     #[test]
+    fn scores_carry_the_generation_that_produced_them() {
+        let (artifact, log) = fit_artifact("scoregen");
+        let live = LiveModel::open(&artifact, &log, StreamConfig::default()).unwrap();
+        let mut b = DatasetBuilder::new(Schema::new(["Zip", "City"]));
+        b.push_row(&["60612", "Cxhicago"]);
+        let probe = b.build();
+        let cells = vec![CellId::new(0, 0), CellId::new(0, 1)];
+        live.ingest_rows(some_rows(6, 30)).unwrap();
+        let (before, g0) = live.score_with_generation(&probe, &cells).unwrap();
+        assert_eq!(g0, 0);
+        // Score continuously across the refit's hot swap: every pair
+        // must be the scores of the generation it reports.
+        let refit_done = std::sync::atomic::AtomicBool::new(false);
+        let seen = std::thread::scope(|s| {
+            let scorer = s.spawn(|| {
+                let mut seen = Vec::new();
+                while !refit_done.load(Ordering::SeqCst) {
+                    seen.push(live.score_with_generation(&probe, &cells).unwrap());
+                }
+                seen
+            });
+            let refit = live.refit_now();
+            refit_done.store(true, Ordering::SeqCst);
+            assert_eq!(refit.unwrap(), 1);
+            scorer.join().unwrap()
+        });
+        let (after, g1) = live.score_with_generation(&probe, &cells).unwrap();
+        assert_eq!(g1, 1);
+        assert_ne!(before, after, "the refit must change the probe's scores");
+        for (scores, generation) in seen {
+            let want = if generation == 0 { &before } else { &after };
+            assert_eq!(&scores, want, "generation {generation}");
+        }
+        cleanup(&[&artifact, &log]);
+    }
+
+    #[test]
     fn degenerate_artifacts_cannot_go_live() {
         // A minimal valid degenerate artifact, written by hand.
         let mut buf: Vec<u8> = Vec::new();
@@ -1380,63 +1372,6 @@ mod tests {
             LiveModel::open(&artifact, &log, StreamConfig::default()),
             Err(ModelError::Degenerate { .. })
         ));
-        cleanup(&[&artifact, &log]);
-    }
-
-    #[test]
-    fn embed_refresh_runs_in_refit_and_lands_on_the_timeline() {
-        let (artifact, log) = fit_artifact("embedrefresh");
-        let live = LiveModel::open(
-            &artifact,
-            &log,
-            StreamConfig {
-                embed_refresh_epochs: 2,
-                refit_threads: Some(2),
-                ..StreamConfig::default()
-            },
-        )
-        .unwrap();
-        // New-vocabulary traffic: tokens the fit-time embeddings never
-        // saw, exactly what the incremental refresh exists to absorb.
-        let delta: Vec<Vec<String>> = (0..6)
-            .map(|_| vec!["48201".to_string(), "Detroit".to_string()])
-            .collect();
-        live.ingest_rows(delta).unwrap();
-        live.refit_now().unwrap();
-        let tl = live.refit_timelines(1).pop().unwrap();
-        assert!(
-            tl.phase_micros("embed-refresh").is_some_and(|us| us >= 1),
-            "refresh ran over delta rows, its phase must be attributed"
-        );
-        cleanup(&[&artifact, &log]);
-    }
-
-    #[test]
-    fn embed_refresh_phase_absent_when_disabled_or_no_delta() {
-        // Enabled but nothing appended since the last compaction: the
-        // refresh has no corpus, so the phase must not appear.
-        let (artifact, log) = fit_artifact("embednodelta");
-        let live = LiveModel::open(
-            &artifact,
-            &log,
-            StreamConfig {
-                embed_refresh_epochs: 2,
-                ..StreamConfig::default()
-            },
-        )
-        .unwrap();
-        live.refit_to_disk().unwrap();
-        let tl = live.refit_timelines(1).pop().unwrap();
-        assert_eq!(tl.phase_micros("embed-refresh"), None);
-        drop(live);
-        std::fs::remove_file(&log).ok();
-
-        // Disabled (the default): delta rows alone must not trigger it.
-        let live = LiveModel::open(&artifact, &log, StreamConfig::default()).unwrap();
-        live.ingest_rows(some_rows(4, 90)).unwrap();
-        live.refit_to_disk().unwrap();
-        let tl = live.refit_timelines(1).pop().unwrap();
-        assert_eq!(tl.phase_micros("embed-refresh"), None);
         cleanup(&[&artifact, &log]);
     }
 }

@@ -20,20 +20,12 @@
 //! toward 1.0 means refits are saturating the single scheduler thread.
 
 use crate::live::LiveModel;
-use holo_prof::{PoolStats, Stopwatch};
+use holo_prof::{sat_add, PoolStats, Stopwatch};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Saturating counter increment — the error counter must peg at
-/// `u64::MAX`, never wrap back to zero and erase a failure history.
-fn sat_add(counter: &AtomicU64, v: u64) {
-    let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
-        Some(c.saturating_add(v))
-    });
-}
 
 /// The swap hook fired after a successful refit-to-disk. Returns a
 /// human-readable error on failure (retried next tick).

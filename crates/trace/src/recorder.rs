@@ -10,7 +10,7 @@
 //! allocation beyond moving the already-built trace in, no I/O.
 
 use crate::span::Trace;
-use holo_prof::ProfMutex;
+use holo_prof::{sat_add, ProfMutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::PoisonError;
@@ -81,14 +81,6 @@ pub struct SpanRecorder {
     traces: ProfMutex<RecorderInner>,
     recorded: AtomicU64,
     evicted: AtomicU64,
-}
-
-/// The saturating-counter idiom shared with holo-serve's metrics:
-/// monotonic counters stick at `u64::MAX` instead of wrapping.
-fn sat_add(counter: &AtomicU64, v: u64) {
-    let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
-        Some(c.saturating_add(v))
-    });
 }
 
 impl SpanRecorder {

@@ -13,7 +13,9 @@ use std::collections::VecDeque;
 /// One named phase of a refit with its measured duration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RefitPhase {
-    /// Phase name, e.g. `"snapshot"`, `"adapt"`, `"refit_with"`.
+    /// Phase name, e.g. `"snapshot"`, `"adapt"`, `"refit_with"`. A
+    /// dotted name (`"adapt.augment"`) is a sub-phase whose time is
+    /// already inside its parent's.
     pub name: String,
     /// Duration in microseconds (≥ 1 for phases that ran; phases that
     /// never ran are simply absent).
@@ -66,10 +68,12 @@ impl RefitTimeline {
             .map(|p| p.micros)
     }
 
-    /// Sum of all phase durations.
+    /// Sum of the top-level phase durations. A `parent.child` phase is
+    /// already counted inside `parent`, so it is skipped.
     pub fn total_micros(&self) -> u64 {
         self.phases
             .iter()
+            .filter(|p| !p.name.contains('.'))
             .fold(0u64, |acc, p| acc.saturating_add(p.micros))
     }
 }
@@ -136,6 +140,18 @@ mod tests {
         assert_eq!(t.phase_micros("install"), None);
         assert_eq!(t.total_micros(), 3_210);
         assert!(!t.installed);
+    }
+
+    #[test]
+    fn total_counts_sub_phases_once() {
+        let mut t = RefitTimeline::new("food", "manual", 3);
+        t.push_phase("snapshot", 10);
+        t.push_phase("adapt", 1_282);
+        t.push_phase("adapt.label-drain", 34);
+        t.push_phase("adapt.channel-learn", 127);
+        t.push_phase("adapt.augment", 1_121);
+        t.push_phase("refit_with", 3_000);
+        assert_eq!(t.total_micros(), 10 + 1_282 + 3_000);
     }
 
     #[test]

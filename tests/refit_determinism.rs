@@ -1,19 +1,13 @@
-//! The parallel-refit acceptance bars, tested end to end at the
-//! trained-model level (the sharded-SGD PR's criteria, alongside the
-//! `stream_parity` suite):
-//!
-//! * **Thread invariance** — `refit_with` at any worker-thread count
-//!   scores **bitwise-identical** to single-threaded at the same seed.
-//!   The trainer's shard decomposition is fixed (independent of thread
-//!   count) and the gradient reduction runs in slot order, so threads
-//!   only change *who* computes each shard, never *what* is summed.
-//! * **Refresh parity** — the incremental embedding refresh is
-//!   deterministic, extends the vocabulary exactly like a full rebuild
-//!   over the same delta, and never moves an existing token's id.
+//! The parallel-refit acceptance bar, tested end to end at the
+//! trained-model level (alongside the `stream_parity` suite):
+//! `refit_with` at any worker-thread count scores **bitwise-identical**
+//! to single-threaded at the same seed. The trainer's shard
+//! decomposition is fixed (independent of thread count) and the
+//! gradient reduction runs in slot order, so threads only change *who*
+//! computes each shard, never *what* is summed.
 
 use holodetect_repro::core::{FittedHoloDetect, HoloDetect, HoloDetectConfig};
 use holodetect_repro::data::{CellId, Dataset, DatasetBuilder, GroundTruth, Schema};
-use holodetect_repro::embed::{Embedding, SkipGramConfig};
 use holodetect_repro::eval::FitContext;
 use std::sync::OnceLock;
 
@@ -85,84 +79,6 @@ fn n_thread_refit_is_bitwise_equal_to_single_thread() {
             single,
             refit_bits(threads),
             "{threads}-thread refit diverged from single-threaded"
-        );
-    }
-}
-
-/// The delta corpus both refresh paths fold in.
-fn delta() -> Vec<Vec<String>> {
-    (0..15)
-        .flat_map(|_| {
-            [
-                vec!["48201".to_string(), "Detroit".to_string()],
-                vec!["48104".to_string(), "Ann Arbor".to_string()],
-            ]
-        })
-        .collect()
-}
-
-#[test]
-fn embedding_refresh_matches_rebuild_vocabulary_on_the_same_delta() {
-    let base: Vec<Vec<String>> = (0..40)
-        .flat_map(|_| {
-            [
-                vec!["60612".to_string(), "Chicago".to_string()],
-                vec!["53703".to_string(), "Madison".to_string()],
-            ]
-        })
-        .collect();
-    let cfg = SkipGramConfig {
-        dim: 16,
-        epochs: 3,
-        ..SkipGramConfig::default()
-    };
-    let fitted = Embedding::train(&base, &cfg);
-
-    // Incremental path: fold the delta into the trained table.
-    let mut refreshed = fitted.clone();
-    assert!(refreshed.refresh(&delta(), &cfg, 2));
-
-    // Full-rebuild path: retrain from scratch over base + delta.
-    let mut extended = base.clone();
-    extended.extend(delta());
-    let rebuilt = Embedding::train(&extended, &cfg);
-
-    // Parity bar 1: both paths cover the same vocabulary.
-    let mut ref_tokens: Vec<&str> = refreshed
-        .vocab()
-        .tokens()
-        .iter()
-        .map(String::as_str)
-        .collect();
-    let mut reb_tokens: Vec<&str> = rebuilt
-        .vocab()
-        .tokens()
-        .iter()
-        .map(String::as_str)
-        .collect();
-    ref_tokens.sort_unstable();
-    reb_tokens.sort_unstable();
-    assert_eq!(
-        ref_tokens, reb_tokens,
-        "refresh must learn the delta vocabulary"
-    );
-
-    // Parity bar 2: refresh never moves an existing token's id (the
-    // invariant that keeps featurizer tables valid), and is itself
-    // deterministic: a second refresh from the same fit is bitwise
-    // identical.
-    for tok in ["Chicago", "Madison", "60612", "53703"] {
-        assert_eq!(fitted.vocab().id(tok), refreshed.vocab().id(tok));
-    }
-    let mut again = fitted.clone();
-    assert!(again.refresh(&delta(), &cfg, 2));
-    for tok in ["Detroit", "Chicago", "48201"] {
-        let a = refreshed.vector(tok);
-        let b = again.vector(tok);
-        assert_eq!(
-            a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            "refresh must be deterministic for {tok:?}"
         );
     }
 }
