@@ -18,7 +18,7 @@ use crate::ProbePool;
 use holo_channel::{augment_to_ratio, AugmentConfig, Policy};
 use holo_data::{CellId, Dataset, Label};
 use holo_eval::{ModelError, TrainedModel};
-use holo_trace::Stopwatch;
+use holo_trace::stage;
 use holodetect::trainer::TrainExample;
 use holodetect::FittedHoloDetect;
 
@@ -110,7 +110,9 @@ pub struct AdaptReport {
 
 /// Wall-clock attribution for one adaptation pass, kept apart from
 /// [`AdaptReport`] so the report stays deterministic (and `Eq`) for a
-/// fixed seed. The live model folds these into its refit timelines.
+/// fixed seed. Each field is the duration of the `holo_trace::stage`
+/// of the same name, which also lands in the caller's current trace
+/// (the live model's refit timeline).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdaptTiming {
     /// Turning labeled rows into per-cell examples and channel pairs.
@@ -160,20 +162,17 @@ impl AdaptiveRefit {
         Ok((examples, report))
     }
 
-    /// [`AdaptiveRefit::examples`] plus wall-clock attribution for the
-    /// drain / channel-learn / augment phases (an [`AdaptTiming`] with
+    /// [`AdaptiveRefit::examples`] timed as the `label-drain`,
+    /// `channel-learn` and `augment` stages (an [`AdaptTiming`] with
     /// `refit_with_micros` left zero — only [`AdaptiveRefit::refit_timed`]
     /// runs the retrain).
-    ///
-    /// # Errors
-    /// Exactly those of [`AdaptiveRefit::examples`].
-    pub fn examples_timed(
+    fn examples_timed(
         &self,
         reference: &Dataset,
         labels: &[RowLabel],
     ) -> Result<(Vec<TrainExample>, AdaptReport, AdaptTiming), ModelError> {
         let mut timing = AdaptTiming::default();
-        let drain_clock = Stopwatch::start();
+        let drain = stage("label-drain");
         let nt = reference.n_tuples();
         let na = reference.n_attrs();
         let budget = labels.len().min(self.cfg.max_labels);
@@ -222,17 +221,17 @@ impl AdaptiveRefit {
                 }
             }
         }
-        timing.label_drain_micros = drain_clock.elapsed_micros();
+        timing.label_drain_micros = drain.end();
 
         // Algorithm 1 + 2 on the drifted error pairs.
-        let channel_clock = Stopwatch::start();
+        let channel = stage("channel-learn");
         let policy = Policy::from_pairs(&pairs);
         report.channel_size = policy.len();
-        timing.channel_learn_micros = channel_clock.elapsed_micros();
+        timing.channel_learn_micros = channel.end();
 
         // Algorithm 4: amplify the few real errors to the target ratio,
         // in the labeled correct cells' own tuple contexts.
-        let augment_clock = Stopwatch::start();
+        let augment = stage("augment");
         let values: Vec<String> = corrects.iter().map(|(_, v)| v.clone()).collect();
         let aug_cfg = AugmentConfig {
             seed: self.cfg.seed,
@@ -313,7 +312,7 @@ impl AdaptiveRefit {
                 });
             }
         }
-        timing.augment_micros = augment_clock.elapsed_micros();
+        timing.augment_micros = augment.end();
         Ok((examples, report, timing))
     }
 
@@ -336,7 +335,10 @@ impl AdaptiveRefit {
     }
 
     /// [`AdaptiveRefit::refit`] plus wall-clock attribution for every
-    /// phase — the live model's refit timelines record these.
+    /// phase. Building the examples, weighting them and repairing the
+    /// labeled cells run as the `adapt` stage (with `label-drain`,
+    /// `channel-learn` and `augment` inside it), the retrain as the
+    /// `refit_with` stage.
     ///
     /// # Errors
     /// Exactly those of [`AdaptiveRefit::refit`].
@@ -350,6 +352,7 @@ impl AdaptiveRefit {
                 method: model.method().to_owned(),
             });
         };
+        let adapt = stage("adapt");
         let (examples, mut report, mut timing) =
             self.examples_timed(artifact.reference(), labels)?;
         let examples = Self::weight_fresh(examples, model.n_train_examples(), &mut report);
@@ -379,9 +382,10 @@ impl AdaptiveRefit {
                 }
             }
         }
-        let train_clock = Stopwatch::start();
+        drop(adapt);
+        let train = stage("refit_with");
         let refitted = model.refit_with(examples)?;
-        timing.refit_with_micros = train_clock.elapsed_micros();
+        timing.refit_with_micros = train.end();
         Ok((refitted, report, timing))
     }
 

@@ -22,6 +22,7 @@
 pub mod args;
 pub mod harness;
 pub mod paper;
+pub mod smoke;
 
 pub use args::ExpArgs;
 pub use harness::{bench_config, detectors_for_table2, make_dataset, run_method, seeds};

@@ -1,47 +1,24 @@
-//! Counting global allocator with scope attribution.
+//! Counting global allocator.
 //!
 //! [`CountingAlloc`] wraps [`System`] and is installed as the
 //! workspace's `#[global_allocator]` the moment any crate links
-//! `holo-prof`. Two tiers of accounting run on every allocation:
+//! `holo-prof`. Every allocation bumps saturating global counters
+//! (allocation count, cumulative bytes, freed bytes, live bytes, peak
+//! live bytes) and two per-thread counters: allocations and bytes.
+//! The per-thread pair is what `holo_trace::stage` differences to note
+//! each stage's allocations on its span, so attributing heap traffic to
+//! a stage needs no tag lookup inside the allocator.
 //!
-//! * **Always on** — saturating global counters (allocation count,
-//!   cumulative bytes, freed bytes, live bytes, peak live bytes) and a
-//!   per-thread cumulative byte counter. These are a handful of relaxed
-//!   atomic ops and one thread-local read; they are cheap enough to
-//!   leave unconditionally enabled, and the per-thread counter is what
-//!   powers per-request allocation deltas in trace-span notes.
-//! * **Gated on [`crate::enabled`]** — *scope attribution*. A thread
-//!   announces what stage it is running via [`scope`] (`"validate"`,
-//!   `"score"`, …; the same names trace spans use) and every allocation
-//!   made while the guard lives is booked against that stage's slot in
-//!   a fixed table. When profiling is disabled [`scope`] returns an
-//!   inert guard and the allocator skips the thread-local lookup.
-//!
-//! The allocator itself never allocates: scope names are interned (and
-//! the registry vector grown) inside [`scope`], which runs on the
-//! caller's stack *outside* the allocator; the hot path only touches
-//! const-initialized thread-locals and fixed static atomic arrays. All
-//! counters saturate rather than wrap (except the per-thread counter,
-//! which wraps so deltas stay exact — see [`thread_alloc_bytes`]), and
-//! every path is panic-free: a panic inside a global allocator aborts
-//! the process.
+//! The allocator itself never allocates: the hot path only touches
+//! const-initialized thread-locals and static atomics. All counters
+//! saturate rather than wrap (except the per-thread counters, which
+//! wrap so deltas stay exact — see [`thread_alloc_bytes`]), and every
+//! path is panic-free: a panic inside a global allocator aborts the
+//! process.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
-
-/// Fixed number of scope-attribution slots.
-///
-/// Scope names are interned into a table of this size; registrations
-/// past the cap are silently dropped (the allocation is still counted
-/// globally, just not attributed). The workspace uses a handful of
-/// stage names, so 32 leaves generous headroom while keeping the
-/// allocator's static footprint fixed.
-pub const MAX_SCOPES: usize = 32;
-
-/// Sentinel scope id meaning "untagged".
-const NO_SCOPE: usize = usize::MAX;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -49,20 +26,11 @@ static FREED_BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
-static SCOPE_ALLOCS: [AtomicU64; MAX_SCOPES] = [const { AtomicU64::new(0) }; MAX_SCOPES];
-static SCOPE_BYTES: [AtomicU64; MAX_SCOPES] = [const { AtomicU64::new(0) }; MAX_SCOPES];
-static SCOPE_NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-
-/// Master switch for scope attribution (and span alloc annotations in
-/// `holo-serve`). Sticky: production code only ever turns it on, so
-/// parallel tests sharing one process cannot race it back off.
-pub(crate) static ENABLED: AtomicBool = AtomicBool::new(false);
-
 thread_local! {
-    /// Scope slot allocations on this thread are booked against.
-    /// Const-initialized `Cell` so reading it inside the allocator can
-    /// never itself allocate or run lazy initialization.
-    static CURRENT_SCOPE: Cell<usize> = const { Cell::new(NO_SCOPE) };
+    /// Cumulative allocations made by this thread, wrapping.
+    /// Const-initialized `Cell`s so touching them inside the allocator
+    /// can never itself allocate or run lazy initialization.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Cumulative bytes allocated by this thread, wrapping.
     static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
 }
@@ -104,7 +72,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
             // Booked as free-old + alloc-new so live/peak stay honest
-            // and the new size is attributed to the current scope.
+            // and the new size counts towards the current stage.
             record_dealloc(layout.size() as u64);
             record_alloc(new_size as u64);
         }
@@ -125,14 +93,8 @@ fn record_alloc(n: u64) {
     PEAK_BYTES.fetch_max(prev.saturating_add(n), Ordering::Relaxed);
     // `try_with` (never `with`): during thread teardown the TLS slot is
     // gone and `with` would panic — inside an allocator that aborts.
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get().wrapping_add(1)));
     let _ = THREAD_BYTES.try_with(|c| c.set(c.get().wrapping_add(n)));
-    if ENABLED.load(Ordering::Relaxed) {
-        let scope = CURRENT_SCOPE.try_with(Cell::get).unwrap_or(NO_SCOPE);
-        if let (Some(a), Some(b)) = (SCOPE_ALLOCS.get(scope), SCOPE_BYTES.get(scope)) {
-            crate::sat_add(a, 1);
-            crate::sat_add(b, n);
-        }
-    }
 }
 
 /// Books one deallocation of `n` bytes.
@@ -143,77 +105,21 @@ fn record_dealloc(n: u64) {
     });
 }
 
-/// Interns a scope name, returning its slot id (or [`NO_SCOPE`] once
-/// the fixed table is full). May allocate — only called from [`scope`],
-/// never from allocator context.
-fn intern(name: &'static str) -> usize {
-    let mut names = SCOPE_NAMES.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(i) = names.iter().position(|n| *n == name) {
-        return i;
-    }
-    if names.len() >= MAX_SCOPES {
-        return NO_SCOPE;
-    }
-    names.push(name);
-    names.len() - 1
-}
-
-/// RAII guard restoring the thread's previous scope tag on drop.
-///
-/// Returned by [`scope`]. Scopes nest: the innermost active guard wins,
-/// and dropping it restores whatever tag was current when it was
-/// created.
-#[derive(Debug)]
-#[must_use = "allocation is attributed only while the guard is alive"]
-pub struct ScopeGuard {
-    prev: usize,
-    restore: bool,
-}
-
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        if self.restore {
-            let _ = CURRENT_SCOPE.try_with(|c| c.set(self.prev));
-        }
-    }
-}
-
-/// Tags the current thread so allocations are attributed to `name`
-/// until the returned guard drops.
-///
-/// Use the same stage names the trace spans use (`"validate"`,
-/// `"score"`, `"encode"`, …) so `/v1/prof`'s top allocation scopes line
-/// up with `/v1/trace`'s stage timings. When profiling is disabled
-/// (see [`crate::enabled`]) this returns an inert guard without
-/// touching the interning table — the documented "off the hot path"
-/// behaviour of the `--prof` flag.
-pub fn scope(name: &'static str) -> ScopeGuard {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return ScopeGuard {
-            prev: NO_SCOPE,
-            restore: false,
-        };
-    }
-    let id = intern(name);
-    let prev = CURRENT_SCOPE
-        .try_with(|c| c.replace(id))
-        .unwrap_or(NO_SCOPE);
-    ScopeGuard {
-        prev,
-        restore: true,
-    }
-}
-
 /// Cumulative bytes ever allocated by the *calling thread*, wrapping
 /// at `u64::MAX`.
 ///
 /// Per-request allocation deltas are computed as
 /// `after.wrapping_sub(before)`: wrapping (rather than saturating)
-/// keeps deltas exact even across counter overflow. Unlike scope
-/// attribution this is always on — the counter is a single
-/// const-initialized thread-local `Cell`.
+/// keeps deltas exact even across counter overflow.
 pub fn thread_alloc_bytes() -> u64 {
     THREAD_BYTES.try_with(Cell::get).unwrap_or(0)
+}
+
+/// Cumulative allocations ever made by the *calling thread* (including
+/// the alloc half of reallocs), wrapping at `u64::MAX` like
+/// [`thread_alloc_bytes`].
+pub fn thread_alloc_count() -> u64 {
+    THREAD_ALLOCS.try_with(Cell::get).unwrap_or(0)
 }
 
 /// Point-in-time view of the global allocation counters.
@@ -242,60 +148,9 @@ pub fn alloc_totals() -> AllocTotals {
     }
 }
 
-/// One scope's share of the allocation traffic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScopeAlloc {
-    /// The tag passed to [`scope`].
-    pub scope: &'static str,
-    /// Allocations booked while the tag was active.
-    pub allocs: u64,
-    /// Bytes booked while the tag was active.
-    pub bytes: u64,
-}
-
-/// Snapshots per-scope attribution, heaviest scope (by bytes) first;
-/// name breaks ties so the ordering is deterministic.
-pub fn scope_allocs() -> Vec<ScopeAlloc> {
-    let names: Vec<&'static str> = SCOPE_NAMES
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone();
-    let mut out: Vec<ScopeAlloc> = names
-        .iter()
-        .enumerate()
-        .filter_map(|(i, name)| {
-            let allocs = SCOPE_ALLOCS.get(i)?.load(Ordering::Relaxed);
-            let bytes = SCOPE_BYTES.get(i)?.load(Ordering::Relaxed);
-            Some(ScopeAlloc {
-                scope: name,
-                allocs,
-                bytes,
-            })
-        })
-        .collect();
-    out.sort_by(|a, b| b.bytes.cmp(&a.bytes).then(a.scope.cmp(b.scope)));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn scope_bytes(name: &str) -> u64 {
-        scope_allocs()
-            .iter()
-            .find(|s| s.scope == name)
-            .map(|s| s.bytes)
-            .unwrap_or(0)
-    }
-
-    fn scope_alloc_count(name: &str) -> u64 {
-        scope_allocs()
-            .iter()
-            .find(|s| s.scope == name)
-            .map(|s| s.allocs)
-            .unwrap_or(0)
-    }
 
     #[test]
     fn totals_count_allocations_and_track_peak() {
@@ -314,51 +169,12 @@ mod tests {
 
     #[test]
     fn thread_counter_is_exact_for_a_known_allocation() {
-        let t0 = thread_alloc_bytes();
+        let (c0, t0) = (thread_alloc_count(), thread_alloc_bytes());
         let v: Vec<u8> = Vec::with_capacity(4096);
-        let t1 = thread_alloc_bytes();
+        let (c1, t1) = (thread_alloc_count(), thread_alloc_bytes());
         drop(v);
         assert_eq!(t1.wrapping_sub(t0), 4096);
-    }
-
-    #[test]
-    fn scoped_allocations_are_attributed_exactly() {
-        crate::set_enabled(true);
-        // Interning happens before the baseline read so the slot exists.
-        drop(scope("alloc-test-exact"));
-        let before = scope_bytes("alloc-test-exact");
-        let before_count = scope_alloc_count("alloc-test-exact");
-        let mut holder: Vec<Vec<u8>> = Vec::with_capacity(8);
-        {
-            let _g = scope("alloc-test-exact");
-            for _ in 0..8 {
-                holder.push(Vec::with_capacity(512));
-            }
-        }
-        drop(holder);
-        assert_eq!(scope_bytes("alloc-test-exact") - before, 8 * 512);
-        assert_eq!(scope_alloc_count("alloc-test-exact") - before_count, 8);
-    }
-
-    #[test]
-    fn scopes_nest_and_restore() {
-        crate::set_enabled(true);
-        drop(scope("alloc-test-outer"));
-        drop(scope("alloc-test-inner"));
-        let outer_before = scope_bytes("alloc-test-outer");
-        let inner_before = scope_bytes("alloc-test-inner");
-        let mut holder: Vec<Vec<u8>> = Vec::with_capacity(2);
-        {
-            let _outer = scope("alloc-test-outer");
-            {
-                let _inner = scope("alloc-test-inner");
-                holder.push(Vec::with_capacity(256));
-            }
-            holder.push(Vec::with_capacity(128));
-        }
-        drop(holder);
-        assert_eq!(scope_bytes("alloc-test-inner") - inner_before, 256);
-        assert_eq!(scope_bytes("alloc-test-outer") - outer_before, 128);
+        assert_eq!(c1.wrapping_sub(c0), 1);
     }
 
     #[test]

@@ -62,15 +62,6 @@ pub fn duration_micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Like [`duration_micros`] but clamped to at least 1.
-///
-/// Used for recorded phase durations where `0` is reserved to mean
-/// "this phase never ran": a sub-microsecond phase that *did* run
-/// reports 1µs rather than masquerading as absent.
-pub fn nonzero_micros(d: Duration) -> u64 {
-    duration_micros(d).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,8 +80,6 @@ mod tests {
     fn micros_conversions() {
         assert_eq!(duration_micros(Duration::from_micros(250)), 250);
         assert_eq!(duration_micros(Duration::ZERO), 0);
-        assert_eq!(nonzero_micros(Duration::ZERO), 1);
-        assert_eq!(nonzero_micros(Duration::from_micros(7)), 7);
         assert_eq!(duration_micros(Duration::MAX), u64::MAX);
     }
 }

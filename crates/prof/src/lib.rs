@@ -6,14 +6,14 @@
 //! zero-dependency instruments that are always compiled in and cheap
 //! enough to leave running in production:
 //!
-//! 1. **Allocation accounting** ([`CountingAlloc`], [`scope`],
-//!    [`thread_alloc_bytes`], [`alloc_totals`], [`scope_allocs`]) — a
-//!    `#[global_allocator]` wrapper over [`std::alloc::System`] keeps
-//!    saturating global counters (allocs / bytes / freed / live / peak)
-//!    plus a per-thread byte counter, and — when profiling is enabled —
-//!    attributes allocation to thread-local *scope tags* that use the
-//!    same stage names as trace spans, so `/v1/prof`'s top scopes line
-//!    up with `/v1/trace`'s stage timings.
+//! 1. **Allocation accounting** ([`CountingAlloc`],
+//!    [`thread_alloc_count`], [`thread_alloc_bytes`], [`alloc_totals`])
+//!    — a `#[global_allocator]` wrapper over [`std::alloc::System`]
+//!    keeps saturating global counters (allocs / bytes / freed / live /
+//!    peak) plus per-thread allocation and byte counters. A
+//!    `holo_trace::stage` differences the per-thread pair across the
+//!    stage and notes the result on its span, so `/v1/prof`'s top
+//!    allocation scopes line up with `/v1/trace`'s stage timings.
 //! 2. **Lock contention** ([`ProfMutex`], [`ProfRwLock`],
 //!    [`lock_snapshots`]) — named drop-in lock wrappers that book
 //!    acquires, contended acquires, wait-time totals + histograms
@@ -25,31 +25,25 @@
 //!    — busy/idle accounting per named pool (HTTP workers, the refit
 //!    scheduler), yielding the busy ratio that sizing decisions need.
 //!
-//! # Enabling
+//! # Cost
 //!
-//! Global and per-thread allocation counters, lock stats, and pool
-//! stats are always on — they are a few relaxed atomics per event.
-//! Only *scope attribution* (the thread-local tag lookup on every
-//! allocation, plus per-request span annotations in `holo-serve`) is
-//! gated, via [`set_enabled`] — wired to the `--prof` CLI flag.
-//! Enabling is **sticky**: callers only ever turn it on, never off,
-//! so parallel tests sharing one process cannot race it back off and
-//! cumulative counters stay monotone.
+//! Every instrument is always on: an allocation costs a few relaxed
+//! atomics plus two thread-local increments, a lock or pool event a
+//! few relaxed atomics.
 //!
 //! # Layering
 //!
 //! This crate is the lowest layer of the observability stack: it also
 //! owns the workspace's single monotonic clock ([`Stopwatch`],
-//! [`duration_micros`], [`nonzero_micros`]), which `holo-trace`
-//! re-exports for its spans. Nothing here depends on any other
-//! workspace crate.
+//! [`duration_micros`]), whose `Stopwatch` `holo-trace` re-exports for
+//! its spans. Nothing here depends on any other workspace crate.
 //!
 //! # Reading the numbers
 //!
 //! `GET /v1/prof` on a running `holo-serve` returns the JSON snapshot
-//! (top allocation scopes, hottest locks by wait time, pool
-//! utilization); `/metrics` exports the same data as
-//! `holo_prof_alloc_bytes{scope=…}`,
+//! (top allocation scopes summed from the server's recorded stage
+//! spans, hottest locks by wait time, pool utilization); `/metrics`
+//! exports the same data as `holo_prof_alloc_bytes{scope=…}`,
 //! `holo_prof_lock_wait_micros{lock=…}` histograms, and
 //! `holo_prof_worker_busy_ratio{pool=…}`. All counters are cumulative
 //! since process start: rates come from scraping twice and differencing.
@@ -62,11 +56,8 @@ mod clock;
 mod lock;
 mod pool;
 
-pub use alloc::{
-    alloc_totals, scope, scope_allocs, thread_alloc_bytes, AllocTotals, CountingAlloc, ScopeAlloc,
-    ScopeGuard, MAX_SCOPES,
-};
-pub use clock::{duration_micros, nonzero_micros, Stopwatch};
+pub use alloc::{alloc_totals, thread_alloc_bytes, thread_alloc_count, AllocTotals, CountingAlloc};
+pub use clock::{duration_micros, Stopwatch};
 pub use lock::{
     lock_snapshots, LockSnapshot, ProfMutex, ProfMutexGuard, ProfRwLock, ProfRwLockReadGuard,
     ProfRwLockWriteGuard, LOCK_WAIT_BOUNDS_MICROS, LOCK_WAIT_BUCKETS,
@@ -74,21 +65,6 @@ pub use lock::{
 pub use pool::{pool_snapshots, PoolSnapshot, PoolStats};
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Turns scope attribution on (or, in principle, off).
-///
-/// Production call sites only ever pass `true` — see the stickiness
-/// note in the crate docs. The always-on instruments (global alloc
-/// totals, thread byte counters, lock stats, pool stats) are not
-/// affected by this switch.
-pub fn set_enabled(on: bool) {
-    alloc::ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether scope attribution is currently enabled.
-pub fn enabled() -> bool {
-    alloc::ENABLED.load(Ordering::Relaxed)
-}
 
 /// Saturating add on a relaxed atomic counter: lifetime counters peg
 /// at `u64::MAX` instead of wrapping back to zero and faking a reset.
@@ -102,6 +78,14 @@ pub fn sat_add(counter: &AtomicU64, v: u64) {
     });
 }
 
+/// The histogram bucket an observation `v` lands in: the index of the
+/// first bound `>= v` in the strictly increasing `bounds`, or
+/// `bounds.len()` (the `+Inf` bucket) past the last one. Every
+/// histogram in the workspace buckets through this.
+pub fn bucket_index(bounds: &[u64], v: u64) -> usize {
+    bounds.partition_point(|&b| b < v)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,11 +97,5 @@ mod tests {
         assert_eq!(c.load(Ordering::Relaxed), u64::MAX);
         sat_add(&c, 1);
         assert_eq!(c.load(Ordering::Relaxed), u64::MAX);
-    }
-
-    #[test]
-    fn enable_is_observable() {
-        set_enabled(true);
-        assert!(enabled());
     }
 }

@@ -89,7 +89,7 @@ impl LockStats {
     fn record_contended_wait(&self, micros: u64) {
         crate::sat_add(&self.contended, 1);
         crate::sat_add(&self.wait_micros, micros);
-        let idx = LOCK_WAIT_BOUNDS_MICROS.partition_point(|&b| micros > b);
+        let idx = crate::bucket_index(&LOCK_WAIT_BOUNDS_MICROS, micros);
         if let Some(bucket) = self.wait_buckets.get(idx) {
             crate::sat_add(bucket, 1);
         }

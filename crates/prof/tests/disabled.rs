@@ -1,23 +1,6 @@
-//! Behaviour with profiling *disabled* — the `--prof`-off hot path.
-//!
-//! This integration test binary runs in its own process and never
-//! calls `set_enabled(true)`, so it can observe the dormant state that
-//! in-crate unit tests (which share a process with tests that enable
-//! profiling) cannot: scopes are inert and intern nothing, while the
-//! always-on instruments keep counting.
-
-#[test]
-fn scope_attribution_dormant_until_enabled() {
-    assert!(!holo_prof::enabled());
-    {
-        let _g = holo_prof::scope("never-registered");
-        let _v: Vec<u8> = Vec::with_capacity(1024);
-    }
-    // Disabled scope() interns nothing and attributes nothing.
-    assert!(holo_prof::scope_allocs()
-        .iter()
-        .all(|s| s.scope != "never-registered"));
-}
+//! The always-on instruments, observed in a test process of their own:
+//! per-thread allocation counters, global totals, lock stats and pool
+//! stats count without any server or trace running.
 
 #[test]
 fn always_on_instruments_work_while_disabled() {

@@ -19,7 +19,7 @@ use holo_adapt::{AdaptConfig, AdaptiveRefit, RowLabel};
 use holo_data::{CellId, Dataset, DatasetBuilder, DeltaOp, GroundTruth};
 use holo_datagen::{generate_clean, inject_errors};
 use holo_eval::{best_f1, f1_at_threshold, pr_auc, ModelError, Split, SplitConfig, TrainedModel};
-use holo_serve::{Json, ModelRegistry, ProfConfig, ServeConfig};
+use holo_serve::{Json, ModelRegistry, ServeConfig};
 use holo_stream::{LiveModel, StreamConfig};
 use holo_trace::Stopwatch;
 use holodetect::{FittedHoloDetect, HoloDetect, HoloDetectConfig};
@@ -106,8 +106,7 @@ pub struct ScenarioLatency {
     /// `adapt`, `refit_with`, `persist`, `install`, …).
     pub refit_phase_micros: Vec<(String, u64)>,
     /// Heap bytes the score probe allocated, summed from the per-stage
-    /// `alloc_bytes` notes on its trace (the suite serves with
-    /// profiling on).
+    /// `alloc_bytes` notes on its trace.
     pub alloc_per_request_bytes: u64,
     /// The three hottest locks by cumulative wait time from the
     /// server's `/v1/prof` contention profile at the end of the run,
@@ -321,13 +320,9 @@ pub fn run_scenario(sc: &SchemaScenario, cfg: &SuiteConfig) -> Result<ScenarioRe
     let live = Arc::new(LiveModel::open(&artifact_path, &log_path, stream_cfg)?);
     let registry = Arc::new(ModelRegistry::new());
     registry.insert_live(sc.name, Arc::clone(&live));
-    // Profiling on: the scenario's latency section records where the
-    // probe's heap traffic went and which serving locks ran hottest.
-    let serve_cfg = ServeConfig {
-        prof: ProfConfig { enabled: true },
-        ..ServeConfig::default()
-    };
-    let server = holo_serve::start("127.0.0.1:0", serve_cfg, Arc::clone(&registry))
+    // The scenario's latency section records where the probe's heap
+    // traffic went and which serving locks ran hottest.
+    let server = holo_serve::start("127.0.0.1:0", ServeConfig::default(), Arc::clone(&registry))
         .map_err(ModelError::Io)?;
     let addr = server.addr();
 
@@ -585,7 +580,7 @@ fn header_value(head: &str, name: &str) -> Option<String> {
 /// trace of the request (`x-holo-trace` → `GET /v1/trace/{id}`): every
 /// top-level span of the tree as `(stage, micros)` in span order, plus
 /// the request's heap traffic summed from the per-stage `alloc_bytes`
-/// notes the profiling-enabled server attached to those spans.
+/// notes the server's stages attached to those spans.
 fn score_stages(addr: SocketAddr, trace_id: &str) -> (Vec<(String, u64)>, u64) {
     let (status, body) = http(addr, "GET", &format!("/v1/trace/{trace_id}"), "");
     assert_eq!(status, 200, "trace {trace_id} must be retained: {body}");

@@ -23,22 +23,25 @@
 //! ## Profiling
 //!
 //! `GET /v1/prof` snapshots the in-process profiler (`holo-prof`):
-//! global heap counters, the top allocation scopes (populated once the
-//! server runs with [`ProfConfig::enabled`] / `--prof`), every
-//! instrumented lock ranked hottest-wait-first, and per-pool worker
-//! utilization. All counters are cumulative and monotone for the life
-//! of the process. Traces answer *where the time went* per request;
-//! this page answers *why* — which lock scoring waited on, which stage
-//! allocates, whether the worker pools are saturated.
+//! global heap counters, the top allocation scopes (each stage's
+//! `allocs`/`alloc_bytes` notes summed over this server's recorded
+//! traces), every instrumented lock ranked hottest-wait-first, and
+//! per-pool worker utilization. All counters are cumulative and
+//! monotone for the life of the server. Traces answer *where the time
+//! went* per request; this page answers *why* — which lock scoring
+//! waited on, which stage allocates, whether the worker pools are
+//! saturated.
 //!
 //! ## Tracing
 //!
-//! Every request is traced: the handler opens a `holo-trace` span tree
+//! Every request is traced: the handler begins a `holo-trace` trace
 //! named after the *normalized* endpoint (`/v1/models/{name}/score`,
-//! never the raw path — label cardinality stays bounded), records
-//! per-stage child spans (`parse`, `validate`, `score`, `encode`;
-//! `log-append` / `apply-delta` / `drift-update` on ingest),
-//! and echoes the trace id back as the `x-holo-trace` response header.
+//! never the raw path — label cardinality stays bounded) as the
+//! worker's current trace, so every `holo_trace::stage` the request
+//! runs becomes a child span carrying its allocation notes (`parse`,
+//! `validate`, `score`, `encode`; `log-append` / `apply-delta` /
+//! `drift-update` on ingest; `install` on refit and reload), and
+//! echoes the trace id back as the `x-holo-trace` response header.
 //! Finished traces land in a bounded in-memory ring
 //! ([`holo_trace::SpanRecorder`]) the three `/v1/trace/*` endpoints
 //! page, and their span durations feed the
@@ -91,15 +94,14 @@
 use crate::http::{self, Handler, HttpConfig, Request, Response, ServerHandle};
 use crate::json::{self, Json, ParseLimits};
 use crate::metrics::{
-    escape_label, model_error_category, render_nn_cache_metrics, render_prof_metrics,
+    alloc_scopes, escape_label, model_error_category, render_nn_cache_metrics, render_prof_metrics,
     render_stage_histograms, write_family_header, Metrics,
 };
 use crate::registry::{ModelRegistry, ServedModel};
 use holo_data::{CellId, Dataset, DatasetBuilder, Schema};
 use holo_eval::ModelError;
 use holo_trace::{
-    format_trace_id, parse_trace_id, RecorderConfig, SpanRecorder, Stopwatch, Trace, TraceBuilder,
-    Tracer, Value,
+    format_trace_id, parse_trace_id, stage, RecorderConfig, SpanRecorder, Stopwatch, Trace, Value,
 };
 use std::io;
 use std::sync::Arc;
@@ -111,22 +113,6 @@ pub struct ServeConfig {
     pub http: HttpConfig,
     /// Request-tracing knobs.
     pub trace: TraceConfig,
-    /// Continuous-profiling knobs (`--prof`).
-    pub prof: ProfConfig,
-}
-
-/// Continuous-profiling knobs.
-///
-/// The cheap instruments (global allocation counters, lock wait/hold
-/// accounting, pool utilization) are always on; this flag additionally
-/// enables *scope attribution* — tagging allocations with the stage
-/// names trace spans use — and the per-stage `alloc_bytes` notes on
-/// request traces. Enabling is **sticky for the process**: `holo-prof`'s
-/// switch never turns back off, so `/v1/prof` scope data stays monotone.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProfConfig {
-    /// Turn on allocation scope attribution and per-stage alloc notes.
-    pub enabled: bool,
 }
 
 /// Request-tracing knobs.
@@ -134,8 +120,6 @@ pub struct ProfConfig {
 pub struct TraceConfig {
     /// Byte budget for the recorder's trace ring (overwrite-oldest).
     pub ring_bytes: usize,
-    /// Slow-request exemplars retained per endpoint.
-    pub slow_per_endpoint: usize,
     /// Emit one structured JSON log line per finished request on
     /// stderr (trace id, endpoint, status, total microseconds).
     pub access_log: bool,
@@ -145,7 +129,6 @@ impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             ring_bytes: 1 << 20,
-            slow_per_endpoint: 8,
             access_log: false,
         }
     }
@@ -181,9 +164,8 @@ struct App {
     registry: Arc<ModelRegistry>,
     metrics: Arc<Metrics>,
     limits: ParseLimits,
-    tracer: Tracer,
+    recorder: Arc<SpanRecorder>,
     access_log: bool,
-    prof_enabled: bool,
 }
 
 /// A running serving stack: HTTP server + registry.
@@ -214,7 +196,7 @@ impl RunningServer {
     /// The span recorder request traces land in (what the `/v1/trace/*`
     /// endpoints page).
     pub fn trace_recorder(&self) -> Arc<SpanRecorder> {
-        Arc::clone(self.app.tracer.recorder())
+        Arc::clone(&self.app.recorder)
     }
 
     /// Graceful shutdown: drain in-flight HTTP requests, then join
@@ -241,22 +223,16 @@ pub fn start(
     registry: Arc<ModelRegistry>,
 ) -> io::Result<RunningServer> {
     let metrics = Arc::new(Metrics::new());
-    if cfg.prof.enabled {
-        // Sticky: once any server in this process opts in, scope
-        // attribution stays on (see `ProfConfig`).
-        holo_prof::set_enabled(true);
-    }
     let recorder = Arc::new(SpanRecorder::new(RecorderConfig {
         ring_bytes: cfg.trace.ring_bytes,
-        slow_per_endpoint: cfg.trace.slow_per_endpoint,
+        ..RecorderConfig::default()
     }));
     let app = Arc::new(App {
         registry,
         metrics,
         limits: ParseLimits::default(),
-        tracer: Tracer::new(recorder),
+        recorder,
         access_log: cfg.trace.access_log,
-        prof_enabled: cfg.prof.enabled,
     });
     let handler: Handler = {
         let app = Arc::clone(&app);
@@ -327,16 +303,16 @@ impl App {
         let clock = Stopwatch::start();
         // The trace starts at the request's first byte, so `parse`
         // sits at offset 0 and the handler's stages follow it.
-        let mut trace = self.tracer.span_since(&endpoint_label(req), req.received);
-        trace.note("method", Value::Str(req.method.clone()));
+        let trace = self.recorder.begin(&endpoint_label(req), req.received);
+        holo_trace::note("method", Value::Str(req.method.clone()));
         if req.parse_micros > 0 {
             trace.child_at("parse", 0, req.parse_micros);
         }
         let resp = self
-            .dispatch(req, &mut trace)
+            .dispatch(req)
             .unwrap_or_else(|f| f.into_response(&self.metrics));
         self.metrics.record_response(resp.status, clock.elapsed());
-        trace.note("status", Value::U64(u64::from(resp.status)));
+        holo_trace::note("status", Value::U64(u64::from(resp.status)));
         let id = trace.id();
         let finished = trace.finish();
         if self.access_log {
@@ -352,7 +328,7 @@ impl App {
         resp.with_header("x-holo-trace", format_trace_id(id))
     }
 
-    fn dispatch(&self, req: &Request, trace: &mut TraceBuilder) -> Result<Response, Failure> {
+    fn dispatch(&self, req: &Request) -> Result<Response, Failure> {
         let segments: Vec<&str> = req
             .path_only()
             .split('/')
@@ -361,10 +337,10 @@ impl App {
         match (req.method.as_str(), segments.as_slice()) {
             ("GET", ["healthz"]) => Ok(self.healthz()),
             ("GET", ["metrics"]) => Ok(Response::text(200, self.metrics_page())),
-            ("POST", ["v1", "models", name, "score"]) => self.score(req, name, false, trace),
-            ("POST", ["v1", "models", name, "predict"]) => self.score(req, name, true, trace),
+            ("POST", ["v1", "models", name, "score"]) => self.score(req, name, false),
+            ("POST", ["v1", "models", name, "predict"]) => self.score(req, name, true),
             ("POST", ["v1", "models", name, "reload"]) => self.reload(name),
-            ("POST", ["v1", "models", name, "rows"]) => self.ingest_rows(req, name, trace),
+            ("POST", ["v1", "models", name, "rows"]) => self.ingest_rows(req, name),
             ("GET", ["v1", "models", name, "drift"]) => self.drift(name),
             ("POST", ["v1", "models", name, "labels"]) => self.labels(req, name),
             ("POST", ["v1", "models", name, "refit"]) => self.refit(name),
@@ -483,7 +459,8 @@ impl App {
                 }
             }
         }
-        let recorder = self.tracer.recorder();
+        let recorder = &self.recorder;
+        let stages = recorder.stages();
         for (family, help, value) in [
             (
                 "holo_trace_recorded_total",
@@ -510,10 +487,10 @@ impl App {
             "holo_trace_ring_bytes_used {}",
             recorder.ring_bytes_used()
         );
-        render_stage_histograms(&recorder.stages(), &mut page);
+        render_stage_histograms(&stages, &mut page);
         // Profiler families (allocation scopes, lock waits, pool
         // ratios) and per-model neighbour-cache effectiveness.
-        render_prof_metrics(&mut page);
+        render_prof_metrics(&stages, &mut page);
         let mut nn_stats = Vec::new();
         for name in self.registry.names() {
             if let Some(model) = self.registry.get(&name) {
@@ -544,14 +521,9 @@ impl App {
     /// row is validated into the fitted schema, appended durably to the
     /// delta log, and folded into the maintained model before the call
     /// returns (read-your-writes: a subsequent score sees the rows).
-    fn ingest_rows(
-        &self,
-        req: &Request,
-        name: &str,
-        trace: &mut TraceBuilder,
-    ) -> Result<Response, Failure> {
+    fn ingest_rows(&self, req: &Request, name: &str) -> Result<Response, Failure> {
         let live = self.live_session(name)?;
-        trace.child("validate");
+        let validate = stage("validate");
         let body = std::str::from_utf8(&req.body)
             .map_err(|_| Failure::bad_request("request body is not utf-8"))?;
         let doc = json::parse_with_limits(body, &self.limits)
@@ -562,19 +534,10 @@ impl App {
             .as_arr()
             .ok_or_else(|| Failure::bad_request("\"rows\" must be an array of objects"))?;
         let validated = validated_rows(rows, live.schema())?;
-        trace.annotate("rows", Value::U64(validated.len() as u64));
-        trace.close();
+        validate.note("rows", Value::U64(validated.len() as u64));
+        drop(validate);
         let report = live.ingest_rows(validated).map_err(Failure::model)?;
-        // The ingest stages were measured inside the live model; lay
-        // them out back-to-back ending now.
-        let now = trace.elapsed_micros();
-        let drift_start = now.saturating_sub(report.drift_update_micros);
-        let apply_start = drift_start.saturating_sub(report.apply_delta_micros);
-        let log_start = apply_start.saturating_sub(report.log_append_micros);
-        trace.child_at("log-append", log_start, report.log_append_micros);
-        trace.child_at("apply-delta", apply_start, report.apply_delta_micros);
-        trace.child_at("drift-update", drift_start, report.drift_update_micros);
-        trace.note("model", Value::Str(name.to_string()));
+        holo_trace::note("model", Value::Str(name.to_string()));
         self.metrics.record_rows_ingested(report.appended);
         Ok(Response::json(
             200,
@@ -789,22 +752,9 @@ impl App {
         }
     }
 
-    fn score(
-        &self,
-        req: &Request,
-        name: &str,
-        predict: bool,
-        trace: &mut TraceBuilder,
-    ) -> Result<Response, Failure> {
-        let prof = self.prof_enabled;
-        trace.note("model", Value::Str(name.to_string()));
-        trace.child("validate");
-        // Stage scope + thread-local byte baseline: under `--prof` each
-        // stage span carries an `alloc_bytes` note and the scope tag
-        // books the same bytes into `/v1/prof`'s scope table. The scope
-        // guard is inert (and the notes skipped) when profiling is off.
-        let validate_scope = holo_prof::scope("validate");
-        let validate_bytes = holo_prof::thread_alloc_bytes();
+    fn score(&self, req: &Request, name: &str, predict: bool) -> Result<Response, Failure> {
+        holo_trace::note("model", Value::Str(name.to_string()));
+        let validate = stage("validate");
         let model = self
             .registry
             .get(name)
@@ -815,38 +765,24 @@ impl App {
             .map_err(|e| Failure::bad_request(e.to_string()))?;
 
         let (data, cells) = self.ingest(&doc, &model)?;
-        trace.annotate("rows", Value::U64(data.n_tuples() as u64));
-        trace.annotate("cells", Value::U64(cells.len() as u64));
-        if prof {
-            let delta = holo_prof::thread_alloc_bytes().wrapping_sub(validate_bytes);
-            trace.annotate("alloc_bytes", Value::U64(delta));
-        }
-        drop(validate_scope);
-        trace.close();
+        validate.note("rows", Value::U64(data.n_tuples() as u64));
+        validate.note("cells", Value::U64(cells.len() as u64));
+        drop(validate);
 
-        trace.child("score");
-        let score_scope = holo_prof::scope("score");
-        let score_bytes = holo_prof::thread_alloc_bytes();
+        let score = stage("score");
         let result = guarded(|| model.score_batch(&data, &cells));
-        if prof {
-            let delta = holo_prof::thread_alloc_bytes().wrapping_sub(score_bytes);
-            trace.annotate("alloc_bytes", Value::U64(delta));
-        }
-        drop(score_scope);
-        trace.close();
-        let (scores, generation) = result.map_err(Failure::model)?;
+        drop(score);
+        let (scores, generation, model_threshold) = result.map_err(Failure::model)?;
         self.metrics.record_scored_cells(scores.len());
 
-        trace.child("encode");
-        let encode_scope = holo_prof::scope("encode");
-        let encode_bytes = holo_prof::thread_alloc_bytes();
+        let _encode = stage("encode");
         let mut out = vec![
             ("model".to_string(), Json::Str(model.name().into())),
             ("generation".to_string(), Json::Num(generation as f64)),
         ];
         if predict {
             let threshold = match doc.get("threshold") {
-                None => model.default_threshold(),
+                None => model_threshold,
                 Some(t) => t
                     .as_f64()
                     .ok_or_else(|| Failure::bad_request("\"threshold\" must be a number"))?,
@@ -862,30 +798,24 @@ impl App {
             "scores".into(),
             Json::Arr(scores.into_iter().map(Json::Num).collect()),
         ));
-        let resp = Response::json(200, Json::Obj(out).to_string());
-        if prof {
-            let delta = holo_prof::thread_alloc_bytes().wrapping_sub(encode_bytes);
-            trace.annotate("alloc_bytes", Value::U64(delta));
-        }
-        drop(encode_scope);
-        trace.close();
-        Ok(resp)
+        Ok(Response::json(200, Json::Obj(out).to_string()))
     }
 
     /// `GET /v1/prof` — one consistent JSON snapshot of the in-process
     /// profiler: global heap counters, top allocation scopes (heaviest
-    /// first), instrumented locks (hottest wait first), and worker-pool
+    /// first, summed from this server's recorded stage spans),
+    /// instrumented locks (hottest wait first), and worker-pool
     /// utilization. Every counter is cumulative, so successive
     /// snapshots are monotone non-decreasing.
     fn prof_page(&self) -> Response {
         let totals = holo_prof::alloc_totals();
-        let scopes = holo_prof::scope_allocs()
+        let scopes = alloc_scopes(&self.recorder.stages())
             .into_iter()
             .map(|s| {
                 Json::Obj(vec![
-                    ("scope".into(), Json::Str(s.scope.to_string())),
+                    ("scope".into(), Json::Str(s.stage.clone())),
                     ("allocs".into(), Json::Num(s.allocs as f64)),
-                    ("bytes".into(), Json::Num(s.bytes as f64)),
+                    ("bytes".into(), Json::Num(s.alloc_bytes as f64)),
                 ])
             })
             .collect::<Vec<_>>();
@@ -916,7 +846,7 @@ impl App {
         Response::json(
             200,
             Json::Obj(vec![
-                ("enabled".into(), Json::Bool(holo_prof::enabled())),
+                ("enabled".into(), Json::Bool(true)),
                 (
                     "alloc".into(),
                     Json::Obj(vec![
@@ -937,7 +867,7 @@ impl App {
 
     /// `GET /v1/trace/recent` — the newest traces still in the ring.
     fn trace_recent(&self) -> Response {
-        let traces = self.tracer.recorder().recent(RECENT_TRACES_SERVED);
+        let traces = self.recorder.recent(RECENT_TRACES_SERVED);
         Response::json(
             200,
             Json::Obj(vec![(
@@ -952,7 +882,7 @@ impl App {
     fn trace_by_id(&self, id: &str) -> Result<Response, Failure> {
         let parsed = parse_trace_id(id)
             .ok_or_else(|| Failure::bad_request(format!("invalid trace id {id:?}")))?;
-        let trace = self.tracer.recorder().get(parsed).ok_or_else(|| {
+        let trace = self.recorder.get(parsed).ok_or_else(|| {
             Failure::not_found(format!("no trace {id:?} (the ring may have evicted it)"))
         })?;
         Ok(Response::json(200, trace_json(&trace).to_string()))
@@ -961,8 +891,7 @@ impl App {
     /// `GET /v1/trace/slow` — the slowest retained traces per endpoint.
     fn trace_slow(&self) -> Response {
         let slow = self
-            .tracer
-            .recorder()
+            .recorder
             .slow()
             .into_iter()
             .map(|(endpoint, traces)| {
@@ -992,17 +921,17 @@ impl App {
                 Json::Obj(vec![
                     ("trigger".into(), Json::Str(t.trigger.clone())),
                     ("base_epoch".into(), Json::Num(t.base_epoch as f64)),
-                    ("installed".into(), Json::Bool(t.installed)),
+                    ("installed".into(), Json::Bool(t.installed())),
                     ("total_micros".into(), Json::Num(t.total_micros() as f64)),
                     (
                         "phases".into(),
                         Json::Arr(
-                            t.phases
-                                .iter()
-                                .map(|p| {
+                            t.phases()
+                                .into_iter()
+                                .map(|(phase, micros)| {
                                     Json::Obj(vec![
-                                        ("phase".into(), Json::Str(p.name.clone())),
-                                        ("micros".into(), Json::Num(p.micros as f64)),
+                                        ("phase".into(), Json::Str(phase)),
+                                        ("micros".into(), Json::Num(micros as f64)),
                                     ])
                                 })
                                 .collect(),

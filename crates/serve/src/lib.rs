@@ -38,20 +38,23 @@
 //! * [`app`] — the endpoints, request/response schemas, and the
 //!   `ModelError` → HTTP status mapping.
 //!
-//! Every request is traced through `holo-trace`: per-stage spans
-//! (`parse` / `validate` / `score` / `encode`), the trace id echoed as
-//! the `x-holo-trace` response header, a bounded in-memory ring served
-//! by `GET /v1/trace/recent`, `/v1/trace/{id}`, and `/v1/trace/slow`,
-//! and per-stage latency histograms on `GET /metrics`
-//! ([`app::TraceConfig`]).
+//! Every request is traced through `holo-trace`: each request begins a
+//! trace on its worker, every `holo_trace::stage` it runs (`parse` /
+//! `validate` / `score` / `encode`, and the live model's ingest and
+//! install stages) becomes a span noting its time and allocations, the
+//! trace id is echoed as the `x-holo-trace` response header, a bounded
+//! in-memory ring is served by `GET /v1/trace/recent`,
+//! `/v1/trace/{id}`, and `/v1/trace/slow`, and per-stage latency
+//! histograms land on `GET /metrics` ([`app::TraceConfig`]).
 //!
 //! The stack is continuously profiled through `holo-prof`: the serving
 //! locks (model registry, HTTP accept queue) are instrumented
 //! [`holo_prof::ProfMutex`]/[`holo_prof::ProfRwLock`] wrappers, the
-//! worker pools book busy/idle time, and the counting allocator
-//! attributes heap traffic to request stages when `--prof`
-//! ([`app::ProfConfig`]) is on. `GET /v1/prof` serves the snapshot and
-//! `/metrics` carries the `holo_prof_*` families.
+//! worker pools book busy/idle time, and the counting allocator's
+//! per-thread counters give every stage span its allocation notes.
+//! `GET /v1/prof` serves the snapshot — allocation scopes summed from
+//! the recorded stage spans — and `/metrics` carries the `holo_prof_*`
+//! families.
 //!
 //! ## Scoring concurrency
 //!
@@ -76,8 +79,8 @@ pub mod json;
 pub mod metrics;
 pub mod registry;
 
-pub use app::{error_status, start, ProfConfig, RunningServer, ServeConfig, TraceConfig};
-pub use holo_trace::{format_trace_id, parse_trace_id, SpanRecorder, Trace, Tracer};
+pub use app::{error_status, start, RunningServer, ServeConfig, TraceConfig};
+pub use holo_trace::{format_trace_id, parse_trace_id, SpanRecorder, Trace};
 pub use http::{HttpConfig, Request, Response, ServerHandle};
 pub use json::{parse as parse_json, Json, JsonError, ParseLimits};
 pub use metrics::{model_error_category, Histogram, Metrics};

@@ -9,7 +9,7 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
-use holo_serve::{HttpConfig, ModelRegistry, ProfConfig, ServeConfig, TraceConfig};
+use holo_serve::{HttpConfig, ModelRegistry, ServeConfig, TraceConfig};
 use holo_stream::{LiveModel, RefitScheduler, RefitTarget, StreamConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -24,7 +24,6 @@ struct Args {
     refit_interval: Duration,
     http: HttpConfig,
     trace: TraceConfig,
-    prof: ProfConfig,
 }
 
 const USAGE: &str = "\
@@ -37,9 +36,10 @@ options:
   --access-log           one JSON log line per request on stderr
                          (trace id, endpoint, status, micros)
   --trace-ring-bytes N   trace ring byte budget  (default 1048576)
-  --prof                 enable allocation scope attribution and
-                         per-stage alloc notes on traces (lock and
-                         pool profiles are always on; see GET /v1/prof)
+
+Every request is traced, and every traced stage notes its allocations;
+GET /v1/prof and /metrics sum them per stage next to the always-on
+lock and worker-pool profiles.
 
 streaming (per model; see the README's Streaming section):
   --stream NAME=LOGPATH  serve NAME in streaming mode with a durable
@@ -60,7 +60,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         refit_interval: Duration::from_millis(1000),
         http: HttpConfig::default(),
         trace: TraceConfig::default(),
-        prof: ProfConfig::default(),
     };
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -86,7 +85,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     parse_num(&value("--max-body-bytes")?, "--max-body-bytes")?;
             }
             "--access-log" => args.trace.access_log = true,
-            "--prof" => args.prof.enabled = true,
             "--trace-ring-bytes" => {
                 args.trace.ring_bytes =
                     parse_num(&value("--trace-ring-bytes")?, "--trace-ring-bytes")?;
@@ -213,7 +211,6 @@ fn main() -> ExitCode {
     let cfg = ServeConfig {
         http: args.http,
         trace: args.trace,
-        prof: args.prof,
     };
     let server = match holo_serve::start(&args.addr, cfg, registry) {
         Ok(s) => s,

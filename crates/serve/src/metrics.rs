@@ -4,8 +4,10 @@
 //! Three hard rules, all enforced here rather than hoped for:
 //!
 //! * **Bucket bounds are monotonic.** [`Histogram::new`] rejects any
-//!   non-strictly-increasing bound list at construction, and rendering
-//!   emits *cumulative* counts, so the `le`-series a scraper ingests is
+//!   non-strictly-increasing bound list at construction, and every
+//!   histogram on the page — request latency, trace stages, lock waits
+//!   — goes through one writer ([`write_histogram`]) that emits
+//!   *cumulative* counts, so the `le`-series a scraper ingests is
 //!   non-decreasing by construction.
 //! * **Counters saturate.** Every increment is a `saturating_add`
 //!   compare-exchange — a long-lived server pegs at `u64::MAX` instead
@@ -19,12 +21,14 @@
 //! [`ModelError`] outcomes are counted *per category*, so a storm of
 //! schema-mismatch requests is visible as such on the metrics page
 //! rather than drowned in a generic error total. Per-stage latency
-//! histograms ([`render_stage_histograms`]) are derived from the trace
+//! histograms ([`render_stage_histograms`]) and per-stage allocation
+//! totals ([`render_prof_metrics`]) are derived from the trace
 //! recorder's spans, so `/metrics` aggregates and `/v1/trace/*`
 //! exemplars can never disagree.
 
 use holo_eval::ModelError;
-use holo_prof::sat_add;
+use holo_prof::{bucket_index, sat_add, LockSnapshot};
+use holo_trace::StageStat;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -53,58 +57,89 @@ pub fn escape_label(value: &str) -> String {
     out
 }
 
-/// Renders the per-stage latency histograms derived from recorded
-/// trace spans as one `holo_trace_stage_micros` histogram family
-/// labeled by stage name.
-pub fn render_stage_histograms(stages: &[holo_trace::StageStat], out: &mut String) {
-    write_family_header(
-        out,
-        "holo_trace_stage_micros",
-        "Per-stage latency derived from recorded trace spans.",
-        "histogram",
-    );
-    for stat in stages {
-        let stage = escape_label(&stat.stage);
+/// Writes one histogram family: its `# HELP`/`# TYPE` preamble, then
+/// per series a cumulative `{name}_bucket` line per bound plus `+Inf`,
+/// `{name}_count` and `{name}_sum`. Each series is its rendered label
+/// pairs (already escaped, e.g. `stage="score"`, or empty), one
+/// non-cumulative count per bound plus the overflow bucket, its count
+/// and its sum. Every histogram on `/metrics` is written here.
+pub fn write_histogram<'a>(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    bounds: &[u64],
+    series: impl IntoIterator<Item = (String, &'a [u64], u64, u64)>,
+) {
+    write_family_header(out, name, help, "histogram");
+    for (labels, buckets, count, sum) in series {
+        let (sep, braced) = match labels.as_str() {
+            "" => ("", String::new()),
+            l => (",", format!("{{{l}}}")),
+        };
         let mut acc = 0u64;
-        for (bound, count) in holo_trace::STAGE_BOUNDS_MICROS.iter().zip(&stat.buckets) {
-            acc = acc.saturating_add(*count);
-            let _ = writeln!(
-                out,
-                "holo_trace_stage_micros_bucket{{stage=\"{stage}\",le=\"{bound}\"}} {acc}"
-            );
+        for (bound, n) in bounds.iter().zip(buckets) {
+            acc = acc.saturating_add(*n);
+            let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"{bound}\"}} {acc}");
         }
-        acc = acc.saturating_add(
-            stat.buckets
-                .get(holo_trace::STAGE_BOUNDS_MICROS.len())
-                .copied()
-                .unwrap_or(0),
-        );
-        let _ = writeln!(
-            out,
-            "holo_trace_stage_micros_bucket{{stage=\"{stage}\",le=\"+Inf\"}} {acc}"
-        );
-        let _ = writeln!(
-            out,
-            "holo_trace_stage_micros_count{{stage=\"{stage}\"}} {}",
-            stat.count
-        );
-        let _ = writeln!(
-            out,
-            "holo_trace_stage_micros_sum{{stage=\"{stage}\"}} {}",
-            stat.sum_micros
-        );
+        acc = acc.saturating_add(buckets.get(bounds.len()).copied().unwrap_or(0));
+        let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {acc}");
+        let _ = writeln!(out, "{name}_count{braced} {count}");
+        let _ = writeln!(out, "{name}_sum{braced} {sum}");
     }
 }
 
-/// Renders the `holo_prof_*` families sourced from the in-process
-/// profiler (`holo-prof`): global heap counters, per-scope allocation
-/// attribution, per-lock wait histograms, and worker-pool busy ratios.
+/// Renders the per-stage latency histograms derived from recorded
+/// trace spans as one `holo_trace_stage_micros` histogram family
+/// labeled by stage name.
+pub fn render_stage_histograms(stages: &[StageStat], out: &mut String) {
+    write_histogram(
+        out,
+        "holo_trace_stage_micros",
+        "Per-stage latency derived from recorded trace spans.",
+        &holo_trace::STAGE_BOUNDS_MICROS,
+        stages.iter().map(|s| {
+            let labels = format!("stage=\"{}\"", escape_label(&s.stage));
+            (labels, s.buckets.as_slice(), s.count, s.sum_micros)
+        }),
+    );
+}
+
+/// The stages that allocated, heaviest (by bytes) first; name breaks
+/// ties so the ordering is deterministic. These are `/v1/prof`'s
+/// allocation scopes and the `holo_prof_alloc_bytes` series.
+pub fn alloc_scopes(stages: &[StageStat]) -> Vec<&StageStat> {
+    let mut scopes: Vec<&StageStat> = stages.iter().filter(|s| s.allocs > 0).collect();
+    scopes.sort_by(|a, b| {
+        b.alloc_bytes
+            .cmp(&a.alloc_bytes)
+            .then(a.stage.cmp(&b.stage))
+    });
+    scopes
+}
+
+/// Renders the `holo_prof_lock_wait_micros` histogram family, one
+/// series per instrumented lock.
+fn render_lock_waits(locks: &[LockSnapshot], out: &mut String) {
+    write_histogram(
+        out,
+        "holo_prof_lock_wait_micros",
+        "Microseconds spent blocked on each instrumented lock (contended acquisitions only).",
+        &holo_prof::LOCK_WAIT_BOUNDS_MICROS,
+        locks.iter().map(|l| {
+            let labels = format!("lock=\"{}\"", escape_label(l.lock));
+            (labels, &l.wait_buckets[..], l.contended, l.wait_micros)
+        }),
+    );
+}
+
+/// Renders the `holo_prof_*` families: global heap counters from the
+/// counting allocator (`holo-prof`), per-stage allocation totals from
+/// this server's recorded `stages`, per-lock wait histograms, and
+/// worker-pool busy ratios.
 ///
-/// Pure rendering — the underlying counters accumulate regardless of
-/// the `--prof` flag (scope attribution alone stays empty until
-/// profiling is enabled), so the families are always present and a
-/// scraper never sees one appear mid-flight.
-pub fn render_prof_metrics(out: &mut String) {
+/// Pure rendering — the families are always present, so a scraper
+/// never sees one appear mid-flight.
+pub fn render_prof_metrics(stages: &[StageStat], out: &mut String) {
     let totals = holo_prof::alloc_totals();
     for (name, help, value) in [
         (
@@ -139,58 +174,19 @@ pub fn render_prof_metrics(out: &mut String) {
     write_family_header(
         out,
         "holo_prof_alloc_bytes",
-        "Heap bytes attributed to each profiling scope (requires --prof).",
+        "Heap bytes allocated inside each traced stage, summed from recorded spans.",
         "counter",
     );
-    for s in holo_prof::scope_allocs() {
-        let scope = escape_label(s.scope);
+    for s in alloc_scopes(stages) {
+        let scope = escape_label(&s.stage);
         let _ = writeln!(
             out,
             "holo_prof_alloc_bytes{{scope=\"{scope}\"}} {}",
-            s.bytes
+            s.alloc_bytes
         );
     }
-    write_family_header(
-        out,
-        "holo_prof_lock_wait_micros",
-        "Microseconds spent blocked on each instrumented lock (contended acquisitions only).",
-        "histogram",
-    );
     let locks = holo_prof::lock_snapshots();
-    for snap in &locks {
-        let lock = escape_label(snap.lock);
-        let mut acc = 0u64;
-        for (bound, count) in holo_prof::LOCK_WAIT_BOUNDS_MICROS
-            .iter()
-            .zip(&snap.wait_buckets)
-        {
-            acc = acc.saturating_add(*count);
-            let _ = writeln!(
-                out,
-                "holo_prof_lock_wait_micros_bucket{{lock=\"{lock}\",le=\"{bound}\"}} {acc}"
-            );
-        }
-        acc = acc.saturating_add(
-            snap.wait_buckets
-                .get(holo_prof::LOCK_WAIT_BUCKETS)
-                .copied()
-                .unwrap_or(0),
-        );
-        let _ = writeln!(
-            out,
-            "holo_prof_lock_wait_micros_bucket{{lock=\"{lock}\",le=\"+Inf\"}} {acc}"
-        );
-        let _ = writeln!(
-            out,
-            "holo_prof_lock_wait_micros_count{{lock=\"{lock}\"}} {}",
-            snap.contended
-        );
-        let _ = writeln!(
-            out,
-            "holo_prof_lock_wait_micros_sum{{lock=\"{lock}\"}} {}",
-            snap.wait_micros
-        );
-    }
+    render_lock_waits(&locks, out);
     write_family_header(
         out,
         "holo_prof_lock_acquires_total",
@@ -337,8 +333,7 @@ impl Histogram {
 
     /// Record one observation (saturating everywhere).
     pub fn observe(&self, v: u64) {
-        let idx = self.bounds.partition_point(|&b| b < v);
-        sat_add(&self.buckets[idx], 1);
+        sat_add(&self.buckets[bucket_index(&self.bounds, v)], 1);
         sat_add(&self.count, 1);
         sat_add(&self.sum, v);
     }
@@ -361,18 +356,14 @@ impl Histogram {
     }
 
     fn render(&self, name: &str, help: &str, out: &mut String) {
-        write_family_header(out, name, help, "histogram");
-        let cumulative = self.cumulative();
-        for (bound, cum) in self.bounds.iter().zip(&cumulative) {
-            let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cum}");
-        }
-        let _ = writeln!(
-            out,
-            "{name}_bucket{{le=\"+Inf\"}} {}",
-            cumulative.last().expect("non-empty")
-        );
-        let _ = writeln!(out, "{name}_count {}", self.count());
-        let _ = writeln!(out, "{name}_sum {}", self.sum.load(Ordering::Relaxed));
+        let buckets: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        let sum = self.sum.load(Ordering::Relaxed);
+        let series = (String::new(), buckets.as_slice(), self.count(), sum);
+        write_histogram(out, name, help, &self.bounds, [series]);
     }
 }
 
@@ -603,7 +594,6 @@ impl Metrics {
 mod tests {
     use super::*;
     use holo_data::CellId;
-    use holo_trace::StageStat;
 
     #[test]
     #[should_panic(expected = "strictly increasing")]
@@ -861,6 +851,8 @@ mod tests {
                 buckets: vec![1; holo_trace::STAGE_BOUNDS_MICROS.len() + 1],
                 count: 13,
                 sum_micros: 999,
+                allocs: 0,
+                alloc_bytes: 0,
             }],
             &mut page,
         );
@@ -875,8 +867,26 @@ mod tests {
         let p = holo_prof::PoolStats::register("metrics-test-pool");
         p.record_busy(300);
         p.record_idle(100);
+        // Allocation scopes are the stages that allocated, heaviest first.
+        let stage = |name: &str, allocs, alloc_bytes| StageStat {
+            stage: name.to_string(),
+            buckets: Vec::new(),
+            count: 1,
+            sum_micros: 1,
+            allocs,
+            alloc_bytes,
+        };
+        let stages = [
+            stage("/v1/models/{name}/score", 0, 0),
+            stage("encode", 3, 300),
+            stage("score", 9, 9_000),
+        ];
         let mut out = String::new();
-        render_prof_metrics(&mut out);
+        render_prof_metrics(&stages, &mut out);
+        assert!(out.contains(
+            "holo_prof_alloc_bytes{scope=\"score\"} 9000\nholo_prof_alloc_bytes{scope=\"encode\"} 300\n"
+        ));
+        assert!(!out.contains("scope=\"/v1/models"));
         assert!(out.contains("# TYPE holo_prof_lock_wait_micros histogram"));
         assert!(out.contains("holo_prof_lock_acquires_total{lock=\"metrics-test-lock\"}"));
         assert!(out.contains("holo_prof_worker_busy_ratio{pool=\"metrics-test-pool\"} 0.75"));
@@ -928,6 +938,8 @@ mod tests {
                 buckets,
                 count: 4,
                 sum_micros: 2_000_400,
+                allocs: 0,
+                alloc_bytes: 0,
             }],
             &mut out,
         );
@@ -937,5 +949,53 @@ mod tests {
         assert!(out.contains("holo_trace_stage_micros_bucket{stage=\"log-append\",le=\"+Inf\"} 4"));
         assert!(out.contains("holo_trace_stage_micros_count{stage=\"log-append\"} 4"));
         assert!(out.contains("holo_trace_stage_micros_sum{stage=\"log-append\"} 2000400"));
+    }
+
+    /// Pins the text of every histogram family on `/metrics` — request
+    /// latency, trace stages (one label needing escapes) and lock waits —
+    /// byte for byte against the golden file.
+    #[test]
+    fn histograms_render_byte_identical_to_the_golden_page() {
+        let mut out = String::new();
+        let h = Histogram::new(vec![10, 100, 1000]);
+        for v in [1, 10, 11, 100, 5000] {
+            h.observe(v);
+        }
+        h.render("holo_test_latency_micros", "Test latency.", &mut out);
+        let stage = |name: &str, buckets: Vec<u64>, count, sum_micros| StageStat {
+            stage: name.to_string(),
+            buckets,
+            count,
+            sum_micros,
+            allocs: 0,
+            alloc_bytes: 0,
+        };
+        let n = holo_trace::STAGE_BOUNDS_MICROS.len();
+        let mut score = vec![0; n + 1];
+        (score[0], score[3], score[n]) = (2, 1, 4);
+        render_stage_histograms(
+            &[
+                stage("score", score, 7, 4_000_321),
+                stage("odd\"st\\age", vec![1; n + 1], 13, 999),
+            ],
+            &mut out,
+        );
+        let lock = |lock, contended, wait_micros, wait_buckets| LockSnapshot {
+            lock,
+            acquires: 40,
+            contended,
+            wait_micros,
+            hold_micros: 90_000,
+            wait_buckets,
+        };
+        render_lock_waits(
+            &[
+                lock("state", 6, 31_337, [1, 0, 2, 0, 0, 1, 0, 0, 1, 0, 1]),
+                lock("quiet", 0, 0, [0; holo_prof::LOCK_WAIT_BUCKETS + 1]),
+            ],
+            &mut out,
+        );
+        assert_eq!(out, include_str!("../tests/data/histograms.golden.txt"));
+        assert_exposition_parses(&out);
     }
 }

@@ -97,18 +97,23 @@ impl ServedModel {
     }
 
     /// Score cells of `data` through whichever state is current, and
-    /// return the generation that scored them. A live entry reads both
-    /// under one state lock, so a concurrent hot swap cannot label
-    /// old-model scores with the new generation.
+    /// return the generation and decision threshold of the model that
+    /// scored them. A live entry reads all three under one state lock,
+    /// so a concurrent hot swap cannot label old-model scores with the
+    /// new generation or threshold.
     pub fn score_batch(
         &self,
         data: &holo_data::Dataset,
         cells: &[holo_data::CellId],
-    ) -> Result<(Vec<f64>, u64), ModelError> {
+    ) -> Result<(Vec<f64>, u64, f64), ModelError> {
         match &self.source {
             ModelSource::Static(m) => {
                 use holo_eval::TrainedModel;
-                Ok((m.score_batch(data, cells)?, self.static_generation))
+                Ok((
+                    m.score_batch(data, cells)?,
+                    self.static_generation,
+                    m.default_threshold(),
+                ))
             }
             ModelSource::Live(l) => l.score_with_generation(data, cells),
         }

@@ -47,11 +47,12 @@
 //! so a crashed process reopens the artifact, replays the log tail, and
 //! resumes at the exact epoch it died at.
 //!
-//! Every maintenance path is wall-clock attributed through
-//! `holo-trace`: [`live::IngestReport`] carries per-stage ingest
-//! timings (log-append / apply-delta / drift-update), and each refit
-//! records a [`holo_trace::RefitTimeline`] — snapshot, the adaptive
-//! phases, retrain, persist, install — retained in a bounded ring
+//! Every maintenance path is timed by `holo_trace::stage`: ingest runs
+//! the `log-append` / `apply-delta` / `drift-update` stages inside the
+//! caller's current trace (holo-serve's `POST .../rows` request trace),
+//! and each refit runs under a trace of its own whose stages — snapshot,
+//! the adaptive phases, retrain, persist, plus the install — make up a
+//! [`holo_trace::RefitTimeline`], retained in a bounded ring
 //! ([`live::LiveModel::refit_timelines`]) that holo-serve pages as
 //! `GET /v1/models/{name}/refits`.
 
@@ -64,6 +65,6 @@ pub mod scheduler;
 
 pub use drift::{DriftMonitor, DriftReport, DriftThresholds, SignalStat};
 pub use holo_adapt::{DriftSignal, RowLabel};
-pub use holo_trace::{RefitPhase, RefitTimeline};
+pub use holo_trace::RefitTimeline;
 pub use live::{IngestReport, LiveModel, StreamConfig};
 pub use scheduler::{RefitScheduler, RefitTarget};

@@ -56,7 +56,7 @@ use holo_adapt::{AdaptConfig, AdaptiveRefit, RowLabel};
 use holo_data::{binio, CellId, Dataset, DeltaLog, DeltaOp, Schema};
 use holo_eval::{ModelError, TrainedModel};
 use holo_prof::{sat_add, ProfMutex, ProfRwLock};
-use holo_trace::{RefitTimeline, Stopwatch, TimelineRing};
+use holo_trace::{stage, ActiveTrace, RefitTimeline, TimelineRing};
 use holodetect::FittedHoloDetect;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -206,15 +206,6 @@ pub struct IngestReport {
     pub epoch: u64,
     /// Drift after folding the batch in.
     pub drift: f64,
-    /// Wall-clock spent durably appending the batch to the delta log
-    /// (group commit). Zero for an empty batch.
-    pub log_append_micros: u64,
-    /// Wall-clock spent applying the appended ops to the in-memory
-    /// model. Zero for an empty batch.
-    pub apply_delta_micros: u64,
-    /// Wall-clock spent measuring the new rows' drift statistics
-    /// (violations, scores, histogram folds). Zero for an empty batch.
-    pub drift_update_micros: u64,
 }
 
 struct LiveState {
@@ -409,26 +400,28 @@ impl LiveModel {
     /// Score cells of `data` against the current maintained state.
     pub fn score_batch(&self, data: &Dataset, cells: &[CellId]) -> Result<Vec<f64>, ModelError> {
         self.score_with_generation(data, cells)
-            .map(|(scores, _)| scores)
+            .map(|(scores, _, _)| scores)
     }
 
-    /// [`LiveModel::score_batch`] plus the generation of the model that
-    /// produced the scores. Both are read under one state read lock, and
-    /// installs bump the generation under the write lock, so a hot swap
-    /// can never pair old-model scores with the new generation.
+    /// [`LiveModel::score_batch`] plus the generation and decision
+    /// threshold of the model that produced the scores. All three are
+    /// read under one state read lock, and installs swap the model and
+    /// bump the generation under the write lock, so a hot swap can never
+    /// pair old-model scores with the new generation or threshold.
     pub fn score_with_generation(
         &self,
         data: &Dataset,
         cells: &[CellId],
-    ) -> Result<(Vec<f64>, u64), ModelError> {
+    ) -> Result<(Vec<f64>, u64, f64), ModelError> {
         let st = self.state.read().unwrap_or_else(PoisonError::into_inner);
         let scores = st.model.score_batch(data, cells)?;
-        Ok((scores, self.generation()))
+        Ok((scores, self.generation(), st.model.threshold()))
     }
 
     /// Append validated rows (values in schema order) to the reference:
     /// durably logged, incrementally applied, drift-measured. Returns
-    /// the new epoch and drift level.
+    /// the new epoch and drift level. The three steps run as the
+    /// `log-append`, `apply-delta` and `drift-update` stages.
     pub fn ingest_rows(&self, rows: Vec<Vec<String>>) -> Result<IngestReport, ModelError> {
         if rows.is_empty() {
             let epoch = self.epoch();
@@ -442,9 +435,6 @@ impl LiveModel {
                 appended: 0,
                 epoch,
                 drift,
-                log_append_micros: 0,
-                apply_delta_micros: 0,
-                drift_update_micros: 0,
             });
         }
         for row in &rows {
@@ -459,7 +449,7 @@ impl LiveModel {
         let appended = rows.len();
         let mut st = self.state.write().map_err(|_| poisoned("live state"))?;
         // Log first (durability), group-committed; then apply.
-        let append_clock = Stopwatch::start();
+        let append = stage("log-append");
         let epoch = {
             let mut log = self.log.lock().map_err(|_| poisoned("delta log"))?;
             for row in &rows {
@@ -470,20 +460,20 @@ impl LiveModel {
             log.flush()?;
             log.epoch()
         };
-        let log_append_micros = append_clock.elapsed_micros();
+        drop(append);
         let Some(artifact) = st.model.artifact() else {
             return Err(ModelError::Degenerate {
                 method: st.model.method().to_owned(),
             });
         };
         let first_new = artifact.reference().n_tuples();
-        let apply_clock = Stopwatch::start();
+        let apply = stage("apply-delta");
         for row in rows {
             st.model.apply_delta(&DeltaOp::Append { values: row })?;
         }
         st.epoch = epoch;
         drop(st);
-        let apply_delta_micros = apply_clock.elapsed_micros();
+        drop(apply);
 
         // Drift statistics for the freshly appended rows — violations
         // on arrival plus the model's own scores for their cells —
@@ -491,7 +481,7 @@ impl LiveModel {
         // blocked on this bookkeeping. The session is append-only, so
         // rows `first_new..` stay addressable even if more batches land
         // in between (their stats are folded by their own calls).
-        let drift_clock = Stopwatch::start();
+        let drift_update = stage("drift-update");
         let (violating, scores) = {
             let st = self.state.read().unwrap_or_else(PoisonError::into_inner);
             let Some(artifact) = st.model.artifact() else {
@@ -521,15 +511,12 @@ impl LiveModel {
             d.record_batch(appended as u64, violating, &scores)?;
             d.report().drift
         };
-        let drift_update_micros = drift_clock.elapsed_micros();
+        drop(drift_update);
         sat_add(&self.rows_ingested, appended as u64);
         Ok(IngestReport {
             appended,
             epoch,
             drift,
-            log_append_micros,
-            apply_delta_micros,
-            drift_update_micros,
         })
     }
 
@@ -666,7 +653,9 @@ impl LiveModel {
     /// (`"manual"` for operator requests, `"drift"` from the
     /// scheduler) — the label the refit's timeline records, so
     /// `GET /v1/models/{name}/refits` can tell drift-driven retrains
-    /// from operator-driven ones.
+    /// from operator-driven ones. The refit runs under its own trace
+    /// (shadowing the caller's): its `snapshot`, `adapt`, `refit_with`
+    /// and `persist` stages become the timeline's phases.
     ///
     /// # Errors
     /// Exactly those of [`LiveModel::refit_to_disk`].
@@ -676,7 +665,8 @@ impl LiveModel {
             .refit_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let snapshot_clock = Stopwatch::start();
+        let trace = ActiveTrace::detached("refit");
+        let snapshot_stage = stage("snapshot");
         let (snapshot, base_epoch) = {
             let st = self.state.read().unwrap_or_else(PoisonError::into_inner);
             let mut buf = Vec::new();
@@ -695,23 +685,23 @@ impl LiveModel {
                 .collect()
         };
         let copy = FittedHoloDetect::load_from(&mut std::io::Cursor::new(snapshot))?;
-        let snapshot_micros = snapshot_clock.elapsed_micros();
+        drop(snapshot_stage);
         let adapt = AdaptiveRefit::new(AdaptConfig {
             max_labels: self.cfg.refit_label_budget,
             ..AdaptConfig::default()
         });
-        let (refitted, adapt_report, adapt_timing) = adapt.refit_timed(copy, &label_snapshot)?;
+        let (refitted, adapt_report, _) = adapt.refit_timed(copy, &label_snapshot)?;
         // The epoch rides inside the atomically renamed file, so a
         // crash between this rename and the compaction below cannot
         // desynchronize them: `open` sees artifact-epoch > log-horizon
         // and finishes the compaction instead of double-replaying.
-        let persist_clock = Stopwatch::start();
+        let persist = stage("persist");
         write_epoch_artifact(&self.path, &refitted, base_epoch)?;
         {
             let mut log = self.log.lock().map_err(|_| poisoned("delta log"))?;
             log.compact_through(base_epoch)?;
         }
-        let persist_micros = persist_clock.elapsed_micros();
+        drop(persist);
         // The refit is durable — now (and only now) drain the labels it
         // consumed. New labels appended mid-refit sit behind the
         // snapshot prefix and survive for the next round.
@@ -722,23 +712,7 @@ impl LiveModel {
             sat_add(&self.labels_consumed, consumed as u64);
         }
         sat_add(&self.refits, 1);
-        // Phase durations clamp to ≥ 1µs: a phase that *ran* must be
-        // distinguishable from one that is absent, however fast it was.
-        let adapt_micros = adapt_timing
-            .label_drain_micros
-            .saturating_add(adapt_timing.channel_learn_micros)
-            .saturating_add(adapt_timing.augment_micros);
-        let mut timeline = RefitTimeline::new(self.model_label(), trigger, base_epoch);
-        timeline.push_phase("snapshot", snapshot_micros.max(1));
-        timeline.push_phase("adapt", adapt_micros.max(1));
-        timeline.push_phase("adapt.label-drain", adapt_timing.label_drain_micros.max(1));
-        timeline.push_phase(
-            "adapt.channel-learn",
-            adapt_timing.channel_learn_micros.max(1),
-        );
-        timeline.push_phase("adapt.augment", adapt_timing.augment_micros.max(1));
-        timeline.push_phase("refit_with", adapt_timing.refit_with_micros.max(1));
-        timeline.push_phase("persist", persist_micros.max(1));
+        let timeline = RefitTimeline::new(trigger, base_epoch, trace.finish());
         self.timelines
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -752,14 +726,6 @@ impl LiveModel {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .last(k)
-    }
-
-    /// The label refit timelines carry: the artifact file's stem.
-    fn model_label(&self) -> &str {
-        self.path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("model")
     }
 
     /// Install a model that corresponds to the log's compaction horizon
@@ -792,7 +758,7 @@ impl LiveModel {
         mut loaded: FittedHoloDetect,
         file_epoch: Option<u64>,
     ) -> Result<u64, ModelError> {
-        let install_clock = Stopwatch::start();
+        let install = stage("install");
         let Some(artifact) = loaded.artifact() else {
             return Err(ModelError::Degenerate {
                 method: loaded.method().to_owned(),
@@ -861,10 +827,11 @@ impl LiveModel {
         // Close the matching refit timeline, if one is still retained —
         // a plain-artifact install (epoch at the log horizon with no
         // pending refit) simply finds nothing to mark.
+        let install_micros = install.end();
         self.timelines
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .mark_installed(artifact_epoch, install_clock.elapsed_micros().max(1));
+            .mark_installed(artifact_epoch, install_micros);
         Ok(generation)
     }
 
@@ -1326,10 +1293,10 @@ mod tests {
         let probe = b.build();
         let cells = vec![CellId::new(0, 0), CellId::new(0, 1)];
         live.ingest_rows(some_rows(6, 30)).unwrap();
-        let (before, g0) = live.score_with_generation(&probe, &cells).unwrap();
+        let (before, g0, t0) = live.score_with_generation(&probe, &cells).unwrap();
         assert_eq!(g0, 0);
-        // Score continuously across the refit's hot swap: every pair
-        // must be the scores of the generation it reports.
+        // Score continuously across the refit's hot swap: every sample
+        // must be the scores and threshold of the generation it reports.
         let refit_done = std::sync::atomic::AtomicBool::new(false);
         let seen = std::thread::scope(|s| {
             let scorer = s.spawn(|| {
@@ -1344,12 +1311,22 @@ mod tests {
             assert_eq!(refit.unwrap(), 1);
             scorer.join().unwrap()
         });
-        let (after, g1) = live.score_with_generation(&probe, &cells).unwrap();
+        let (after, g1, t1) = live.score_with_generation(&probe, &cells).unwrap();
         assert_eq!(g1, 1);
         assert_ne!(before, after, "the refit must change the probe's scores");
-        for (scores, generation) in seen {
-            let want = if generation == 0 { &before } else { &after };
+        assert_eq!(t1, live.default_threshold());
+        for (scores, generation, threshold) in seen {
+            let (want, want_threshold) = if generation == 0 {
+                (&before, t0)
+            } else {
+                (&after, t1)
+            };
             assert_eq!(&scores, want, "generation {generation}");
+            assert_eq!(
+                threshold.to_bits(),
+                want_threshold.to_bits(),
+                "generation {generation}"
+            );
         }
         cleanup(&[&artifact, &log]);
     }

@@ -9,8 +9,8 @@
 //! label. Recording is one short [`Mutex`] critical section — no
 //! allocation beyond moving the already-built trace in, no I/O.
 
-use crate::span::Trace;
-use holo_prof::{sat_add, ProfMutex};
+use crate::span::{Span, Trace, Value, ALLOCS_NOTE, ALLOC_BYTES_NOTE};
+use holo_prof::{bucket_index, sat_add, ProfMutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::PoisonError;
@@ -42,7 +42,7 @@ impl Default for RecorderConfig {
     }
 }
 
-/// A snapshot of one stage's duration histogram.
+/// A snapshot of one stage's duration histogram and allocation totals.
 #[derive(Debug, Clone)]
 pub struct StageStat {
     /// Stage (span) name.
@@ -54,6 +54,11 @@ pub struct StageStat {
     pub count: u64,
     /// Sum of observed durations in microseconds.
     pub sum_micros: u64,
+    /// Allocations noted on the stage's spans by [`crate::stage`]
+    /// (nested stages included).
+    pub allocs: u64,
+    /// Heap bytes noted on the stage's spans by [`crate::stage`].
+    pub alloc_bytes: u64,
 }
 
 struct SlowEntry {
@@ -103,7 +108,8 @@ impl SpanRecorder {
     }
 
     /// Stores a completed trace: accumulates its spans into the stage
-    /// histograms, offers it to the slow-exemplar store, and appends it
+    /// histograms and allocation totals, offers it to the slow-exemplar
+    /// store, and appends it
     /// to the ring (evicting oldest-first to stay within budget).
     pub fn record(&self, trace: Trace) {
         sat_add(&self.recorded, 1);
@@ -111,7 +117,7 @@ impl SpanRecorder {
         {
             let mut inner = self.traces.lock().unwrap_or_else(PoisonError::into_inner);
             for span in &trace.spans {
-                observe_stage(&mut inner.stages, &span.name, span.duration_micros);
+                observe_stage(&mut inner.stages, span);
             }
             offer_slow(&mut inner.slow, &trace, self.config.slow_per_endpoint);
             let cost = trace.approx_bytes();
@@ -174,8 +180,8 @@ impl SpanRecorder {
             .collect()
     }
 
-    /// Snapshot of the per-stage duration histograms, sorted by stage
-    /// name for stable rendering.
+    /// Snapshot of the per-stage duration histograms and allocation
+    /// totals, sorted by stage name for stable rendering.
     pub fn stages(&self) -> Vec<StageStat> {
         let inner = self.traces.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = inner.stages.clone();
@@ -200,15 +206,18 @@ impl SpanRecorder {
     }
 }
 
-fn observe_stage(stages: &mut Vec<StageStat>, name: &str, micros: u64) {
-    let stat = match stages.iter_mut().find(|s| s.stage == name) {
+fn observe_stage(stages: &mut Vec<StageStat>, span: &Span) {
+    let micros = span.duration_micros;
+    let stat = match stages.iter_mut().find(|s| s.stage == span.name) {
         Some(s) => s,
         None => {
             stages.push(StageStat {
-                stage: name.to_string(),
+                stage: span.name.clone(),
                 buckets: vec![0; STAGE_BOUNDS_MICROS.len() + 1],
                 count: 0,
                 sum_micros: 0,
+                allocs: 0,
+                alloc_bytes: 0,
             });
             match stages.last_mut() {
                 Some(s) => s,
@@ -216,15 +225,23 @@ fn observe_stage(stages: &mut Vec<StageStat>, name: &str, micros: u64) {
             }
         }
     };
-    let idx = STAGE_BOUNDS_MICROS
-        .iter()
-        .position(|b| micros <= *b)
-        .unwrap_or(STAGE_BOUNDS_MICROS.len());
-    if let Some(slot) = stat.buckets.get_mut(idx) {
+    if let Some(slot) = stat
+        .buckets
+        .get_mut(bucket_index(&STAGE_BOUNDS_MICROS, micros))
+    {
         *slot = slot.saturating_add(1);
     }
     stat.count = stat.count.saturating_add(1);
     stat.sum_micros = stat.sum_micros.saturating_add(micros);
+    for (key, value) in &span.notes {
+        match (key.as_str(), value) {
+            (ALLOCS_NOTE, Value::U64(n)) => stat.allocs = stat.allocs.saturating_add(*n),
+            (ALLOC_BYTES_NOTE, Value::U64(n)) => {
+                stat.alloc_bytes = stat.alloc_bytes.saturating_add(*n)
+            }
+            _ => {}
+        }
+    }
 }
 
 fn offer_slow(slow: &mut Vec<SlowEntry>, trace: &Trace, cap: usize) {
@@ -265,12 +282,12 @@ fn offer_slow(slow: &mut Vec<SlowEntry>, trace: &Trace, cap: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::TraceBuilder;
+    use crate::ActiveTrace;
 
     fn trace_of(endpoint: &str, stage: &str, micros: u64) -> Trace {
-        let mut b = TraceBuilder::detached(endpoint);
-        b.child_micros(stage, micros);
-        b.finish()
+        let t = ActiveTrace::detached(endpoint);
+        t.child_at(stage, 0, micros);
+        t.finish()
     }
 
     #[test]
@@ -318,10 +335,10 @@ mod tests {
             slow_per_endpoint: 2,
         });
         for micros in [5, 500, 50, 5_000, 1] {
-            let mut b = TraceBuilder::detached("/score");
-            b.child_micros("score", micros);
+            let t = ActiveTrace::detached("/score");
+            t.child_at("score", 0, micros);
             std::thread::sleep(std::time::Duration::from_micros(micros));
-            rec.record(b.finish());
+            rec.record(t.finish());
         }
         rec.record(trace_of("/other", "score", 1));
         let slow = rec.slow();
@@ -354,6 +371,24 @@ mod tests {
         assert_eq!(score.buckets[1], 1); // 200 ≤ 250
         let encode = &stages[1];
         assert_eq!(encode.buckets[STAGE_BOUNDS_MICROS.len()], 1); // overflow
+    }
+
+    #[test]
+    fn stage_allocation_notes_sum_per_stage() {
+        let rec = SpanRecorder::new(RecorderConfig::default());
+        for bytes in [100, 24] {
+            let t = ActiveTrace::detached("/s");
+            let score = crate::stage("score");
+            drop(std::hint::black_box(vec![0u8; bytes]));
+            drop(score);
+            rec.record(t.finish());
+        }
+        let totals: Vec<(String, u64, u64)> = rec
+            .stages()
+            .into_iter()
+            .map(|s| (s.stage, s.allocs, s.alloc_bytes))
+            .collect();
+        assert_eq!(totals, [("/s".into(), 0, 0), ("score".into(), 2, 124)]);
     }
 
     #[test]

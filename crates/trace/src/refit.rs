@@ -1,80 +1,85 @@
-//! Refit timelines: durable phase-duration records for model refits.
+//! Refit timelines: the span trees of model refits, kept per live model.
 //!
 //! A refit is too slow and too rare to trace like a request — what
 //! operators need is a retained *timeline* per refit: how long the
 //! snapshot, the adaptive phases (label-drain, channel-learn, augment),
 //! the retrain, the persist, and the install each took, and whether the
-//! result was actually swapped into serving. `holo_stream::LiveModel`
-//! keeps a bounded [`TimelineRing`] of these and holo-serve exposes the
+//! result was actually swapped into serving. A refit runs under its
+//! own [`crate::ActiveTrace`], so those phases are ordinary
+//! [`crate::stage`] spans; `holo_stream::LiveModel` keeps a bounded
+//! [`TimelineRing`] of the finished traces and holo-serve exposes the
 //! last K as `GET /v1/models/{name}/refits`.
 
+use crate::span::Trace;
 use std::collections::VecDeque;
 
-/// One named phase of a refit with its measured duration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RefitPhase {
-    /// Phase name, e.g. `"snapshot"`, `"adapt"`, `"refit_with"`. A
-    /// dotted name (`"adapt.augment"`) is a sub-phase whose time is
-    /// already inside its parent's.
-    pub name: String,
-    /// Duration in microseconds (≥ 1 for phases that ran; phases that
-    /// never ran are simply absent).
-    pub micros: u64,
-}
-
-/// The phase-by-phase record of one refit attempt.
+/// The record of one refit attempt (each live model keeps its own).
 #[derive(Debug, Clone)]
 pub struct RefitTimeline {
-    /// The model this refit belongs to.
-    pub model: String,
     /// What initiated it: `"manual"` (the refit endpoint) or `"drift"`
     /// (the background scheduler).
     pub trigger: String,
     /// The epoch the refit snapshot was taken at; the install step is
     /// matched back to its timeline through this.
     pub base_epoch: u64,
-    /// Phases in execution order.
-    pub phases: Vec<RefitPhase>,
-    /// True once the refitted artifact was swapped into serving (the
-    /// `"install"` phase is appended at that point).
-    pub installed: bool,
+    /// The refit's span tree; every span below the root is a phase.
+    pub trace: Trace,
+    /// How long the install took, once the refitted artifact was
+    /// swapped into serving.
+    pub install_micros: Option<u64>,
 }
 
 impl RefitTimeline {
-    /// A timeline with no phases yet.
-    pub fn new(model: &str, trigger: &str, base_epoch: u64) -> Self {
+    /// A timeline for the refit traced by `trace`, not yet installed.
+    pub fn new(trigger: &str, base_epoch: u64, trace: Trace) -> Self {
         RefitTimeline {
-            model: model.to_string(),
             trigger: trigger.to_string(),
             base_epoch,
-            phases: Vec::new(),
-            installed: false,
+            trace,
+            install_micros: None,
         }
     }
 
-    /// Appends a phase in execution order.
-    pub fn push_phase(&mut self, name: &str, micros: u64) {
-        self.phases.push(RefitPhase {
-            name: name.to_string(),
-            micros,
-        });
+    /// True once the refitted artifact was swapped into serving.
+    pub fn installed(&self) -> bool {
+        self.install_micros.is_some()
     }
 
-    /// The duration of the first phase named `name`, if it ran.
-    pub fn phase_micros(&self, name: &str) -> Option<u64> {
-        self.phases
+    /// The phases in execution order as `(name, micros)`: every span
+    /// below the trace's root, a span nested under another prefixed
+    /// with its parent's name (`augment` under `adapt` is
+    /// `adapt.augment`, and its time is already inside its parent's),
+    /// then `install` once installed. A phase that ran reports at least 1µs, however
+    /// fast it was; a phase that never ran is absent.
+    pub fn phases(&self) -> Vec<(String, u64)> {
+        let spans = &self.trace.spans;
+        let mut phases: Vec<(String, u64)> = spans
             .iter()
-            .find(|p| p.name == name)
-            .map(|p| p.micros)
+            .skip(1)
+            .map(|s| {
+                let name = match s.parent.and_then(|p| spans.get(p)) {
+                    Some(parent) if parent.parent.is_some() => {
+                        format!("{}.{}", parent.name, s.name)
+                    }
+                    _ => s.name.clone(),
+                };
+                (name, s.duration_micros.max(1))
+            })
+            .collect();
+        phases.extend(
+            self.install_micros
+                .map(|m| ("install".to_string(), m.max(1))),
+        );
+        phases
     }
 
     /// Sum of the top-level phase durations. A `parent.child` phase is
     /// already counted inside `parent`, so it is skipped.
     pub fn total_micros(&self) -> u64 {
-        self.phases
+        self.phases()
             .iter()
-            .filter(|p| !p.name.contains('.'))
-            .fold(0u64, |acc, p| acc.saturating_add(p.micros))
+            .filter(|(name, _)| !name.contains('.'))
+            .fold(0u64, |acc, (_, micros)| acc.saturating_add(*micros))
     }
 }
 
@@ -107,7 +112,7 @@ impl TimelineRing {
         self.entries.iter().rev().take(k).cloned().collect()
     }
 
-    /// Attaches the `"install"` phase to the newest not-yet-installed
+    /// Records the install's duration on the newest not-yet-installed
     /// timeline for `base_epoch`, marking it installed. Returns whether
     /// a matching timeline was found (it may have been evicted).
     pub fn mark_installed(&mut self, base_epoch: u64, micros: u64) -> bool {
@@ -115,10 +120,9 @@ impl TimelineRing {
             .entries
             .iter_mut()
             .rev()
-            .find(|t| t.base_epoch == base_epoch && !t.installed)
+            .find(|t| t.base_epoch == base_epoch && !t.installed())
         {
-            t.push_phase("install", micros);
-            t.installed = true;
+            t.install_micros = Some(micros);
             true
         } else {
             false
@@ -129,28 +133,64 @@ impl TimelineRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::Span;
+
+    /// A refit timeline whose trace spans are `(name, parent, micros)`;
+    /// parent 0 is the root.
+    fn timeline(epoch: u64, spans: &[(&str, usize, u64)]) -> RefitTimeline {
+        let span = |name: &str, parent, duration_micros| Span {
+            name: name.to_string(),
+            parent,
+            start_micros: 0,
+            duration_micros,
+            notes: Vec::new(),
+        };
+        let mut all = vec![span("refit", None, 0)];
+        all.extend(spans.iter().map(|&(n, p, m)| span(n, Some(p), m)));
+        let trace = Trace {
+            spans: all,
+            ..Trace::default()
+        };
+        RefitTimeline::new("manual", epoch, trace)
+    }
 
     #[test]
     fn timeline_phases_accumulate_in_order() {
-        let mut t = RefitTimeline::new("food", "drift", 42);
-        t.push_phase("snapshot", 10);
-        t.push_phase("adapt", 200);
-        t.push_phase("refit_with", 3_000);
-        assert_eq!(t.phase_micros("adapt"), Some(200));
-        assert_eq!(t.phase_micros("install"), None);
+        let t = timeline(
+            42,
+            &[
+                ("snapshot", 0, 10),
+                ("adapt", 0, 200),
+                ("refit_with", 0, 3_000),
+            ],
+        );
+        let want = [("snapshot", 10), ("adapt", 200), ("refit_with", 3_000)];
+        assert_eq!(t.phases(), want.map(|(n, m)| (n.to_string(), m)));
         assert_eq!(t.total_micros(), 3_210);
-        assert!(!t.installed);
+        assert!(!t.installed());
     }
 
     #[test]
     fn total_counts_sub_phases_once() {
-        let mut t = RefitTimeline::new("food", "manual", 3);
-        t.push_phase("snapshot", 10);
-        t.push_phase("adapt", 1_282);
-        t.push_phase("adapt.label-drain", 34);
-        t.push_phase("adapt.channel-learn", 127);
-        t.push_phase("adapt.augment", 1_121);
-        t.push_phase("refit_with", 3_000);
+        let t = timeline(
+            3,
+            &[
+                ("snapshot", 0, 10),
+                ("adapt", 0, 1_282),
+                ("label-drain", 2, 34),
+                ("augment", 2, 0),
+                ("refit_with", 0, 3_000),
+            ],
+        );
+        // A phase that ran reports at least 1us, however fast it was.
+        let want = [
+            ("snapshot", 10),
+            ("adapt", 1_282),
+            ("adapt.label-drain", 34),
+            ("adapt.augment", 1),
+            ("refit_with", 3_000),
+        ];
+        assert_eq!(t.phases(), want.map(|(n, m)| (n.to_string(), m)));
         assert_eq!(t.total_micros(), 10 + 1_282 + 3_000);
     }
 
@@ -158,19 +198,17 @@ mod tests {
     fn ring_bounds_and_orders() {
         let mut ring = TimelineRing::new(2);
         for epoch in 0..5 {
-            ring.push(RefitTimeline::new("m", "manual", epoch));
+            ring.push(timeline(epoch, &[]));
         }
-        let last = ring.last(10);
-        assert_eq!(last.len(), 2);
-        assert_eq!(last[0].base_epoch, 4); // newest first
-        assert_eq!(last[1].base_epoch, 3);
+        let epochs: Vec<u64> = ring.last(10).iter().map(|t| t.base_epoch).collect();
+        assert_eq!(epochs, [4, 3], "newest first");
     }
 
     #[test]
     fn install_matches_by_epoch() {
         let mut ring = TimelineRing::new(4);
-        ring.push(RefitTimeline::new("m", "drift", 7));
-        ring.push(RefitTimeline::new("m", "drift", 9));
+        ring.push(timeline(7, &[]));
+        ring.push(timeline(9, &[]));
         assert!(ring.mark_installed(7, 55));
         assert!(!ring.mark_installed(7, 55)); // already installed
         assert!(!ring.mark_installed(999, 1)); // unknown epoch
@@ -179,7 +217,8 @@ mod tests {
             .into_iter()
             .find(|t| t.base_epoch == 7)
             .expect("epoch 7 retained");
-        assert!(seven.installed);
-        assert_eq!(seven.phase_micros("install"), Some(55));
+        assert!(seven.installed());
+        assert_eq!(seven.phases(), [("install".to_string(), 55)]);
+        assert_eq!(seven.total_micros(), 55);
     }
 }

@@ -1,4 +1,5 @@
-//! Span trees: one [`Trace`] per request, built by a [`TraceBuilder`].
+//! Span trees: one [`Trace`] per request, and the [`stage`] guard that
+//! times every stage into them.
 //!
 //! A trace is a flat `Vec` of spans in creation order whose tree shape
 //! is carried by parent *indices* — index 0 is always the root span
@@ -7,13 +8,30 @@
 //! the recorder's byte accounting and the JSON rendering in holo-serve
 //! trivial: no boxes, no recursion, clone is a memcpy of strings.
 //!
-//! All offsets are microseconds on the builder's own monotonic clock
+//! All offsets are microseconds on the trace's own monotonic clock
 //! ([`crate::Stopwatch`]), relative to trace start.
+//!
+//! ## The current trace
+//!
+//! [`SpanRecorder::begin`] and [`ActiveTrace::detached`] install a trace as
+//! the calling thread's *current* one, so code that cannot take a trace
+//! parameter (the live model's ingest and refit, the adaptive refit)
+//! still records its stages into it. A trace begun while another is
+//! current shadows it until it finishes. Finishing or dropping an
+//! [`ActiveTrace`] uninstalls it, so a panic unwinding out of a handler
+//! never leaves its trace behind for the thread's next request.
 
 use crate::recorder::SpanRecorder;
 use holo_prof::Stopwatch;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The note key a closed [`Stage`] records its allocation count under.
+pub(crate) const ALLOCS_NOTE: &str = "allocs";
+/// The note key a closed [`Stage`] records its allocated bytes under.
+pub(crate) const ALLOC_BYTES_NOTE: &str = "alloc_bytes";
 
 /// A typed span/trace annotation value.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +64,7 @@ pub struct Span {
 
 /// A completed span tree for one request (or one background unit of
 /// work), as stored in the [`SpanRecorder`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Process-unique trace id (rendered via [`format_trace_id`]).
     pub id: u64,
@@ -129,38 +147,19 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hands out [`TraceBuilder`]s bound to a shared [`SpanRecorder`].
-#[derive(Clone)]
-pub struct Tracer {
-    recorder: Arc<SpanRecorder>,
-}
-
-impl Tracer {
-    /// Creates a tracer recording finished traces into `recorder`.
-    pub fn new(recorder: Arc<SpanRecorder>) -> Self {
-        Tracer { recorder }
-    }
-
-    /// The recorder finished traces are delivered to.
-    pub fn recorder(&self) -> &Arc<SpanRecorder> {
-        &self.recorder
-    }
-
-    /// Starts a new trace whose root span is named `endpoint`.
+impl SpanRecorder {
+    /// Starts a trace whose root span is named `endpoint` and whose
+    /// clock started at `started` (e.g. when a request's first bytes
+    /// arrived, so work measured before the trace existed can be
+    /// attached at its true offset with [`ActiveTrace::child_at`]), and
+    /// installs it as the calling thread's current trace. It is
+    /// recorded here when [`ActiveTrace::finish`] is called.
     ///
     /// The endpoint label should be *normalized* (path parameters
     /// replaced by placeholders) — it keys the slow-exemplar store, so
     /// unbounded label cardinality would unbound its memory.
-    pub fn span(&self, endpoint: &str) -> TraceBuilder {
-        self.span_since(endpoint, Stopwatch::start())
-    }
-
-    /// [`Tracer::span`] for a trace whose clock started at `started`
-    /// (e.g. when a request's first bytes arrived), so work measured
-    /// before the builder existed can be attached at its true offset
-    /// with [`TraceBuilder::child_at`].
-    pub fn span_since(&self, endpoint: &str, started: Stopwatch) -> TraceBuilder {
-        TraceBuilder::with_recorder(endpoint, Some(Arc::clone(&self.recorder)), started)
+    pub fn begin(self: &Arc<Self>, endpoint: &str, started: Stopwatch) -> ActiveTrace {
+        ActiveTrace::install(TraceBuilder::new(endpoint, Some(Arc::clone(self)), started))
     }
 }
 
@@ -172,17 +171,10 @@ struct OpenSpan {
     notes: Vec<(String, Value)>,
 }
 
-/// An in-progress span tree. Obtained from [`Tracer::span`] (recorded
-/// on finish) or [`TraceBuilder::detached`] (not recorded).
-///
-/// The builder is stack-shaped: [`TraceBuilder::child`] opens a span
-/// nested under the currently open one, [`TraceBuilder::close`] closes
-/// the innermost open span. Any shape of open/close sequence yields a
-/// well-formed tree: closes past the root are ignored and spans still
-/// open at [`TraceBuilder::finish`] are closed there. Durations
-/// measured elsewhere (another thread, a returned report) are attached
-/// as already-completed children via [`TraceBuilder::child_micros`].
-pub struct TraceBuilder {
+/// The in-progress span tree behind an [`ActiveTrace`]. Stages open
+/// spans nested under the innermost open one and close them in any
+/// order; spans still open at [`TraceBuilder::finish`] are closed there.
+struct TraceBuilder {
     id: u64,
     endpoint: String,
     clock: Stopwatch,
@@ -195,11 +187,7 @@ pub struct TraceBuilder {
 }
 
 impl TraceBuilder {
-    fn with_recorder(
-        endpoint: &str,
-        recorder: Option<Arc<SpanRecorder>>,
-        clock: Stopwatch,
-    ) -> Self {
+    fn new(endpoint: &str, recorder: Option<Arc<SpanRecorder>>, clock: Stopwatch) -> Self {
         let root = OpenSpan {
             name: endpoint.to_string(),
             parent: None,
@@ -218,28 +206,13 @@ impl TraceBuilder {
         }
     }
 
-    /// A builder with no recorder attached; [`TraceBuilder::finish`]
-    /// just returns the trace. Used by tests and standalone callers.
-    pub fn detached(endpoint: &str) -> Self {
-        Self::with_recorder(endpoint, None, Stopwatch::start())
-    }
-
-    /// This trace's id (echoed to clients before the trace finishes).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Microseconds since the trace started, on the trace's own clock.
-    pub fn elapsed_micros(&self) -> u64 {
-        self.clock.elapsed_micros()
-    }
-
     fn current(&self) -> usize {
         self.stack.last().copied().unwrap_or(0)
     }
 
-    /// Opens a span named `name` nested under the currently open span.
-    pub fn child(&mut self, name: &str) -> &mut Self {
+    /// Opens a span named `name` under the innermost open span,
+    /// returning its index.
+    fn open(&mut self, name: &str) -> usize {
         let parent = self.current();
         let start = self.clock.elapsed_micros();
         self.spans.push(OpenSpan {
@@ -249,35 +222,30 @@ impl TraceBuilder {
             end_micros: None,
             notes: Vec::new(),
         });
-        self.stack.push(self.spans.len() - 1);
-        self
+        let idx = self.spans.len() - 1;
+        self.stack.push(idx);
+        idx
     }
 
-    /// Closes the innermost open span. Ignored once only the root
-    /// remains open — the root closes at [`TraceBuilder::finish`].
-    pub fn close(&mut self) -> &mut Self {
-        if self.stack.len() > 1 {
-            if let Some(idx) = self.stack.pop() {
-                let end = self.clock.elapsed_micros();
-                if let Some(span) = self.spans.get_mut(idx) {
-                    span.end_micros = Some(end.max(span.start_micros));
-                }
-            }
+    /// Closes the stage span at `idx` after `micros`, noting the
+    /// stage's allocations on it.
+    fn close_stage(&mut self, idx: usize, micros: u64, allocs: u64, bytes: u64) {
+        if let Some(span) = self.spans.get_mut(idx) {
+            span.end_micros = Some(span.start_micros.saturating_add(micros));
+            span.notes
+                .push((ALLOCS_NOTE.to_string(), Value::U64(allocs)));
+            span.notes
+                .push((ALLOC_BYTES_NOTE.to_string(), Value::U64(bytes)));
         }
-        self
-    }
-
-    /// Attaches an already-completed child span (duration measured
-    /// elsewhere) ending now, under the currently open span.
-    pub fn child_micros(&mut self, name: &str, duration_micros: u64) -> &mut Self {
-        let now = self.clock.elapsed_micros();
-        self.child_at(name, now.saturating_sub(duration_micros), duration_micros)
+        if idx != 0 {
+            self.stack.retain(|&i| i != idx);
+        }
     }
 
     /// Attaches an already-completed child span with an explicit start
-    /// offset, under the currently open span. The start offset is
+    /// offset, under the innermost open span. The start offset is
     /// clamped to be no earlier than the parent's.
-    pub fn child_at(&mut self, name: &str, start_micros: u64, duration_micros: u64) -> &mut Self {
+    fn child_at(&mut self, name: &str, start_micros: u64, duration_micros: u64) {
         let parent = self.current();
         let parent_start = self.spans.get(parent).map(|p| p.start_micros).unwrap_or(0);
         let start = start_micros.max(parent_start);
@@ -288,28 +256,18 @@ impl TraceBuilder {
             end_micros: Some(start.saturating_add(duration_micros)),
             notes: Vec::new(),
         });
-        self
     }
 
-    /// Annotates the currently open span with a typed key/value pair.
-    pub fn annotate(&mut self, key: &str, value: Value) -> &mut Self {
-        let idx = self.current();
+    fn annotate(&mut self, idx: usize, key: &str, value: Value) {
         if let Some(span) = self.spans.get_mut(idx) {
             span.notes.push((key.to_string(), value));
         }
-        self
-    }
-
-    /// Annotates the trace itself (status, model name, …) rather than
-    /// any one span.
-    pub fn note(&mut self, key: &str, value: Value) -> &mut Self {
-        self.notes.push((key.to_string(), value));
-        self
     }
 
     /// Closes every open span (root included), records the completed
-    /// trace into the tracer's recorder, and returns it.
-    pub fn finish(mut self) -> Trace {
+    /// trace into its recorder, if any, and returns it. The builder is
+    /// left empty: a stage that outlives its trace closes into nothing.
+    fn finish(&mut self) -> Trace {
         let clock_end = self.clock.elapsed_micros();
         while let Some(idx) = self.stack.pop() {
             if let Some(span) = self.spans.get_mut(idx) {
@@ -328,8 +286,7 @@ impl TraceBuilder {
         if let Some(root) = self.spans.get_mut(0) {
             root.end_micros = Some(end);
         }
-        let spans = self
-            .spans
+        let spans = std::mem::take(&mut self.spans)
             .into_iter()
             .map(|s| {
                 let span_end = s.end_micros.unwrap_or(end).max(s.start_micros);
@@ -344,10 +301,10 @@ impl TraceBuilder {
             .collect();
         let trace = Trace {
             id: self.id,
-            endpoint: self.endpoint,
+            endpoint: std::mem::take(&mut self.endpoint),
             total_micros: end,
             spans,
-            notes: self.notes,
+            notes: std::mem::take(&mut self.notes),
         };
         if let Some(recorder) = self.recorder.take() {
             recorder.record(trace.clone());
@@ -356,9 +313,187 @@ impl TraceBuilder {
     }
 }
 
+type SharedBuilder = Rc<RefCell<TraceBuilder>>;
+
+thread_local! {
+    /// The traces installed on this thread, the current one last.
+    static CURRENT: RefCell<Vec<SharedBuilder>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The calling thread's current trace, if one is installed.
+fn current() -> Option<SharedBuilder> {
+    CURRENT
+        .try_with(|c| c.try_borrow().ok().and_then(|v| v.last().cloned()))
+        .ok()
+        .flatten()
+}
+
+/// A trace installed as the calling thread's current one, so every
+/// [`stage`] the thread opens records a span into it. Obtained from
+/// [`SpanRecorder::begin`] (recorded on finish) or [`ActiveTrace::detached`]
+/// (not recorded). Finishing or dropping it uninstalls it, handing the
+/// thread back to whichever trace it shadowed.
+#[must_use = "the trace is uninstalled when dropped"]
+pub struct ActiveTrace {
+    id: u64,
+    builder: SharedBuilder,
+}
+
+impl ActiveTrace {
+    fn install(builder: TraceBuilder) -> Self {
+        let id = builder.id;
+        let builder = Rc::new(RefCell::new(builder));
+        let _ = CURRENT.try_with(|c| {
+            if let Ok(mut traces) = c.try_borrow_mut() {
+                traces.push(Rc::clone(&builder));
+            }
+        });
+        ActiveTrace { id, builder }
+    }
+
+    /// Installs a trace whose root span is named `endpoint` and that no
+    /// recorder receives: [`ActiveTrace::finish`] just returns it.
+    pub fn detached(endpoint: &str) -> Self {
+        Self::install(TraceBuilder::new(endpoint, None, Stopwatch::start()))
+    }
+
+    /// This trace's id (echoed to clients before the trace finishes).
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Attaches an already-completed child span (measured before the
+    /// trace existed, or elsewhere) under the innermost open span, at
+    /// `start_micros` from trace start — clamped to be no earlier than
+    /// its parent's start.
+    pub fn child_at(&self, name: &str, start_micros: u64, duration_micros: u64) {
+        if let Ok(mut b) = self.builder.try_borrow_mut() {
+            b.child_at(name, start_micros, duration_micros);
+        }
+    }
+
+    /// Uninstalls the trace, closes every span still open, records it
+    /// (when begun by [`SpanRecorder::begin`]) and returns it.
+    pub fn finish(self) -> Trace {
+        self.uninstall();
+        // A failed borrow is unreachable: no borrow of a builder
+        // outlives the call that took it, and builders never leave
+        // their thread.
+        self.builder
+            .try_borrow_mut()
+            .map_or_else(|_| Trace::default(), |mut b| b.finish())
+    }
+
+    fn uninstall(&self) {
+        let _ = CURRENT.try_with(|c| {
+            if let Ok(mut traces) = c.try_borrow_mut() {
+                traces.retain(|b| !Rc::ptr_eq(b, &self.builder));
+            }
+        });
+    }
+}
+
+impl Drop for ActiveTrace {
+    fn drop(&mut self) {
+        self.uninstall();
+    }
+}
+
+/// Annotates the calling thread's current trace itself (status, model
+/// name, …) rather than any one span. Does nothing without one.
+pub fn note(key: &str, value: Value) {
+    if let Some(builder) = current() {
+        if let Ok(mut b) = builder.try_borrow_mut() {
+            b.notes.push((key.to_string(), value));
+        }
+    }
+}
+
+/// Starts timing a stage named `name`: the one way the workspace times
+/// a stage of a request, an ingest or a refit.
+///
+/// Entering reads the clock and the thread's allocation counters, and
+/// opens a child span of the innermost open stage when the thread has
+/// a current trace ([`SpanRecorder::begin`]). Closing — on drop, or through
+/// [`Stage::end`], which also returns the stage's microseconds —
+/// closes the span and notes the stage's allocation count (`allocs`)
+/// and bytes (`alloc_bytes`) on it. Those include nested stages; the
+/// stage's own span bookkeeping falls outside both readings.
+pub fn stage(name: &str) -> Stage {
+    let span = current().and_then(|builder| {
+        let idx = builder.try_borrow_mut().ok()?.open(name);
+        Some((builder, idx))
+    });
+    Stage {
+        span,
+        allocs: holo_prof::thread_alloc_count(),
+        bytes: holo_prof::thread_alloc_bytes(),
+        clock: Stopwatch::start(),
+        ended: false,
+    }
+}
+
+/// A running stage; see [`stage`].
+#[must_use = "a stage closes when dropped"]
+pub struct Stage {
+    span: Option<(SharedBuilder, usize)>,
+    allocs: u64,
+    bytes: u64,
+    clock: Stopwatch,
+    ended: bool,
+}
+
+impl Stage {
+    /// Annotates the stage's span (nothing when untraced).
+    pub fn note(&self, key: &str, value: Value) {
+        if let Some((builder, idx)) = &self.span {
+            if let Ok(mut b) = builder.try_borrow_mut() {
+                b.annotate(*idx, key, value);
+            }
+        }
+    }
+
+    /// Closes the stage and returns its duration in microseconds.
+    pub fn end(mut self) -> u64 {
+        self.ended = true;
+        self.close()
+    }
+
+    fn close(&mut self) -> u64 {
+        let micros = self.clock.elapsed_micros();
+        let allocs = holo_prof::thread_alloc_count().wrapping_sub(self.allocs);
+        let bytes = holo_prof::thread_alloc_bytes().wrapping_sub(self.bytes);
+        if let Some((builder, idx)) = self.span.take() {
+            if let Ok(mut b) = builder.try_borrow_mut() {
+                b.close_stage(idx, micros, allocs, bytes);
+            }
+        }
+        micros
+    }
+}
+
+impl Drop for Stage {
+    fn drop(&mut self) {
+        if !self.ended {
+            self.close();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn names(trace: &Trace) -> Vec<&str> {
+        trace.spans.iter().map(|s| s.name.as_str()).collect()
+    }
+
+    fn note_of(span: &Span, key: &str) -> Option<Value> {
+        span.notes
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
+    }
 
     #[test]
     fn ids_are_unique_and_roundtrip() {
@@ -373,17 +508,15 @@ mod tests {
 
     #[test]
     fn builder_yields_rooted_tree() {
-        let mut t = TraceBuilder::detached("/score");
-        t.child("validate");
-        t.annotate("rows", Value::U64(3));
-        t.close();
-        t.child("score");
-        t.child("featurize");
-        // leave featurize and score open: finish must close them.
+        let t = ActiveTrace::detached("/score");
+        stage("validate").note("rows", Value::U64(3));
+        let score = stage("score");
+        let featurize = stage("featurize");
+        // score and featurize are still open: finish must close them.
         let trace = t.finish();
-        assert_eq!(trace.spans.len(), 4);
+        drop((featurize, score));
+        assert_eq!(names(&trace), ["/score", "validate", "score", "featurize"]);
         let root = &trace.spans[0];
-        assert_eq!(root.name, "/score");
         assert_eq!(root.parent, None);
         assert_eq!(root.duration_micros, trace.total_micros);
         for (i, s) in trace.spans.iter().enumerate().skip(1) {
@@ -393,32 +526,38 @@ mod tests {
             assert!(s.start_micros + s.duration_micros <= trace.total_micros);
         }
         assert_eq!(trace.spans[3].parent, Some(2)); // featurize under score
+        assert_eq!(note_of(&trace.spans[1], "rows"), Some(Value::U64(3)));
     }
 
     #[test]
     fn excess_closes_are_ignored() {
-        let mut t = TraceBuilder::detached("/x");
-        t.close().close();
-        t.child("a");
-        t.close().close().close();
+        let t = ActiveTrace::detached("/x");
+        let a = stage("a");
+        let b = stage("b");
+        // Closing `a` before `b` leaves `b` the innermost open stage.
+        drop(a);
+        drop(stage("c"));
+        drop(b);
+        let late = stage("late");
         let trace = t.finish();
-        assert_eq!(trace.spans.len(), 2);
-        assert_eq!(trace.spans[1].parent, Some(0));
+        // A stage closing after its trace finished changes nothing.
+        drop(late);
+        assert_eq!(names(&trace), ["/x", "a", "b", "c", "late"]);
+        assert_eq!(trace.spans[3].parent, Some(2), "c nests under b");
+        assert_eq!(trace.spans[4].parent, Some(0));
     }
 
     #[test]
     fn span_since_places_earlier_work_before_later_stages() {
-        let tracer = Tracer::new(Arc::new(SpanRecorder::new(
-            crate::recorder::RecorderConfig::default(),
-        )));
+        let recorder = Arc::new(SpanRecorder::new(crate::recorder::RecorderConfig::default()));
         let started = Stopwatch::start();
         std::thread::sleep(std::time::Duration::from_millis(2));
         let parse = started.elapsed_micros();
-        let mut t = tracer.span_since("/x", started);
+        let t = recorder.begin("/x", started);
         t.child_at("parse", 0, parse);
-        t.child("validate");
-        t.close();
+        drop(stage("validate"));
         let trace = t.finish();
+        assert_eq!(recorder.get(trace.id).map(|r| r.id), Some(trace.id));
         assert_eq!(trace.spans[1].start_micros, 0);
         let validate = &trace.spans[2];
         assert!(
@@ -430,24 +569,70 @@ mod tests {
 
     #[test]
     fn completed_children_clamp_into_parent() {
-        let mut t = TraceBuilder::detached("/x");
-        t.child_micros("log-append", 5_000);
+        let t = ActiveTrace::detached("/x");
+        t.child_at("log-append", 0, 5_000);
+        let validate = stage("validate");
         t.child_at("score", 0, 250);
+        drop(validate);
         let trace = t.finish();
         assert_eq!(trace.stage_micros("log-append"), 5_000);
         assert_eq!(trace.stage_micros("score"), 250);
         assert_eq!(trace.stage_micros("absent"), 0);
-        for s in &trace.spans {
-            assert!(s.start_micros <= trace.total_micros.max(s.start_micros));
+        let score = &trace.spans[3];
+        assert_eq!(score.parent, Some(2), "score attaches under validate");
+        assert!(score.start_micros >= trace.spans[2].start_micros);
+    }
+
+    #[test]
+    fn a_trace_begun_inside_another_shadows_it_then_hands_it_back() {
+        let outer = ActiveTrace::detached("/outer");
+        let before = stage("before");
+        let mut held: Vec<Vec<u8>> = Vec::with_capacity(1);
+        let inner = ActiveTrace::detached("/inner");
+        {
+            let _shadowed = stage("shadowed");
+            held.push(Vec::with_capacity(100));
         }
+        note("where", Value::Str("inner".into()));
+        let inner_trace = inner.finish();
+        let before_micros = before.end();
+        drop(stage("after"));
+        let outer_trace = outer.finish();
+        assert!(current().is_none(), "finishing uninstalls");
+        assert_eq!(names(&inner_trace), ["/inner", "shadowed"]);
+        assert_eq!(names(&outer_trace), ["/outer", "before", "after"]);
+        assert_eq!(inner_trace.notes.len(), 1);
+        assert!(outer_trace.notes.is_empty());
+        // An enclosing stage's allocations include what ran inside it.
+        let Some(Value::U64(bytes)) = note_of(&outer_trace.spans[1], "alloc_bytes") else {
+            panic!("no alloc_bytes note on {:?}", outer_trace.spans[1]);
+        };
+        assert!(bytes >= 100, "{bytes}");
+        assert_eq!(outer_trace.spans[1].duration_micros, before_micros);
+    }
+
+    #[test]
+    fn a_panic_inside_a_trace_leaves_no_current_trace_behind() {
+        let caught = std::panic::catch_unwind(|| {
+            let _trace = ActiveTrace::detached("/panics");
+            let _stage = stage("doomed");
+            panic!("handler panicked");
+        });
+        assert!(caught.is_err());
+        assert!(current().is_none(), "the unwound trace is still installed");
+        // The thread's next trace starts clean; without one, a stage
+        // only times.
+        let _ = stage("untraced").end();
+        let next = ActiveTrace::detached("/next");
+        drop(stage("fresh"));
+        assert_eq!(names(&next.finish()), ["/next", "fresh"]);
     }
 
     #[test]
     fn approx_bytes_grows_with_content() {
-        let small = TraceBuilder::detached("/a").finish();
-        let mut b = TraceBuilder::detached("/a");
-        b.child("a-much-longer-span-name");
-        b.annotate("key", Value::Str("value".into()));
+        let small = ActiveTrace::detached("/a").finish();
+        let b = ActiveTrace::detached("/a");
+        stage("a-much-longer-span-name").note("key", Value::Str("value".into()));
         let big = b.finish();
         assert!(big.approx_bytes() > small.approx_bytes());
     }

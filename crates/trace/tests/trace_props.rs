@@ -1,9 +1,11 @@
-//! Property tests for trace correctness: any open/close sequence
-//! yields a well-formed tree, the recorder's ring buffer never exceeds
-//! its byte budget, and concurrent tracing from worker threads never
-//! interleaves spans across trace ids.
+//! Property tests for trace correctness: any sequence of stage opens
+//! and closes yields a well-formed tree, the recorder's ring buffer
+//! never exceeds its byte budget, and concurrent tracing from worker
+//! threads never interleaves spans across trace ids.
 
-use holo_trace::{RecorderConfig, SpanRecorder, Trace, TraceBuilder, Tracer, Value};
+use holo_trace::{
+    note, stage, ActiveTrace, RecorderConfig, SpanRecorder, Stage, Stopwatch, Trace, Value,
+};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -44,49 +46,49 @@ fn assert_well_formed(trace: &Trace) -> Result<(), String> {
     Ok(())
 }
 
-/// Applies one encoded op to the builder. The op space deliberately
-/// includes pathological shapes: closing more than was opened, leaving
-/// spans open for finish to sweep, and attaching completed children
+/// Applies one encoded op to the trace and its open stages. The op
+/// space deliberately includes pathological shapes: closing a stage
+/// that is not the innermost one, closing with nothing open, leaving
+/// stages open for finish to sweep, and attaching completed children
 /// with arbitrary offsets/durations.
-fn apply_op(b: &mut TraceBuilder, op: u8, name: &str, amount: u64) {
+fn apply_op(t: &ActiveTrace, open: &mut Vec<Stage>, op: u8, name: &str, amount: u64) {
     match op % 5 {
-        0 => {
-            b.child(name);
-        }
-        1 => {
-            b.close();
-        }
+        0 => open.push(stage(name)),
+        1 => drop(open.pop()),
         2 => {
-            b.child_micros(name, amount);
+            if !open.is_empty() {
+                drop(open.remove(amount as usize % open.len()));
+            }
         }
-        3 => {
-            b.child_at(name, amount / 2, amount);
-        }
-        _ => {
-            b.annotate(name, Value::U64(amount));
-        }
+        3 => t.child_at(name, amount / 2, amount),
+        _ => match open.last() {
+            Some(s) => s.note(name, Value::U64(amount)),
+            None => note(name, Value::U64(amount)),
+        },
     }
 }
 
 proptest! {
-    /// Any sequence of opens, closes, completed-child attachments, and
-    /// annotations — balanced or not — finishes into a well-formed tree.
+    /// Any sequence of stage opens, closes in any order, completed-child
+    /// attachments, and annotations finishes into a well-formed tree.
     #[test]
     fn any_open_close_sequence_is_well_formed(
         ops in proptest::collection::vec(0u8..5, 0..40),
         names in proptest::collection::vec("[a-e]{1,6}", 40..41),
         amounts in proptest::collection::vec(0u64..50_000, 40..41),
     ) {
-        let mut b = TraceBuilder::detached("/prop");
+        let t = ActiveTrace::detached("/prop");
+        let mut open = Vec::new();
         for (i, &op) in ops.iter().enumerate() {
-            apply_op(&mut b, op, &names[i], amounts[i]);
+            apply_op(&t, &mut open, op, &names[i], amounts[i]);
         }
-        let trace = b.finish();
+        let trace = t.finish();
+        drop(open);
         if let Err(msg) = assert_well_formed(&trace) {
             prop_assert!(false, "{}", msg);
         }
         // Every open contributes exactly one span; closes/annotations none.
-        let opens = ops.iter().filter(|&&o| matches!(o % 5, 0 | 2 | 3)).count();
+        let opens = ops.iter().filter(|&&o| matches!(o % 5, 0 | 3)).count();
         prop_assert_eq!(trace.spans.len(), opens + 1);
     }
 
@@ -102,16 +104,16 @@ proptest! {
             slow_per_endpoint: 2,
         });
         for &(endpoint, spans, micros) in &shapes {
-            let mut b = TraceBuilder::detached(match endpoint {
+            let t = ActiveTrace::detached(match endpoint {
                 0 => "/score",
                 1 => "/predict",
                 2 => "/rows",
                 _ => "/an/intentionally/longer/endpoint/label/to/vary/cost",
             });
             for s in 0..spans {
-                b.child_micros(if s % 2 == 0 { "score" } else { "encode" }, micros);
+                t.child_at(if s % 2 == 0 { "score" } else { "encode" }, 0, micros);
             }
-            rec.record(b.finish());
+            rec.record(t.finish());
             prop_assert!(
                 rec.ring_bytes_used() <= budget,
                 "ring used {} > budget {}",
@@ -124,7 +126,7 @@ proptest! {
 
     /// Worker threads tracing concurrently through one shared recorder
     /// never bleed spans across trace ids: every recorded trace holds
-    /// only the spans its own thread created, and ids stay unique.
+    /// only the stages its own thread ran, and ids stay unique.
     #[test]
     fn concurrent_tracing_never_interleaves(
         per_thread in 1usize..5,
@@ -134,18 +136,16 @@ proptest! {
             ring_bytes: 1 << 20,
             slow_per_endpoint: 4,
         }));
-        let tracer = Tracer::new(Arc::clone(&rec));
         std::thread::scope(|s| {
             for worker in 0..4usize {
-                let tracer = tracer.clone();
+                let rec = Arc::clone(&rec);
                 s.spawn(move || {
                     for i in 0..per_thread {
-                        let mut b = tracer.span(&format!("/w{worker}"));
+                        let t = rec.begin(&format!("/w{worker}"), Stopwatch::start());
                         for j in 0..spans_per_trace {
-                            b.child(&format!("w{worker}-t{i}-s{j}"));
-                            b.close();
+                            drop(stage(&format!("w{worker}-t{i}-s{j}")));
                         }
-                        b.finish();
+                        t.finish();
                     }
                 });
             }

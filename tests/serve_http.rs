@@ -17,7 +17,7 @@ use holodetect_repro::core::{FittedHoloDetect, HoloDetect, HoloDetectConfig};
 use holodetect_repro::data::{CellId, Dataset, DatasetBuilder, GroundTruth, Schema};
 use holodetect_repro::eval::{FitContext, TrainedModel};
 use holodetect_repro::serve::{
-    self, HttpConfig, Json, ModelRegistry, ProfConfig, RunningServer, ServeConfig, TraceConfig,
+    self, HttpConfig, Json, ModelRegistry, RunningServer, ServeConfig, TraceConfig,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -64,10 +64,6 @@ fn fit_artifact(tag: &str) -> (FittedHoloDetect, PathBuf) {
 }
 
 fn start_server(path: &std::path::Path) -> RunningServer {
-    start_server_with(path, ProfConfig::default())
-}
-
-fn start_server_with(path: &std::path::Path, prof: ProfConfig) -> RunningServer {
     let registry = Arc::new(ModelRegistry::new());
     registry.load_insert("food", path).expect("load artifact");
     serve::start(
@@ -78,7 +74,6 @@ fn start_server_with(path: &std::path::Path, prof: ProfConfig) -> RunningServer 
                 ..HttpConfig::default()
             },
             trace: TraceConfig::default(),
-            prof,
         },
         registry,
     )
@@ -564,7 +559,7 @@ fn traced_score_request_attributes_its_wall_time_to_stages() {
 #[test]
 fn prof_snapshot_is_well_formed_monotone_and_stages_carry_alloc_notes() {
     let (_model, path) = fit_artifact("prof");
-    let server = start_server_with(&path, ProfConfig { enabled: true });
+    let server = start_server(&path);
     let addr = server.addr();
 
     // The snapshot parses and carries every documented section. The

@@ -8,7 +8,7 @@ use holodetect_repro::core::{HoloDetect, HoloDetectConfig};
 use holodetect_repro::data::{CellId, Dataset, DatasetBuilder, GroundTruth, Schema};
 use holodetect_repro::eval::FitContext;
 use holodetect_repro::serve::{
-    self, HttpConfig, Json, ModelRegistry, ProfConfig, RunningServer, ServeConfig, TraceConfig,
+    self, HttpConfig, Json, ModelRegistry, RunningServer, ServeConfig, TraceConfig,
 };
 use holodetect_repro::stream::{LiveModel, RefitScheduler, RefitTarget, StreamConfig};
 use std::io::{Read, Write};
@@ -64,7 +64,6 @@ fn start_server(registry: Arc<ModelRegistry>) -> RunningServer {
                 ..HttpConfig::default()
             },
             trace: TraceConfig::default(),
-            prof: ProfConfig::default(),
         },
         registry,
     )
@@ -243,6 +242,64 @@ fn ingest_is_read_your_writes_and_visible_in_scores_and_metrics() {
         "{page}"
     );
     assert!(page.contains("holo_stream_generation{model=\"food\"} 0"));
+
+    server.shutdown();
+    std::fs::remove_file(&artifact).ok();
+    std::fs::remove_file(&log).ok();
+}
+
+/// The ingest stages run inside the live model, which takes no trace
+/// parameter: they must still land in the `POST .../rows` request's
+/// trace as root children with allocation notes, and account for its
+/// wall time.
+#[test]
+fn ingest_stages_land_in_the_rows_request_trace() {
+    let (live, artifact, log) = fit_live("rows-trace", StreamConfig::default());
+    let registry = Arc::new(ModelRegistry::new());
+    registry.insert_live("food", Arc::clone(&live));
+    let server = start_server(registry);
+    let addr = server.addr();
+
+    let rows = rows_body(&[
+        ("60612", "Chicago"),
+        ("53703", "Madison"),
+        ("60699", "Chicago"),
+    ]);
+    assert_eq!(post(addr, "/v1/models/food/rows", &rows).0, 200);
+    let (_, body) = http(addr, "GET", "/v1/trace/recent", "");
+    let doc = serve::parse_json(&body).expect("recent traces json");
+    let trace = doc
+        .get("traces")
+        .and_then(Json::as_arr)
+        .and_then(|ts| {
+            ts.iter().find(|t| {
+                t.get("endpoint").and_then(Json::as_str) == Some("/v1/models/{name}/rows")
+            })
+        })
+        .unwrap_or_else(|| panic!("no rows trace in {body}"));
+    let total = trace.get("total_micros").and_then(Json::as_f64).unwrap();
+    let spans = trace.get("spans").and_then(Json::as_arr).unwrap();
+    let mut stages = Vec::new();
+    let mut attributed = 0.0;
+    for span in spans.iter().skip(1) {
+        let name = span.get("name").and_then(Json::as_str).unwrap();
+        let parent = span.get("parent").and_then(Json::as_f64);
+        assert_eq!(parent, Some(0.0), "{name} is not a root child: {trace}");
+        if name != "parse" {
+            let alloc_bytes = span.get("notes").and_then(|n| n.get("alloc_bytes"));
+            assert!(alloc_bytes.is_some(), "{name} has no alloc_bytes: {trace}");
+            stages.push(name);
+        }
+        attributed += span.get("duration_micros").and_then(Json::as_f64).unwrap();
+    }
+    assert_eq!(
+        stages,
+        ["validate", "log-append", "apply-delta", "drift-update"]
+    );
+    assert!(
+        attributed >= 0.9 * total && attributed <= 1.1 * total,
+        "ingest stages must attribute the wall time: {attributed}us of {total}us ({trace})"
+    );
 
     server.shutdown();
     std::fs::remove_file(&artifact).ok();
