@@ -2,15 +2,15 @@
 //! of calibrated error scores, compared between a fit-time baseline and
 //! the rows ingested since, via PSI and KS statistics.
 //!
-//! The violation-rate / score-*mean* signals of `holo-stream` miss
-//! quiet drift: an error channel that swaps in-domain values moves
-//! almost no mass in either aggregate (the census scenario drifts with
-//! a signal of ~0.0002 while PR-AUC collapses from 0.68 to 0.27). The
-//! *shape* of the score distribution still moves — mass leaves the
-//! confident bins for the uncertain middle — and that is what the
-//! Population Stability Index and the Kolmogorov–Smirnov statistic
-//! over per-attribute histograms measure. Both are O(1) per scored
-//! cell (one bucket increment) and O(bins) per report.
+//! First-moment aggregates miss quiet drift: an error channel that
+//! swaps in-domain values moves almost no mass in the constraint
+//! violation rate or the mean score (in the census scenario neither
+//! moves by more than ~0.0002 while PR-AUC collapses from 0.68 to
+//! 0.27). The *shape* of the score distribution still moves — mass
+//! leaves the confident bins for the uncertain middle — and that is
+//! what the Population Stability Index and the Kolmogorov–Smirnov
+//! statistic over per-attribute histograms measure. Both are O(1) per
+//! scored cell (one bucket increment) and O(bins) per report.
 //!
 //! NaN scores are a hard, typed error everywhere in this module: a NaN
 //! calibrated probability means the model itself is broken, and folding
@@ -18,22 +18,15 @@
 
 use holo_eval::ModelError;
 
-/// Default number of fixed score bins over `[0, 1]`.
-pub const DEFAULT_SCORE_BINS: usize = 10;
-
 /// Proportion floor applied inside [`psi`] so empty bins cannot produce
 /// infinite log-ratios (the standard PSI smoothing).
 const PSI_FLOOR: f64 = 1e-4;
 
 /// Which drift signal crossed its threshold (the monitor's diagnosis —
-/// surfaced through `GET /drift` and `DriftMonitor::stats` so a refit
-/// decision is never a bare bool again).
+/// surfaced through `GET /drift` and `holo_stream::DriftReport` so a
+/// refit decision is never a bare bool).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DriftSignal {
-    /// The constraint-violation rate of ingested tuples moved.
-    ViolationRate,
-    /// The mean calibrated score of ingested cells moved.
-    ScoreMean,
     /// A per-attribute score histogram moved by PSI.
     Psi,
     /// A per-attribute score histogram moved by KS.
@@ -44,19 +37,11 @@ pub enum DriftSignal {
 
 impl DriftSignal {
     /// Every signal, in report order.
-    pub const ALL: [DriftSignal; 5] = [
-        DriftSignal::ViolationRate,
-        DriftSignal::ScoreMean,
-        DriftSignal::Psi,
-        DriftSignal::Ks,
-        DriftSignal::Probe,
-    ];
+    pub const ALL: [DriftSignal; 3] = [DriftSignal::Psi, DriftSignal::Ks, DriftSignal::Probe];
 
     /// The stable wire name (`GET /drift`'s `"fired"` array).
     pub fn name(self) -> &'static str {
         match self {
-            DriftSignal::ViolationRate => "violation-rate",
-            DriftSignal::ScoreMean => "score-mean",
             DriftSignal::Psi => "psi",
             DriftSignal::Ks => "ks",
             DriftSignal::Probe => "probe",
@@ -277,7 +262,7 @@ mod tests {
     #[test]
     fn shape_shift_with_preserved_mean_is_visible() {
         // Mean-preserving shape change: mass leaves the edges for the
-        // middle. The score-mean signal sees nothing; PSI and KS do.
+        // middle. The mean sees nothing; PSI and KS do.
         let base = hist(&[50, 0, 0, 50]);
         let recent = hist(&[0, 50, 50, 0]);
         assert!(psi(&base, &recent).unwrap() > 1.0);

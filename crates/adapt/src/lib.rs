@@ -7,8 +7,8 @@
 //! ## Why this crate exists
 //!
 //! The scenario suite proved a real production failure mode: census
-//! swap-drift moves neither the violation rate nor the mean score
-//! (drift signal ~0.0002) while PR-AUC collapses from 0.68 to 0.27, and
+//! swap-drift moves neither the violation rate nor the mean score (by
+//! more than ~0.0002) while PR-AUC collapses from 0.68 to 0.27, and
 //! a label-free `refit_with(vec![])` retrains on the stale fit-time
 //! examples and stays at 0.27. Both halves of the live loop were blind:
 //!
@@ -20,7 +20,8 @@
 //!    the mean cannot. A [`ProbePool`] of labeled spot checks adds a
 //!    direct "the model is wrong" signal. Which statistic crossed its
 //!    threshold is a [`DriftSignal`] — consumed by
-//!    `holo_stream::DriftMonitor`, surfaced through `GET /drift`.
+//!    `holo_stream::DriftMonitor`, which watches these three signals
+//!    alone, and surfaced through `GET /drift`.
 //! 2. **Adaptation** ([`refit`]) — [`AdaptiveRefit`] takes ≤ 20
 //!    [`RowLabel`]s on the drifted slice, learns the drifted error
 //!    channel from their `(clean, observed)` pairs
@@ -41,6 +42,6 @@ pub mod detect;
 pub mod probe;
 pub mod refit;
 
-pub use detect::{ks, psi, DriftSignal, ScoreHistogram, DEFAULT_SCORE_BINS};
+pub use detect::{ks, psi, DriftSignal, ScoreHistogram};
 pub use probe::{ProbePool, DEFAULT_PROBE_CAPACITY};
 pub use refit::{AdaptConfig, AdaptReport, AdaptTiming, AdaptiveRefit, RowLabel};

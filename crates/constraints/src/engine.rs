@@ -615,19 +615,6 @@ impl ViolationEngine {
             ix.apply_delete(d, t, old_values);
         }
     }
-
-    /// Fraction of tuples violating at least one constraint — the
-    /// drift monitor's structural health signal. `0.0` for an empty
-    /// dataset or an empty engine.
-    pub fn violation_rate(&self, n_tuples: usize) -> f64 {
-        if n_tuples == 0 || self.indexes.is_empty() {
-            return 0.0;
-        }
-        let violating = (0..n_tuples)
-            .filter(|&t| self.indexes.iter().any(|ix| ix.tuple_violations(t) > 0))
-            .count();
-        violating as f64 / n_tuples as f64
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1197,18 +1184,6 @@ mod tests {
     #[test]
     fn incremental_multi_constraint_engine() {
         assert_delta_matches_rebuild("Zip -> City\nt1.Score < '0'");
-    }
-
-    #[test]
-    fn violation_rate_counts_distinct_tuples() {
-        let (d, e) = engine("Zip -> City\nt1.Score < '0'");
-        // Rows 0,1,2 violate the FD; row 3 the check: all 4 tuples.
-        assert_eq!(e.violation_rate(d.n_tuples()), 1.0);
-        let (d2, e2) = engine("Zip -> City");
-        assert_eq!(e2.violation_rate(d2.n_tuples()), 0.75);
-        assert_eq!(e2.violation_rate(0), 0.0);
-        let empty = ViolationEngine::build(&d, &[]);
-        assert_eq!(empty.violation_rate(d.n_tuples()), 0.0);
     }
 }
 

@@ -327,22 +327,6 @@ impl FittedHoloDetect {
         Ok(())
     }
 
-    /// Structural health of the current reference: (mean violations per
-    /// tuple, violating-tuple fraction). `(0.0, 0.0)` without
-    /// constraints or fitted state.
-    pub fn violation_stats(&self) -> (f64, f64) {
-        self.state
-            .as_ref()
-            .map_or((0.0, 0.0), |s| s.pipeline.featurizer.violation_stats())
-    }
-
-    /// Total violations of reference tuple `t` across all constraints.
-    pub fn tuple_violations(&self, t: usize) -> u32 {
-        self.state
-            .as_ref()
-            .map_or(0, |s| s.pipeline.featurizer.tuple_violations(t))
-    }
-
     /// Persist the fitted model to a versioned binary artifact file.
     /// The artifact is self-contained: reloading it in a fresh process
     /// ([`FittedHoloDetect::load`]) reproduces scores bit for bit.

@@ -705,33 +705,6 @@ impl Featurizer {
         )
     }
 
-    /// Mean violations per tuple and the violating-tuple fraction of
-    /// the current reference — the drift monitor's structural signal.
-    /// `(0.0, 0.0)` without constraints.
-    pub fn violation_stats(&self) -> (f64, f64) {
-        let n = self.reference.n_tuples();
-        let Some(engine) = &self.violations else {
-            return (0.0, 0.0);
-        };
-        if n == 0 {
-            return (0.0, 0.0);
-        }
-        let total: u64 = engine
-            .indexes()
-            .iter()
-            .flat_map(|ix| ix.tuple_counts().iter().map(|&c| u64::from(c)))
-            .sum();
-        let rate = engine.violation_rate(n);
-        (total as f64 / n as f64, rate)
-    }
-
-    /// Per-tuple total violation count in the current reference.
-    pub fn tuple_violations(&self, t: usize) -> u32 {
-        self.violations
-            .as_ref()
-            .map_or(0, |e| e.tuple_vector(t).iter().sum())
-    }
-
     /// Lazily build the per-column occurrence counts the candidate
     /// maintainers need (one O(cells) scan, on the first delta only).
     fn ensure_candidate_counts(&mut self) {

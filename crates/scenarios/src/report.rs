@@ -34,7 +34,6 @@ fn quality_json(r: &ScenarioResult) -> Json {
             "f1_drift_post_refit".into(),
             Json::Num(q.f1_drift_post_refit),
         ),
-        ("drift_signal".into(), Json::Num(q.drift_signal)),
         ("would_refit".into(), Json::Bool(q.would_refit)),
         (
             "drift_fired".into(),
@@ -146,7 +145,7 @@ pub fn render_table(report: &SuiteReport) -> String {
         "F1@thr",
         "PR-AUC drift(pre)",
         "PR-AUC drift(post)",
-        "Drift",
+        "Drift fired",
         "Fit s",
         "Refit s",
     ]);
@@ -159,7 +158,11 @@ pub fn render_table(report: &SuiteReport) -> String {
             fmt3(q.f1),
             fmt3(q.pr_auc_drift_pre_refit),
             fmt3(q.pr_auc_drift_post_refit),
-            fmt3(q.drift_signal),
+            if q.drift_fired.is_empty() {
+                "-".to_owned()
+            } else {
+                q.drift_fired.join(",")
+            },
             format!("{:.2}", r.latency.fit_secs),
             format!("{:.2}", r.latency.refit_secs),
         ]);
@@ -192,7 +195,6 @@ mod tests {
                     pr_auc_drift_pre_refit: 0.7,
                     pr_auc_drift_post_refit: 0.75,
                     f1_drift_post_refit: 0.6,
-                    drift_signal: 0.2,
                     would_refit: true,
                     n_base_errors: 50,
                     n_drift_errors: 40,

@@ -66,8 +66,9 @@
 //! Accepted labels feed the probe drift signal immediately and buffer
 //! for the next refit, which takes the adaptive path (channel learning
 //! and augmentation over ≤ `refit_label_budget` labels). `GET /drift`
-//! reports the full five-signal picture: per-attribute PSI/KS, probe
-//! disagreement, which signals fired, and the pending label count.
+//! reports the three signals — PSI and KS over the per-attribute score
+//! histograms, and probe disagreement — each against its threshold,
+//! which fired, whether a refit is due, and the pending label count.
 //!
 //! A score/predict body carries schema-shaped rows plus (optionally) the
 //! target cells:
@@ -368,10 +369,11 @@ impl App {
     }
 
     /// The `/metrics` page: global counters, per-model streaming gauges
-    /// (epoch, drift, rows since refit, refits, generation) for every
-    /// live registry entry, and the per-stage trace histograms. Every
-    /// family carries `# HELP`/`# TYPE` and every label value is
-    /// escaped — the whole page stays parseable Prometheus text format.
+    /// (epoch, rows since refit, refits, generation, pending labels,
+    /// per-attribute PSI/KS) for every live registry entry, and the
+    /// per-stage trace histograms. Every family carries `# HELP`/`# TYPE`
+    /// and every label value is escaped — the whole page stays parseable
+    /// Prometheus text format.
     fn metrics_page(&self) -> String {
         let mut page = self.metrics.render();
         use std::fmt::Write as _;
@@ -387,16 +389,11 @@ impl App {
             lives.push((name, live, report));
         }
         if !lives.is_empty() {
-            let gauges: [(&str, &str, GaugeFn<'_>); 6] = [
+            let gauges: [(&str, &str, GaugeFn<'_>); 5] = [
                 (
                     "holo_stream_epoch",
                     "Ops applied since the original fit.",
                     &|(_, live, _)| live.epoch().to_string(),
-                ),
-                (
-                    "holo_stream_drift",
-                    "Current first-moment drift level.",
-                    &|(_, _, report)| report.drift.to_string(),
                 ),
                 (
                     "holo_stream_rows_since_refit",
@@ -430,8 +427,8 @@ impl App {
                     );
                 }
             }
-            // Per-attribute shape-drift gauges: the quiet-drift signals
-            // the first-moment `holo_stream_drift` gauge cannot see.
+            // Per-attribute shape-drift gauges: the values behind the PSI
+            // and KS drift signals.
             for (stat, help) in [
                 ("psi", "Per-attribute PSI of recent scores vs the baseline."),
                 (
@@ -545,15 +542,16 @@ impl App {
                 ("model".into(), Json::Str(name.into())),
                 ("appended".into(), Json::Num(report.appended as f64)),
                 ("epoch".into(), Json::Num(report.epoch as f64)),
-                ("drift".into(), Json::Num(report.drift)),
             ])
             .to_string(),
         ))
     }
 
-    /// `GET /v1/models/{name}/drift` — the five-signal drift report:
-    /// first moments, per-attribute PSI/KS shape statistics, the probe
-    /// pool, which signals fired, and the pending label count.
+    /// `GET /v1/models/{name}/drift` — the three-signal drift report:
+    /// per-attribute PSI/KS shape statistics, the probe pool, every
+    /// signal against its threshold, which fired, whether a refit is
+    /// due, and the pending label count. Signals, `fired` and
+    /// `would_refit` all come from one monitor snapshot.
     fn drift(&self, name: &str) -> Result<Response, Failure> {
         let live = self.live_session(name)?;
         let r = live.drift_report();
@@ -570,9 +568,9 @@ impl App {
                     .collect(),
             )
         };
-        let signals = live
-            .drift_stats()
-            .into_iter()
+        let signals = r
+            .signals
+            .iter()
             .map(|s| {
                 Json::Obj(vec![
                     ("signal".into(), Json::Str(s.signal.name().into())),
@@ -583,7 +581,7 @@ impl App {
             })
             .collect::<Vec<_>>();
         let fired = r
-            .fired
+            .fired()
             .iter()
             .map(|s| Json::Str(s.name().into()))
             .collect::<Vec<_>>();
@@ -593,25 +591,10 @@ impl App {
                 ("model".into(), Json::Str(name.into())),
                 ("epoch".into(), Json::Num(live.epoch() as f64)),
                 ("generation".into(), Json::Num(live.generation() as f64)),
-                ("drift".into(), Json::Num(r.drift)),
-                ("threshold".into(), Json::Num(live.config().drift_threshold)),
                 (
                     "rows_since_refit".into(),
                     Json::Num(r.rows_since_refit as f64),
                 ),
-                (
-                    "baseline_violation_rate".into(),
-                    Json::Num(r.baseline_violation_rate),
-                ),
-                (
-                    "recent_violation_rate".into(),
-                    Json::Num(r.recent_violation_rate),
-                ),
-                (
-                    "baseline_score_mean".into(),
-                    Json::Num(r.baseline_score_mean),
-                ),
-                ("recent_score_mean".into(), Json::Num(r.recent_score_mean)),
                 ("psi".into(), per_attr(&r.psi)),
                 ("psi_max".into(), Json::Num(r.psi_max())),
                 ("ks".into(), per_attr(&r.ks)),
@@ -625,7 +608,10 @@ impl App {
                     Json::Num(live.labels_pending() as f64),
                 ),
                 ("refits_total".into(), Json::Num(live.refits_total() as f64)),
-                ("would_refit".into(), Json::Bool(live.should_refit())),
+                (
+                    "would_refit".into(),
+                    Json::Bool(r.would_refit(live.config().min_rows_between_refits)),
+                ),
             ])
             .to_string(),
         ))
@@ -685,7 +671,10 @@ impl App {
                 ),
                 ("probe_checked".into(), Json::Num(r.probe_checked as f64)),
                 ("probe_disagreement".into(), Json::Num(r.probe_disagreement)),
-                ("would_refit".into(), Json::Bool(live.should_refit())),
+                (
+                    "would_refit".into(),
+                    Json::Bool(r.would_refit(live.config().min_rows_between_refits)),
+                ),
             ])
             .to_string(),
         ))
@@ -1036,11 +1025,11 @@ fn value_json(v: &Value) -> Json {
 }
 
 /// A note list as a JSON object.
-fn notes_json(notes: &[(String, Value)]) -> Json {
+fn notes_json(notes: &[(&'static str, Value)]) -> Json {
     Json::Obj(
         notes
             .iter()
-            .map(|(k, v)| (k.clone(), value_json(v)))
+            .map(|(k, v)| ((*k).to_owned(), value_json(v)))
             .collect(),
     )
 }

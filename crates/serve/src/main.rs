@@ -45,8 +45,8 @@ streaming (per model; see the README's Streaming section):
   --stream NAME=LOGPATH  serve NAME in streaming mode with a durable
                          delta log at LOGPATH (enables POST .../rows,
                          GET .../drift, POST .../refit and background
-                         drift-triggered refits)
-  --drift-threshold X    refit when drift exceeds X      (default 0.2)
+                         refits once a drift signal fires: PSI or KS
+                         of the score histograms, or label probes)
   --min-refit-rows N     rows required between refits    (default 64)
   --refit-interval-ms N  drift poll interval             (default 1000)
 ";
@@ -95,12 +95,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .split_once('=')
                     .ok_or_else(|| format!("--stream wants NAME=LOGPATH, got {spec:?}"))?;
                 args.streams.push((name.to_string(), log.to_string()));
-            }
-            "--drift-threshold" => {
-                let raw = value("--drift-threshold")?;
-                args.stream.drift_threshold = raw
-                    .parse()
-                    .map_err(|_| format!("--drift-threshold wants a number, got {raw:?}"))?;
             }
             "--min-refit-rows" => {
                 args.stream.min_rows_between_refits =

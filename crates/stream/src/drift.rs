@@ -1,80 +1,51 @@
 //! Drift detection between epochs.
 //!
-//! Five model-grounded signals, all measured on the rows ingested since
-//! the last (re)fit and compared against a baseline anchored at that
-//! fit:
+//! Three model-grounded signals, all measured on the rows ingested
+//! since the last (re)fit and compared against a baseline anchored at
+//! that fit:
 //!
-//! * **violation rate** — the fraction of ingested tuples conflicting
-//!   with at least one denial constraint. A structural signal: if new
-//!   traffic suddenly violates the constraints far more (or less) than
-//!   the fit-time reference did, the reference statistics the detector
-//!   scores against no longer describe the stream.
-//! * **score mean** — the mean calibrated error probability the model
-//!   itself assigns to ingested cells. A first-moment distributional
-//!   signal: a detector whose average suspicion of fresh traffic
-//!   departs from its fit-time self-assessment is extrapolating.
 //! * **PSI** and **KS** — per-attribute score-*shape* statistics from
-//!   `holo-adapt`: fixed-bin histograms of the same calibrated scores,
-//!   compared via the Population Stability Index and the
-//!   Kolmogorov–Smirnov statistic. These catch the quiet drift the
-//!   first two miss — census-style in-domain swaps move almost no mean
-//!   mass but dissolve the confident bimodal score shape.
+//!   `holo-adapt`: fixed-bin histograms of the calibrated error scores
+//!   the model itself assigns, compared via the Population Stability
+//!   Index and the Kolmogorov–Smirnov statistic. They catch the quiet
+//!   drift a first moment misses — census-style in-domain swaps move
+//!   almost no mean mass but dissolve the confident bimodal score shape.
 //! * **probe** — the disagreement rate between operator labels and the
 //!   model's own thresholded predictions over a bounded ring of recent
 //!   spot checks (every label posted to a live model doubles as one).
 //!
-//! Which signals crossed their thresholds is a list of
-//! [`DriftSignal`]s in the report — a refit decision is a diagnosis,
-//! never a bare bool. The legacy `drift` scalar (the larger of the two
-//! first-moment gaps) is still reported for continuity. This extends
-//! the adaptation-gap framing of AED (Yeh et al., 2024): few-shot
-//! detectors degrade quietly under distribution shift, so the monitor
-//! watches the quantities the model's own machinery already exposes.
+//! Each signal fires past a fixed threshold. A [`DriftReport`] carries
+//! every signal's value and verdict as a [`SignalStat`], and which
+//! signals fired is derived from those — a refit decision is a
+//! diagnosis, never a bare bool. This extends the adaptation-gap
+//! framing of AED (Yeh et al., 2024): few-shot detectors degrade
+//! quietly under distribution shift, so the monitor watches the
+//! quantities the model's own machinery already exposes.
 
-use holo_adapt::{ks, psi, DriftSignal, ProbePool, ScoreHistogram, DEFAULT_SCORE_BINS};
+use holo_adapt::{ks, psi, DriftSignal, ProbePool, ScoreHistogram};
 use holo_eval::ModelError;
 
-/// Per-signal firing thresholds (carried by the monitor so a report is
-/// self-contained).
-#[derive(Debug, Clone)]
-pub struct DriftThresholds {
-    /// Threshold on the violation-rate / score-mean absolute gaps (both
-    /// live in `[0, 1]`, so one value governs them).
-    pub gap: f64,
-    /// Threshold on the per-attribute PSI maximum (0.25 is the
-    /// conventional "significant shift" PSI cut).
-    pub psi: f64,
-    /// Threshold on the per-attribute KS maximum.
-    pub ks: f64,
-    /// Threshold on the probe disagreement rate.
-    pub probe: f64,
-    /// Probe checks required before the probe signal may fire (a single
-    /// disagreeing label must not trigger a retrain).
-    pub min_probe_labels: u64,
-    /// Score histogram bins.
-    pub score_bins: usize,
-}
-
-impl Default for DriftThresholds {
-    fn default() -> Self {
-        DriftThresholds {
-            gap: 0.2,
-            psi: 0.25,
-            ks: 0.2,
-            probe: 0.3,
-            min_probe_labels: 8,
-            score_bins: DEFAULT_SCORE_BINS,
-        }
-    }
-}
+/// Per-attribute PSI past which the PSI signal fires (the conventional
+/// "significant shift" PSI cut).
+const PSI_THRESHOLD: f64 = 0.25;
+/// Per-attribute KS statistic past which the KS signal fires.
+const KS_THRESHOLD: f64 = 0.2;
+/// Probe disagreement rate past which the probe signal fires.
+const PROBE_THRESHOLD: f64 = 0.3;
+/// Probe checks required before the probe signal may fire (a single
+/// disagreeing label must not trigger a retrain).
+const MIN_PROBE_LABELS: u64 = 8;
+/// Bins in the drift score histograms. Calibrated error scores
+/// concentrate near zero (a healthy model scores almost every cell well
+/// under its threshold), so the shape signals need bins fine enough to
+/// resolve movement *inside* that low-score mass — at 10 bins the census
+/// quiet swap drift is invisible (PSI ≈ 0.04), at 40 bins it is loud
+/// (PSI ≈ 0.85).
+const SCORE_BINS: usize = 40;
 
 /// Running drift state for one live model.
 #[derive(Debug, Clone)]
 pub struct DriftMonitor {
-    /// Violating-tuple fraction of the reference at the last (re)fit.
-    baseline_violation_rate: f64,
-    /// Mean error score over a reference sample at the last (re)fit.
-    baseline_score_mean: f64,
     /// Per-attribute score histograms of the reference sample at the
     /// last (re)fit.
     baseline: Vec<ScoreHistogram>,
@@ -82,23 +53,16 @@ pub struct DriftMonitor {
     recent: Vec<ScoreHistogram>,
     /// Labeled spot checks against the current model.
     probes: ProbePool,
-    thresholds: DriftThresholds,
     /// Rows ingested since the last (re)fit.
     rows: u64,
-    /// Of those, rows violating ≥ 1 constraint on arrival.
-    violating: u64,
-    /// Sum / count of scores over ingested cells.
-    score_sum: f64,
-    cells: u64,
 }
 
-/// One signal's point-in-time value against its threshold — the row
-/// shape of [`DriftMonitor::stats`].
+/// One signal's point-in-time value against its threshold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SignalStat {
     /// Which signal.
     pub signal: DriftSignal,
-    /// Its current value (gap, max PSI, max KS, or disagreement rate).
+    /// Its current value (max PSI, max KS, or disagreement rate).
     pub value: f64,
     /// The threshold it fires past.
     pub threshold: f64,
@@ -109,19 +73,8 @@ pub struct SignalStat {
 /// A point-in-time view of the drift state (the `GET .../drift` body).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftReport {
-    /// Violating-tuple fraction of the reference at the last (re)fit.
-    pub baseline_violation_rate: f64,
-    /// Violating-tuple fraction of rows ingested since then.
-    pub recent_violation_rate: f64,
-    /// Mean cell score of the reference sample at the last (re)fit.
-    pub baseline_score_mean: f64,
-    /// Mean cell score of rows ingested since then.
-    pub recent_score_mean: f64,
     /// Rows ingested since the last (re)fit.
     pub rows_since_refit: u64,
-    /// `max(|Δ violation rate|, |Δ score mean|)`, `0` before any ingest
-    /// — the legacy first-moment scalar.
-    pub drift: f64,
     /// Per-attribute PSI between the baseline and recent score
     /// histograms (index = attribute position).
     pub psi: Vec<f64>,
@@ -131,53 +84,51 @@ pub struct DriftReport {
     pub probe_checked: u64,
     /// Their disagreement rate (`0` when empty).
     pub probe_disagreement: f64,
-    /// Every signal currently past its threshold, in
+    /// Every signal's value against its threshold, in
     /// [`DriftSignal::ALL`] order.
-    pub fired: Vec<DriftSignal>,
+    pub signals: Vec<SignalStat>,
 }
 
 impl DriftReport {
     /// The largest per-attribute PSI (`0` with no attributes).
     pub fn psi_max(&self) -> f64 {
-        self.psi.iter().copied().fold(0.0, f64::max)
+        max(&self.psi)
     }
 
     /// The largest per-attribute KS statistic (`0` with no attributes).
     pub fn ks_max(&self) -> f64 {
-        self.ks.iter().copied().fold(0.0, f64::max)
+        max(&self.ks)
+    }
+
+    /// Every signal currently past its threshold, in
+    /// [`DriftSignal::ALL`] order.
+    pub fn fired(&self) -> Vec<DriftSignal> {
+        self.signals
+            .iter()
+            .filter(|s| s.fired)
+            .map(|s| s.signal)
+            .collect()
+    }
+
+    /// Whether this report calls for a refit: at least `min_rows` rows
+    /// arrived since the last one and at least one signal fired.
+    pub fn would_refit(&self, min_rows: u64) -> bool {
+        self.rows_since_refit >= min_rows && self.signals.iter().any(|s| s.fired)
     }
 }
 
 impl DriftMonitor {
-    /// A monitor anchored at the given scalar baseline, tracking
-    /// `n_attrs` per-attribute score histograms. The baseline
-    /// histograms start empty — feed the fit-time sample through
-    /// [`DriftMonitor::record_baseline_scores`] to arm PSI/KS (an
-    /// unarmed monitor reports 0 for both: no evidence, no drift).
-    pub fn new(
-        baseline_violation_rate: f64,
-        baseline_score_mean: f64,
-        n_attrs: usize,
-        thresholds: DriftThresholds,
-    ) -> Self {
-        let bins = thresholds.score_bins;
+    /// A monitor tracking `n_attrs` per-attribute score histograms. The
+    /// baseline histograms start empty — feed the fit-time sample
+    /// through [`DriftMonitor::record_baseline_scores`] to arm PSI/KS
+    /// (an unarmed monitor reports 0 for both: no evidence, no drift).
+    pub fn new(n_attrs: usize) -> Self {
         DriftMonitor {
-            baseline_violation_rate,
-            baseline_score_mean,
-            baseline: vec![ScoreHistogram::new(bins); n_attrs],
-            recent: vec![ScoreHistogram::new(bins); n_attrs],
+            baseline: vec![ScoreHistogram::new(SCORE_BINS); n_attrs],
+            recent: vec![ScoreHistogram::new(SCORE_BINS); n_attrs],
             probes: ProbePool::default(),
-            thresholds,
             rows: 0,
-            violating: 0,
-            score_sum: 0.0,
-            cells: 0,
         }
-    }
-
-    /// The thresholds this monitor fires against.
-    pub fn thresholds(&self) -> &DriftThresholds {
-        &self.thresholds
     }
 
     /// Arm the baseline histograms from the fit-time reference sample.
@@ -197,82 +148,33 @@ impl DriftMonitor {
         Ok(())
     }
 
-    /// Fold one ingested batch into the recent window. `scores` are the
-    /// new rows' cell scores in row-major `(tuple, attr)` order, so
+    /// Fold `rows` ingested rows into the recent window. `scores` are
+    /// the new rows' cell scores in row-major `(tuple, attr)` order, so
     /// score `i` belongs to attribute `i % n_attrs`.
     ///
     /// # Errors
     /// [`ModelError::Format`] on a NaN score — a NaN calibrated
     /// probability means the model is corrupt, and folding it into the
     /// statistics would silently poison every later drift decision.
-    pub fn record_batch(
-        &mut self,
-        rows: u64,
-        violating: u64,
-        scores: &[f64],
-    ) -> Result<(), ModelError> {
+    pub fn record_batch(&mut self, rows: u64, scores: &[f64]) -> Result<(), ModelError> {
         let na = self.recent.len().max(1);
-        let mut sum = 0.0;
         for (i, &s) in scores.iter().enumerate() {
             if let Some(h) = self.recent.get_mut(i % na) {
                 h.record(s)?;
             }
-            sum += s;
         }
-        self.rows += rows;
-        self.violating += violating;
-        self.score_sum += sum;
-        self.cells += scores.len() as u64;
+        self.rows = self.rows.saturating_add(rows);
         Ok(())
     }
 
-    /// Record one labeled spot check: the model predicted
-    /// `predicted_error` for a cell an operator labeled `labeled_error`.
-    pub fn record_probe(&mut self, predicted_error: bool, labeled_error: bool) {
-        self.probes.record(predicted_error, labeled_error);
-    }
-
-    /// The probe pool, for bulk spot-checking
+    /// The probe pool, for spot-checking labels against the model
     /// (`holo_adapt::AdaptiveRefit::probe`).
     pub fn probes_mut(&mut self) -> &mut ProbePool {
         &mut self.probes
     }
 
-    /// Re-anchor after a refit: the freshly fitted model's scalar
-    /// statistics become the baseline and every window — recent
-    /// histograms, probe ring, counters — restarts. The baseline
-    /// histograms restart *empty*; re-arm them with
-    /// [`DriftMonitor::record_baseline_scores`] (the live path rebuilds
-    /// the whole monitor via `DriftMonitor::new_anchored` instead).
-    pub fn reanchor(&mut self, baseline_violation_rate: f64, baseline_score_mean: f64) {
-        let n_attrs = self.baseline.len();
-        *self = DriftMonitor::new(
-            baseline_violation_rate,
-            baseline_score_mean,
-            n_attrs,
-            self.thresholds.clone(),
-        );
-    }
-
     /// The current report.
     pub fn report(&self) -> DriftReport {
-        let recent_violation_rate = if self.rows == 0 {
-            self.baseline_violation_rate
-        } else {
-            self.violating as f64 / self.rows as f64
-        };
-        let recent_score_mean = if self.cells == 0 {
-            self.baseline_score_mean
-        } else {
-            self.score_sum / self.cells as f64
-        };
-        let (violation_gap, score_gap, drift) = if self.rows == 0 {
-            (0.0, 0.0, 0.0)
-        } else {
-            let vg = (recent_violation_rate - self.baseline_violation_rate).abs();
-            let sg = (recent_score_mean - self.baseline_score_mean).abs();
-            (vg, sg, vg.max(sg))
-        };
         // Both sides of every pair share a bin count by construction,
         // so the statistics cannot fail; 0.0 is the safe fallback.
         let psi_per_attr: Vec<f64> = self
@@ -289,86 +191,41 @@ impl DriftMonitor {
             .collect();
         let probe_checked = self.probes.checked();
         let probe_disagreement = self.probes.disagreement();
-
-        let t = &self.thresholds;
-        let psi_max = psi_per_attr.iter().copied().fold(0.0, f64::max);
-        let ks_max = ks_per_attr.iter().copied().fold(0.0, f64::max);
-        let mut fired = Vec::new();
-        if violation_gap > t.gap {
-            fired.push(DriftSignal::ViolationRate);
-        }
-        if score_gap > t.gap {
-            fired.push(DriftSignal::ScoreMean);
-        }
-        if psi_max > t.psi {
-            fired.push(DriftSignal::Psi);
-        }
-        if ks_max > t.ks {
-            fired.push(DriftSignal::Ks);
-        }
-        if probe_checked >= t.min_probe_labels && probe_disagreement > t.probe {
-            fired.push(DriftSignal::Probe);
-        }
-
+        let stat = |signal, value: f64, threshold, armed: bool| SignalStat {
+            signal,
+            value,
+            threshold,
+            fired: armed && value > threshold,
+        };
+        let signals = vec![
+            stat(DriftSignal::Psi, max(&psi_per_attr), PSI_THRESHOLD, true),
+            stat(DriftSignal::Ks, max(&ks_per_attr), KS_THRESHOLD, true),
+            stat(
+                DriftSignal::Probe,
+                probe_disagreement,
+                PROBE_THRESHOLD,
+                probe_checked >= MIN_PROBE_LABELS,
+            ),
+        ];
         DriftReport {
-            baseline_violation_rate: self.baseline_violation_rate,
-            recent_violation_rate,
-            baseline_score_mean: self.baseline_score_mean,
-            recent_score_mean,
             rows_since_refit: self.rows,
-            drift,
             psi: psi_per_attr,
             ks: ks_per_attr,
             probe_checked,
             probe_disagreement,
-            fired,
+            signals,
         }
     }
+}
 
-    /// Every signal's current value against its threshold, in
-    /// [`DriftSignal::ALL`] order — the diagnosis behind a
-    /// `would_refit` decision, as `GET /drift` serves it.
-    pub fn stats(&self) -> Vec<SignalStat> {
-        let r = self.report();
-        let t = &self.thresholds;
-        let violation_gap = if r.rows_since_refit == 0 {
-            0.0
-        } else {
-            (r.recent_violation_rate - r.baseline_violation_rate).abs()
-        };
-        let score_gap = if r.rows_since_refit == 0 {
-            0.0
-        } else {
-            (r.recent_score_mean - r.baseline_score_mean).abs()
-        };
-        DriftSignal::ALL
-            .iter()
-            .map(|&signal| {
-                let (value, threshold) = match signal {
-                    DriftSignal::ViolationRate => (violation_gap, t.gap),
-                    DriftSignal::ScoreMean => (score_gap, t.gap),
-                    DriftSignal::Psi => (r.psi_max(), t.psi),
-                    DriftSignal::Ks => (r.ks_max(), t.ks),
-                    DriftSignal::Probe => (r.probe_disagreement, t.probe),
-                };
-                SignalStat {
-                    signal,
-                    value,
-                    threshold,
-                    fired: r.fired.contains(&signal),
-                }
-            })
-            .collect()
-    }
+/// The largest value of a per-attribute series (`0` when empty).
+fn max(series: &[f64]) -> f64 {
+    series.iter().copied().fold(0.0, f64::max)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn monitor(bvr: f64, bsm: f64) -> DriftMonitor {
-        DriftMonitor::new(bvr, bsm, 2, DriftThresholds::default())
-    }
 
     /// `n` rows of `n`×2 scores, row-major, alternating the two values.
     fn flat_scores(n: usize, a: f64, b: f64) -> Vec<f64> {
@@ -377,56 +234,29 @@ mod tests {
 
     #[test]
     fn no_ingest_means_no_drift() {
-        let m = monitor(0.1, 0.3);
-        let r = m.report();
-        assert_eq!(r.drift, 0.0);
+        let r = DriftMonitor::new(2).report();
         assert_eq!(r.rows_since_refit, 0);
-        assert_eq!(r.recent_violation_rate, 0.1);
-        assert_eq!(r.recent_score_mean, 0.3);
-        assert!(r.fired.is_empty());
-        assert!(m.stats().iter().all(|s| !s.fired));
+        assert_eq!(r.signals.len(), DriftSignal::ALL.len());
+        assert!(r.fired().is_empty());
+        assert!(!r.would_refit(0));
     }
 
     #[test]
-    fn drift_is_the_larger_gap() {
-        let mut m = monitor(0.10, 0.20);
-        // 8 of 10 rows violating (gap 0.7), scores mean 0.25 (gap 0.05).
-        m.record_batch(10, 8, &flat_scores(20, 0.25, 0.25)).unwrap();
-        let r = m.report();
-        assert!((r.recent_violation_rate - 0.8).abs() < 1e-12);
-        assert!((r.drift - 0.7).abs() < 1e-12, "drift {}", r.drift);
-        assert!(r.fired.contains(&DriftSignal::ViolationRate));
-        assert!(!r.fired.contains(&DriftSignal::ScoreMean));
-        // Score-side dominance works too.
-        let mut m = monitor(0.10, 0.20);
-        m.record_batch(10, 1, &flat_scores(20, 0.9, 0.9)).unwrap();
-        let r = m.report();
-        assert!((r.drift - 0.7).abs() < 1e-12);
-        assert!(r.fired.contains(&DriftSignal::ScoreMean));
-    }
-
-    #[test]
-    fn batches_accumulate_and_reanchor_resets() {
-        let mut m = monitor(0.0, 0.5);
-        m.record_batch(5, 5, &flat_scores(5, 0.5, 0.5)).unwrap();
-        m.record_batch(5, 0, &flat_scores(5, 0.5, 0.5)).unwrap();
-        let r = m.report();
-        assert_eq!(r.rows_since_refit, 10);
-        assert!((r.recent_violation_rate - 0.5).abs() < 1e-12);
-        m.reanchor(0.5, 0.5);
-        let r = m.report();
-        assert_eq!(r.drift, 0.0);
-        assert_eq!(r.rows_since_refit, 0);
-        assert_eq!(r.baseline_violation_rate, 0.5);
-        assert!(r.fired.is_empty());
+    fn batches_accumulate_into_the_recent_window() {
+        let mut m = DriftMonitor::new(2);
+        m.record_batch(5, &flat_scores(5, 0.5, 0.5)).unwrap();
+        m.record_batch(5, &flat_scores(5, 0.5, 0.5)).unwrap();
+        assert_eq!(m.report().rows_since_refit, 10);
+        // A fresh monitor — what a refit installs — starts empty.
+        assert_eq!(DriftMonitor::new(2).report().rows_since_refit, 0);
     }
 
     #[test]
     fn quiet_shape_drift_fires_psi_and_ks_not_the_means() {
         // The census signature: baseline scores confidently bimodal,
-        // recent scores uncertain — with the *mean preserved*, so the
-        // legacy signals stay quiet.
-        let mut m = monitor(0.0, 0.5);
+        // recent scores uncertain — with the *mean preserved*, so a
+        // first-moment signal would stay quiet.
+        let mut m = DriftMonitor::new(2);
         // Arm the baseline: scores at the edges, mean 0.5.
         let base: Vec<f64> = (0..200)
             .map(|i| if i % 2 == 0 { 0.05 } else { 0.95 })
@@ -436,56 +266,70 @@ mod tests {
         let recent: Vec<f64> = (0..200)
             .map(|i| if i % 2 == 0 { 0.45 } else { 0.55 })
             .collect();
-        m.record_batch(100, 0, &recent).unwrap();
+        m.record_batch(100, &recent).unwrap();
         let r = m.report();
-        assert!(r.drift < 0.01, "legacy drift must stay quiet: {}", r.drift);
         assert!(r.psi_max() > 0.25, "psi_max {}", r.psi_max());
         assert!(r.ks_max() > 0.2, "ks_max {}", r.ks_max());
-        assert!(r.fired.contains(&DriftSignal::Psi));
-        assert!(r.fired.contains(&DriftSignal::Ks));
-        assert!(!r.fired.contains(&DriftSignal::ScoreMean));
-        assert!(!r.fired.contains(&DriftSignal::ViolationRate));
-        // stats() names the same diagnosis.
-        let stats = m.stats();
-        assert_eq!(stats.len(), DriftSignal::ALL.len());
-        for s in &stats {
-            let expect = matches!(s.signal, DriftSignal::Psi | DriftSignal::Ks);
-            assert_eq!(s.fired, expect, "{:?}: {s:?}", s.signal);
+        assert_eq!(r.fired(), vec![DriftSignal::Psi, DriftSignal::Ks]);
+        assert!(r.would_refit(100));
+        assert!(!r.would_refit(101), "too few rows since the last refit");
+    }
+
+    #[test]
+    fn fired_lists_exactly_the_signals_that_fired() {
+        let mut m = DriftMonitor::new(2);
+        m.record_baseline_scores(&flat_scores(50, 0.05, 0.05))
+            .unwrap();
+        m.record_batch(50, &flat_scores(50, 0.05, 0.9)).unwrap();
+        // An armed probe that agrees often enough to stay quiet.
+        for i in 0..8 {
+            m.probes_mut().record(i == 0, false);
+        }
+        let r = m.report();
+        let signals: Vec<DriftSignal> = r.signals.iter().map(|s| s.signal).collect();
+        assert_eq!(signals, DriftSignal::ALL);
+        let fired: Vec<DriftSignal> = r
+            .signals
+            .iter()
+            .filter(|s| s.fired)
+            .map(|s| s.signal)
+            .collect();
+        assert_eq!(fired, vec![DriftSignal::Psi, DriftSignal::Ks]);
+        assert_eq!(r.fired(), fired);
+        for s in &r.signals {
+            assert_eq!(s.fired, s.value > s.threshold, "{s:?}");
         }
     }
 
     #[test]
     fn unarmed_baseline_reports_zero_shape_drift() {
-        let mut m = monitor(0.0, 0.5);
-        m.record_batch(50, 0, &flat_scores(50, 0.9, 0.9)).unwrap();
+        let mut m = DriftMonitor::new(2);
+        m.record_batch(50, &flat_scores(50, 0.9, 0.9)).unwrap();
         let r = m.report();
         assert_eq!(r.psi_max(), 0.0, "no baseline evidence, no PSI");
         assert_eq!(r.ks_max(), 0.0);
-        assert!(!r.fired.contains(&DriftSignal::Psi));
+        assert!(!r.fired().contains(&DriftSignal::Psi));
     }
 
     #[test]
     fn probe_signal_needs_volume_then_fires() {
-        let mut m = monitor(0.0, 0.5);
+        let mut m = DriftMonitor::new(2);
         // Disagreements below the volume floor stay quiet.
         for _ in 0..7 {
-            m.record_probe(false, true);
+            m.probes_mut().record(false, true);
         }
-        assert!(!m.report().fired.contains(&DriftSignal::Probe));
-        m.record_probe(false, true);
+        assert!(!m.report().fired().contains(&DriftSignal::Probe));
+        m.probes_mut().record(false, true);
         let r = m.report();
         assert_eq!(r.probe_checked, 8);
         assert_eq!(r.probe_disagreement, 1.0);
-        assert!(r.fired.contains(&DriftSignal::Probe));
-        // Re-anchoring forgets the probes (they judged the old model).
-        m.reanchor(0.0, 0.5);
-        assert_eq!(m.report().probe_checked, 0);
+        assert_eq!(r.fired(), vec![DriftSignal::Probe]);
     }
 
     #[test]
     fn nan_scores_are_hard_errors() {
-        let mut m = monitor(0.0, 0.5);
-        assert!(m.record_batch(1, 0, &[0.2, f64::NAN]).is_err());
+        let mut m = DriftMonitor::new(2);
+        assert!(m.record_batch(1, &[0.2, f64::NAN]).is_err());
         assert!(m.record_baseline_scores(&[f64::NAN]).is_err());
     }
 }

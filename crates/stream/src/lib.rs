@@ -19,15 +19,15 @@
 //!   representation model with the repo's established parity bar:
 //!   scoring after any delta sequence is **bitwise-identical** to a
 //!   from-scratch rebuild of the count-based state at the same epoch.
-//! * **Drift monitoring** — [`drift::DriftMonitor`] tracks five
+//! * **Drift monitoring** — [`drift::DriftMonitor`] tracks three
 //!   signals of ingested rows against a baseline anchored at the last
-//!   (re)fit: the violation rate and mean error score (first moments),
-//!   per-attribute PSI/KS score-shape statistics from `holo-adapt`
-//!   (which catch the quiet in-domain drift the first two miss), and a
-//!   labeled spot-check probe pool. Which signals fired is part of the
-//!   report ([`drift::DriftReport`], [`drift::SignalStat`]).
+//!   (re)fit: per-attribute PSI and KS statistics of the model's own
+//!   calibrated scores from `holo-adapt` (which catch the quiet
+//!   in-domain drift a first moment misses), and a labeled spot-check
+//!   probe pool. Each signal's value and verdict is part of the report
+//!   ([`drift::DriftReport`], [`drift::SignalStat`]).
 //! * **Background refit** — [`scheduler::RefitScheduler`] watches the
-//!   drift signals off the hot path and, past their thresholds, refits
+//!   drift signals off the hot path and, once one fires, refits
 //!   on a snapshot (classifier + calibration + threshold re-learned
 //!   over the maintained representation), persists the result, and
 //!   hot-swaps it into serving through the caller's swap hook
@@ -63,7 +63,7 @@ pub mod drift;
 pub mod live;
 pub mod scheduler;
 
-pub use drift::{DriftMonitor, DriftReport, DriftThresholds, SignalStat};
+pub use drift::{DriftMonitor, DriftReport, SignalStat};
 pub use holo_adapt::{DriftSignal, RowLabel};
 pub use holo_trace::RefitTimeline;
 pub use live::{IngestReport, LiveModel, StreamConfig};

@@ -51,7 +51,7 @@
 //! log tail — landing on the exact epoch (and, by the parity bar, the
 //! exact scores) the process died with.
 
-use crate::drift::{DriftMonitor, DriftReport, DriftThresholds, SignalStat};
+use crate::drift::{DriftMonitor, DriftReport};
 use holo_adapt::{AdaptConfig, AdaptiveRefit, RowLabel};
 use holo_data::{binio, CellId, Dataset, DeltaLog, DeltaOp, Schema};
 use holo_eval::{ModelError, TrainedModel};
@@ -83,6 +83,10 @@ const LIVE_VERSION: u32 = 1;
 /// Refit timelines retained per live model (newest win; the ring is
 /// what `GET /v1/models/{name}/refits` pages through).
 const REFIT_TIMELINE_CAP: usize = 32;
+
+/// Pending labels the buffer holds before refusing more (back pressure;
+/// a refit drains what it consumes).
+const MAX_LABEL_BUFFER: usize = 1024;
 
 /// Atomically persist `model` stamped with the epoch it corresponds to
 /// (temp file + rename). The file starts with [`LIVE_MAGIC`]; a plain
@@ -133,34 +137,13 @@ fn read_epoch_artifact(path: &Path) -> Result<(FittedHoloDetect, Option<u64>), M
 /// Streaming knobs.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// First-moment gap (violation rate / score mean, both in `[0, 1]`)
-    /// past which those signals fire.
-    pub drift_threshold: f64,
     /// Don't consider a refit before this many rows arrived since the
     /// last one (keeps a handful of unlucky early rows from triggering
     /// an expensive retrain).
     pub min_rows_between_refits: u64,
     /// Rows sampled (evenly strided) from the reference when anchoring
-    /// the baseline score mean and score histograms.
+    /// the baseline score histograms.
     pub baseline_sample_rows: usize,
-    /// Per-attribute PSI past which the PSI signal fires.
-    pub psi_threshold: f64,
-    /// Per-attribute KS statistic past which the KS signal fires.
-    pub ks_threshold: f64,
-    /// Probe disagreement rate past which the probe signal fires.
-    pub probe_threshold: f64,
-    /// Labeled spot checks required before the probe signal may fire.
-    pub min_probe_labels: u64,
-    /// Bins in the drift score histograms. Calibrated error scores
-    /// concentrate near zero (a healthy model scores almost every cell
-    /// well under its threshold), so the shape signals need bins fine
-    /// enough to resolve movement *inside* that low-score mass — at the
-    /// coarse `holo_adapt::DEFAULT_SCORE_BINS` the census quiet swap drift
-    /// is invisible (PSI ≈ 0.04), at 40 bins it is loud (PSI ≈ 0.85).
-    pub score_bins: usize,
-    /// Pending labels the buffer holds before refusing more (back
-    /// pressure; a refit drains what it consumes).
-    pub max_label_buffer: usize,
     /// Labels one adaptive refit consumes at most (the few-shot
     /// budget — HoloDetect's §5 regime).
     pub refit_label_budget: usize,
@@ -169,30 +152,9 @@ pub struct StreamConfig {
 impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig {
-            drift_threshold: 0.2,
             min_rows_between_refits: 64,
             baseline_sample_rows: 256,
-            psi_threshold: 0.25,
-            ks_threshold: 0.2,
-            probe_threshold: 0.3,
-            min_probe_labels: 8,
-            score_bins: 40,
-            max_label_buffer: 1024,
             refit_label_budget: 20,
-        }
-    }
-}
-
-impl StreamConfig {
-    /// The drift thresholds this configuration implies.
-    pub fn thresholds(&self) -> DriftThresholds {
-        DriftThresholds {
-            gap: self.drift_threshold,
-            psi: self.psi_threshold,
-            ks: self.ks_threshold,
-            probe: self.probe_threshold,
-            min_probe_labels: self.min_probe_labels,
-            score_bins: self.score_bins,
         }
     }
 }
@@ -204,8 +166,6 @@ pub struct IngestReport {
     pub appended: usize,
     /// The epoch after the batch.
     pub epoch: u64,
-    /// Drift after folding the batch in.
-    pub drift: f64,
 }
 
 struct LiveState {
@@ -269,7 +229,7 @@ impl LiveModel {
             model.apply_delta(op)?;
         }
         let epoch = log.epoch();
-        let drift = DriftMonitor::new_anchored(&model, &cfg)?;
+        let drift = DriftMonitor::new_anchored(&model, cfg.baseline_sample_rows)?;
         Ok(LiveModel {
             path: artifact_path.to_path_buf(),
             schema,
@@ -420,21 +380,13 @@ impl LiveModel {
 
     /// Append validated rows (values in schema order) to the reference:
     /// durably logged, incrementally applied, drift-measured. Returns
-    /// the new epoch and drift level. The three steps run as the
-    /// `log-append`, `apply-delta` and `drift-update` stages.
+    /// the new epoch. The three steps run as the `log-append`,
+    /// `apply-delta` and `drift-update` stages.
     pub fn ingest_rows(&self, rows: Vec<Vec<String>>) -> Result<IngestReport, ModelError> {
         if rows.is_empty() {
-            let epoch = self.epoch();
-            let drift = self
-                .drift
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .report()
-                .drift;
             return Ok(IngestReport {
                 appended: 0,
-                epoch,
-                drift,
+                epoch: self.epoch(),
             });
         }
         for row in &rows {
@@ -475,14 +427,13 @@ impl LiveModel {
         drop(st);
         drop(apply);
 
-        // Drift statistics for the freshly appended rows — violations
-        // on arrival plus the model's own scores for their cells —
-        // computed under a *read* lock so concurrent scorers are never
-        // blocked on this bookkeeping. The session is append-only, so
-        // rows `first_new..` stay addressable even if more batches land
-        // in between (their stats are folded by their own calls).
+        // The model's own scores for the freshly appended rows, computed
+        // under a *read* lock so concurrent scorers are never blocked on
+        // this bookkeeping. The session is append-only, so rows
+        // `first_new..` stay addressable even if more batches land in
+        // between (their scores are folded by their own calls).
         let drift_update = stage("drift-update");
-        let (violating, scores) = {
+        let scores = {
             let st = self.state.read().unwrap_or_else(PoisonError::into_inner);
             let Some(artifact) = st.model.artifact() else {
                 return Err(ModelError::Degenerate {
@@ -491,36 +442,28 @@ impl LiveModel {
             };
             let reference = artifact.reference();
             let na = reference.n_attrs();
-            let nt = first_new + appended;
-            let violating = (first_new..nt)
-                .filter(|&t| st.model.tuple_violations(t) > 0)
-                .count() as u64;
-            let cells: Vec<CellId> = (first_new..nt)
+            let cells: Vec<CellId> = (first_new..first_new + appended)
                 .flat_map(|t| (0..na).map(move |a| CellId::new(t, a)))
                 .collect();
-            (violating, st.model.score_batch(reference, &cells)?)
+            st.model.score_batch(reference, &cells)?
         };
-
-        let drift = {
-            // Recover even though this mutates: the rows are already
-            // durably logged and applied, so failing the whole ingest
-            // over advisory drift bookkeeping would mislead the caller.
-            // A NaN score still errors out (`record_batch`): that is
-            // model corruption, not advisory bookkeeping.
-            let mut d = self.drift.lock().unwrap_or_else(PoisonError::into_inner);
-            d.record_batch(appended as u64, violating, &scores)?;
-            d.report().drift
-        };
+        // Recover even though this mutates: the rows are already durably
+        // logged and applied, so failing the whole ingest over advisory
+        // drift bookkeeping would mislead the caller. A NaN score still
+        // errors out (`record_batch`): that is model corruption, not
+        // advisory bookkeeping.
+        self.drift
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .record_batch(appended as u64, &scores)?;
         drop(drift_update);
         sat_add(&self.rows_ingested, appended as u64);
-        Ok(IngestReport {
-            appended,
-            epoch,
-            drift,
-        })
+        Ok(IngestReport { appended, epoch })
     }
 
-    /// The current drift report.
+    /// The current drift report: every signal's value and verdict, read
+    /// under one monitor lock. Build a response from one report, so its
+    /// `fired` list, per-signal flags and refit verdict always agree.
     pub fn drift_report(&self) -> DriftReport {
         self.drift
             .lock()
@@ -528,20 +471,11 @@ impl LiveModel {
             .report()
     }
 
-    /// Every drift signal's current value against its threshold — the
-    /// diagnosis `GET /drift` serves alongside the report.
-    pub fn drift_stats(&self) -> Vec<SignalStat> {
-        self.drift
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .stats()
-    }
-
     /// `true` when the scheduler should refit: enough rows since the
     /// last refit and at least one drift signal past its threshold.
     pub fn should_refit(&self) -> bool {
-        let r = self.drift_report();
-        r.rows_since_refit >= self.cfg.min_rows_between_refits && !r.fired.is_empty()
+        self.drift_report()
+            .would_refit(self.cfg.min_rows_between_refits)
     }
 
     /// Operator labels waiting for the next adaptive refit.
@@ -611,11 +545,11 @@ impl LiveModel {
         let accepted = new_labels.len();
         {
             let mut buf = self.labels.lock().map_err(|_| poisoned("label buffer"))?;
-            if buf.len().saturating_add(accepted) > self.cfg.max_label_buffer {
+            if buf.len().saturating_add(accepted) > MAX_LABEL_BUFFER {
                 return Err(ModelError::Format(format!(
-                    "label buffer full ({} pending, capacity {}); refit to drain it",
-                    buf.len(),
-                    self.cfg.max_label_buffer
+                    "label buffer full ({} pending, capacity {MAX_LABEL_BUFFER}); \
+                     refit to drain it",
+                    buf.len()
                 )));
             }
             buf.extend(new_labels);
@@ -667,24 +601,7 @@ impl LiveModel {
             .unwrap_or_else(PoisonError::into_inner);
         let trace = ActiveTrace::detached("refit");
         let snapshot_stage = stage("snapshot");
-        let (snapshot, base_epoch) = {
-            let st = self.state.read().unwrap_or_else(PoisonError::into_inner);
-            let mut buf = Vec::new();
-            st.model.save_to(&mut buf)?;
-            (buf, st.epoch)
-        };
-        // Snapshot the label budget *after* the state snapshot: labels
-        // are validated against the reference at add time and the
-        // session is append-only, so every buffered label addresses
-        // inside the snapshot's reference.
-        let label_snapshot: Vec<RowLabel> = {
-            let buf = self.labels.lock().map_err(|_| poisoned("label buffer"))?;
-            buf.iter()
-                .take(self.cfg.refit_label_budget)
-                .cloned()
-                .collect()
-        };
-        let copy = FittedHoloDetect::load_from(&mut std::io::Cursor::new(snapshot))?;
+        let (copy, base_epoch, label_snapshot) = self.snapshot()?;
         drop(snapshot_stage);
         let adapt = AdaptiveRefit::new(AdaptConfig {
             max_labels: self.cfg.refit_label_budget,
@@ -718,6 +635,33 @@ impl LiveModel {
             .unwrap_or_else(PoisonError::into_inner)
             .push(timeline);
         Ok(base_epoch)
+    }
+
+    /// What a refit trains from: a copy of the model (through an
+    /// in-memory save/load), its epoch, and the first
+    /// `refit_label_budget` buffered labels. The labels are copied while
+    /// the state read lock is still held (state before labels, per the
+    /// lock order): labels are validated against the reference at add
+    /// time and the reference only grows, so every label buffered by
+    /// then addresses a row inside this snapshot. Copying them after
+    /// releasing the lock would let an ingest plus a label on the new
+    /// row land in between, and the refit would fail on a label past
+    /// the snapshot's last row.
+    fn snapshot(&self) -> Result<(FittedHoloDetect, u64, Vec<RowLabel>), ModelError> {
+        let (bytes, epoch, labels) = {
+            let st = self.state.read().unwrap_or_else(PoisonError::into_inner);
+            let mut bytes = Vec::new();
+            st.model.save_to(&mut bytes)?;
+            let buf = self.labels.lock().map_err(|_| poisoned("label buffer"))?;
+            let labels: Vec<RowLabel> = buf
+                .iter()
+                .take(self.cfg.refit_label_budget)
+                .cloned()
+                .collect();
+            (bytes, st.epoch, labels)
+        };
+        let copy = FittedHoloDetect::load_from(&mut std::io::Cursor::new(bytes))?;
+        Ok((copy, epoch, labels))
     }
 
     /// The newest `k` refit timelines, most recent first.
@@ -793,7 +737,7 @@ impl LiveModel {
         for op in &tail {
             loaded.apply_delta(op)?;
         }
-        let anchored = DriftMonitor::new_anchored(&loaded, &self.cfg)?;
+        let anchored = DriftMonitor::new_anchored(&loaded, self.cfg.baseline_sample_rows)?;
         // One write-locked step catches up on ops ingested since the
         // replay, then publishes model, drift baseline and generation
         // together: a scorer that reads N's model sees generation N, and
@@ -845,28 +789,20 @@ impl LiveModel {
 }
 
 impl DriftMonitor {
-    /// A monitor anchored at `model`'s current statistics: the
-    /// reference's violation rate, plus the mean score *and*
-    /// per-attribute score histograms over an evenly strided sample of
-    /// reference rows.
+    /// A monitor anchored at `model`'s current state: per-attribute
+    /// score histograms over an evenly strided sample of up to
+    /// `sample_rows` reference rows.
     ///
     /// # Errors
     /// [`ModelError::Format`] if the model produces a NaN score over
     /// its own reference (model corruption).
     pub fn new_anchored(
         model: &FittedHoloDetect,
-        cfg: &StreamConfig,
+        sample_rows: usize,
     ) -> Result<DriftMonitor, ModelError> {
-        let (_, violation_rate) = model.violation_stats();
         let n_attrs = model.artifact().map_or(0, |a| a.reference().n_attrs());
-        let scores = baseline_scores(model, cfg.baseline_sample_rows);
-        let score_mean = if scores.is_empty() {
-            0.0
-        } else {
-            scores.iter().sum::<f64>() / scores.len() as f64
-        };
-        let mut m = DriftMonitor::new(violation_rate, score_mean, n_attrs, cfg.thresholds());
-        m.record_baseline_scores(&scores)?;
+        let mut m = DriftMonitor::new(n_attrs);
+        m.record_baseline_scores(&baseline_scores(model, sample_rows))?;
         Ok(m)
     }
 }
@@ -895,6 +831,7 @@ fn baseline_scores(model: &FittedHoloDetect, sample_rows: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use holo_adapt::DriftSignal;
     use holo_data::{DatasetBuilder, GroundTruth};
     use holo_eval::FitContext;
     use holodetect::{HoloDetect, HoloDetectConfig};
@@ -1050,7 +987,6 @@ mod tests {
             &artifact,
             &log,
             StreamConfig {
-                drift_threshold: 0.2,
                 min_rows_between_refits: 8,
                 baseline_sample_rows: 64,
                 ..StreamConfig::default()
@@ -1063,11 +999,13 @@ mod tests {
         let bad: Vec<Vec<String>> = (0..12)
             .map(|i| vec!["60612".to_string(), format!("Springfield{i}")])
             .collect();
-        let report = live.ingest_rows(bad).unwrap();
+        live.ingest_rows(bad).unwrap();
+        let report = live.drift_report();
         assert!(
-            report.drift > 0.2,
-            "uniformly violating traffic must show as drift (got {})",
-            report.drift
+            report
+                .fired()
+                .starts_with(&[DriftSignal::Psi, DriftSignal::Ks]),
+            "uniformly violating traffic must move the score shape: {report:?}"
         );
         assert!(live.should_refit());
 
@@ -1349,6 +1287,79 @@ mod tests {
             LiveModel::open(&artifact, &log, StreamConfig::default()),
             Err(ModelError::Degenerate { .. })
         ));
+        cleanup(&[&artifact, &log]);
+    }
+
+    #[test]
+    fn refit_snapshots_only_labels_inside_the_snapshot() {
+        let (artifact, log) = fit_artifact("snaplabels");
+        let live = LiveModel::open(
+            &artifact,
+            &log,
+            StreamConfig {
+                refit_label_budget: MAX_LABEL_BUFFER,
+                ..StreamConfig::default()
+            },
+        )
+        .unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            // Ingest a row, then label it, as fast as possible.
+            s.spawn(|| {
+                for i in 0..200 {
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let epoch = live.ingest_rows(some_rows(1, i)).unwrap().epoch;
+                    let clean = some_rows(1, i).remove(0);
+                    let row = 50 + epoch as usize - 1;
+                    live.add_labels(vec![RowLabel { row, clean }]).unwrap();
+                }
+            });
+            for _ in 0..40 {
+                let (copy, epoch, labels) = live.snapshot().unwrap();
+                let nt = copy.artifact().unwrap().reference().n_tuples();
+                assert_eq!(nt, 50 + epoch as usize);
+                let past = labels.iter().find(|l| l.row >= nt);
+                assert!(past.is_none(), "{past:?} in a snapshot of {nt} rows");
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        assert!(live.labels_pending() > 0, "the writer labeled nothing");
+        cleanup(&[&artifact, &log]);
+    }
+
+    #[test]
+    fn truncated_live_artifacts_are_typed_errors() {
+        let (artifact, log) = fit_artifact("truncated");
+        {
+            let live = LiveModel::open(&artifact, &log, StreamConfig::default()).unwrap();
+            live.ingest_rows(some_rows(3, 90)).unwrap();
+            live.refit_to_disk().unwrap();
+        }
+        let stamped = std::fs::read(&artifact).unwrap();
+        let log_bytes = std::fs::read(&log).unwrap();
+        assert_eq!(&stamped[..8], LIVE_MAGIC);
+        // Inside the magic, the version, the epoch, then through the
+        // model body.
+        let body = stamped.len() - 20;
+        let mut cuts = vec![0, 4, 8, 10, 12, 16, 20];
+        cuts.extend((1..16).map(|k| 20 + body * k / 16));
+        cuts.push(stamped.len() - 1);
+        for cut in cuts {
+            std::fs::write(&artifact, &stamped[..cut]).unwrap();
+            std::fs::write(&log, &log_bytes).unwrap();
+            assert!(
+                LiveModel::open(&artifact, &log, StreamConfig::default()).is_err(),
+                "a stamped artifact cut at byte {cut} of {} opened",
+                stamped.len()
+            );
+        }
+        // The whole file still opens at the refit's epoch.
+        std::fs::write(&artifact, &stamped).unwrap();
+        std::fs::write(&log, &log_bytes).unwrap();
+        let live = LiveModel::open(&artifact, &log, StreamConfig::default()).unwrap();
+        assert_eq!(live.epoch(), 3);
         cleanup(&[&artifact, &log]);
     }
 }

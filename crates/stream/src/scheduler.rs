@@ -1,7 +1,7 @@
 //! The background refit scheduler.
 //!
 //! One thread, many live models: each tick it asks every target
-//! [`LiveModel::should_refit`]; past the drift threshold it runs
+//! [`LiveModel::should_refit`]; once a drift signal fires it runs
 //! [`LiveModel::refit_to_disk`] (the expensive retrain, off every
 //! serving lock) and then fires the target's swap hook — in holo-serve
 //! that hook is `ModelRegistry::reload`, so the refitted artifact
@@ -188,7 +188,6 @@ mod tests {
                 &artifact,
                 &log,
                 StreamConfig {
-                    drift_threshold: 0.2,
                     min_rows_between_refits: 8,
                     baseline_sample_rows: 64,
                     ..StreamConfig::default()
@@ -213,19 +212,14 @@ mod tests {
         std::thread::sleep(Duration::from_millis(120));
         assert_eq!(live.refits_total(), 0, "no drift, no refit");
 
-        // Uniformly FD-violating traffic: drift crosses the threshold
-        // and the scheduler refits + hot-swaps in the background. (The
-        // batch is large enough that the 4 quiet rows above cannot
-        // dilute the score-shift signal below the threshold.)
+        // Uniformly FD-violating traffic: the score shape moves past
+        // the PSI and KS thresholds and the scheduler refits + hot-swaps
+        // in the background. (The batch is large enough that the 4
+        // quiet rows above cannot dilute the score shift.)
         let bad: Vec<Vec<String>> = (0..28)
             .map(|i| vec!["60612".to_string(), format!("Springfield{i}")])
             .collect();
-        let report = live.ingest_rows(bad).unwrap();
-        assert!(
-            report.drift > 0.2,
-            "bad traffic must register as drift (got {})",
-            report.drift
-        );
+        live.ingest_rows(bad).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         while live.generation() == 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(20));

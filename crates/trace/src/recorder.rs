@@ -234,7 +234,7 @@ fn observe_stage(stages: &mut Vec<StageStat>, span: &Span) {
     stat.count = stat.count.saturating_add(1);
     stat.sum_micros = stat.sum_micros.saturating_add(micros);
     for (key, value) in &span.notes {
-        match (key.as_str(), value) {
+        match (*key, value) {
             (ALLOCS_NOTE, Value::U64(n)) => stat.allocs = stat.allocs.saturating_add(*n),
             (ALLOC_BYTES_NOTE, Value::U64(n)) => {
                 stat.alloc_bytes = stat.alloc_bytes.saturating_add(*n)

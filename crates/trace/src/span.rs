@@ -59,7 +59,7 @@ pub struct Span {
     /// Duration in microseconds.
     pub duration_micros: u64,
     /// Typed key/value annotations attached while the span was open.
-    pub notes: Vec<(String, Value)>,
+    pub notes: Vec<(&'static str, Value)>,
 }
 
 /// A completed span tree for one request (or one background unit of
@@ -75,7 +75,7 @@ pub struct Trace {
     /// Spans in creation order; index 0 is the root.
     pub spans: Vec<Span>,
     /// Trace-level annotations (status code, model name, …).
-    pub notes: Vec<(String, Value)>,
+    pub notes: Vec<(&'static str, Value)>,
 }
 
 impl Trace {
@@ -94,7 +94,7 @@ impl Trace {
         const TRACE_OVERHEAD: usize = 64;
         const SPAN_OVERHEAD: usize = 48;
         const NOTE_OVERHEAD: usize = 32;
-        let note_bytes = |notes: &[(String, Value)]| {
+        let note_bytes = |notes: &[(&'static str, Value)]| {
             notes.iter().fold(0usize, |acc, (k, v)| {
                 let vlen = match v {
                     Value::Str(s) => s.len(),
@@ -168,7 +168,7 @@ struct OpenSpan {
     parent: Option<usize>,
     start_micros: u64,
     end_micros: Option<u64>,
-    notes: Vec<(String, Value)>,
+    notes: Vec<(&'static str, Value)>,
 }
 
 /// The in-progress span tree behind an [`ActiveTrace`]. Stages open
@@ -182,7 +182,7 @@ struct TraceBuilder {
     /// Indices into `spans` of currently-open spans; the root (index 0)
     /// is always at the bottom.
     stack: Vec<usize>,
-    notes: Vec<(String, Value)>,
+    notes: Vec<(&'static str, Value)>,
     recorder: Option<Arc<SpanRecorder>>,
 }
 
@@ -232,10 +232,8 @@ impl TraceBuilder {
     fn close_stage(&mut self, idx: usize, micros: u64, allocs: u64, bytes: u64) {
         if let Some(span) = self.spans.get_mut(idx) {
             span.end_micros = Some(span.start_micros.saturating_add(micros));
-            span.notes
-                .push((ALLOCS_NOTE.to_string(), Value::U64(allocs)));
-            span.notes
-                .push((ALLOC_BYTES_NOTE.to_string(), Value::U64(bytes)));
+            span.notes.push((ALLOCS_NOTE, Value::U64(allocs)));
+            span.notes.push((ALLOC_BYTES_NOTE, Value::U64(bytes)));
         }
         if idx != 0 {
             self.stack.retain(|&i| i != idx);
@@ -258,9 +256,9 @@ impl TraceBuilder {
         });
     }
 
-    fn annotate(&mut self, idx: usize, key: &str, value: Value) {
+    fn annotate(&mut self, idx: usize, key: &'static str, value: Value) {
         if let Some(span) = self.spans.get_mut(idx) {
-            span.notes.push((key.to_string(), value));
+            span.notes.push((key, value));
         }
     }
 
@@ -401,10 +399,10 @@ impl Drop for ActiveTrace {
 
 /// Annotates the calling thread's current trace itself (status, model
 /// name, …) rather than any one span. Does nothing without one.
-pub fn note(key: &str, value: Value) {
+pub fn note(key: &'static str, value: Value) {
     if let Some(builder) = current() {
         if let Ok(mut b) = builder.try_borrow_mut() {
-            b.notes.push((key.to_string(), value));
+            b.notes.push((key, value));
         }
     }
 }
@@ -445,7 +443,7 @@ pub struct Stage {
 
 impl Stage {
     /// Annotates the stage's span (nothing when untraced).
-    pub fn note(&self, key: &str, value: Value) {
+    pub fn note(&self, key: &'static str, value: Value) {
         if let Some((builder, idx)) = &self.span {
             if let Ok(mut b) = builder.try_borrow_mut() {
                 b.annotate(*idx, key, value);
@@ -491,7 +489,7 @@ mod tests {
     fn note_of(span: &Span, key: &str) -> Option<Value> {
         span.notes
             .iter()
-            .find(|(k, _)| k == key)
+            .find(|(k, _)| *k == key)
             .map(|(_, v)| v.clone())
     }
 

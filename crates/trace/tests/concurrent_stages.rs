@@ -17,7 +17,7 @@ use std::thread;
 fn note(trace: &Trace, stage: &str, key: &str) -> Option<u64> {
     let span = trace.spans.iter().find(|s| s.name == stage)?;
     span.notes.iter().find_map(|(k, v)| match v {
-        Value::U64(n) if k == key => Some(*n),
+        Value::U64(n) if *k == key => Some(*n),
         _ => None,
     })
 }

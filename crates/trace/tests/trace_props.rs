@@ -46,12 +46,17 @@ fn assert_well_formed(trace: &Trace) -> Result<(), String> {
     Ok(())
 }
 
+/// Note keys are `&'static str`, so annotations draw theirs from a fixed
+/// pool: the keys the server writes, plus the ones stages record.
+const NOTE_KEYS: [&str; 6] = ["method", "status", "model", "rows", "allocs", "alloc_bytes"];
+
 /// Applies one encoded op to the trace and its open stages. The op
 /// space deliberately includes pathological shapes: closing a stage
 /// that is not the innermost one, closing with nothing open, leaving
 /// stages open for finish to sweep, and attaching completed children
 /// with arbitrary offsets/durations.
 fn apply_op(t: &ActiveTrace, open: &mut Vec<Stage>, op: u8, name: &str, amount: u64) {
+    let key = NOTE_KEYS[amount as usize % NOTE_KEYS.len()];
     match op % 5 {
         0 => open.push(stage(name)),
         1 => drop(open.pop()),
@@ -62,8 +67,8 @@ fn apply_op(t: &ActiveTrace, open: &mut Vec<Stage>, op: u8, name: &str, amount: 
         }
         3 => t.child_at(name, amount / 2, amount),
         _ => match open.last() {
-            Some(s) => s.note(name, Value::U64(amount)),
-            None => note(name, Value::U64(amount)),
+            Some(s) => s.note(key, Value::U64(amount)),
+            None => note(key, Value::U64(amount)),
         },
     }
 }

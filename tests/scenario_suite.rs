@@ -80,7 +80,6 @@ fn fixed_seed_reproduces_scenarios_json_byte_for_byte() {
         );
     }
     // The drift tail must really have been measured.
-    assert!(quality.get("drift_signal").and_then(Json::as_f64).is_some());
     assert!(
         quality
             .get("n_drift_errors")

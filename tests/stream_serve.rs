@@ -108,17 +108,35 @@ fn rows_body(rows: &[(&str, &str)]) -> String {
     Json::Obj(vec![("rows".to_string(), Json::Arr(rows))]).to_string()
 }
 
+fn doc(body: &str) -> Json {
+    serve::parse_json(body).unwrap_or_else(|e| panic!("bad json {body:?}: {e}"))
+}
+
 fn field(body: &str, name: &str) -> f64 {
-    serve::parse_json(body)
-        .unwrap_or_else(|e| panic!("bad json {body:?}: {e}"))
+    doc(body)
         .get(name)
         .and_then(Json::as_f64)
         .unwrap_or_else(|| panic!("no numeric {name:?} in {body}"))
 }
 
+/// The `fired` signal names of a `/drift` body.
+fn fired(body: &str) -> Vec<String> {
+    doc(body)
+        .get("fired")
+        .and_then(Json::as_arr)
+        .unwrap_or_else(|| panic!("no fired array in {body}"))
+        .iter()
+        .filter_map(|v| v.as_str().map(str::to_owned))
+        .collect()
+}
+
+/// The `would_refit` verdict of a `/drift` body.
+fn would_refit(body: &str) -> bool {
+    doc(body).get("would_refit").and_then(Json::as_bool) == Some(true)
+}
+
 fn scores_of(body: &str) -> Vec<u64> {
-    serve::parse_json(body)
-        .unwrap_or_else(|e| panic!("bad response {body:?}: {e}"))
+    doc(body)
         .get("scores")
         .and_then(Json::as_arr)
         .unwrap_or_else(|| panic!("no scores in {body}"))
@@ -311,7 +329,6 @@ fn drift_and_refit_endpoints_report_and_hot_swap() {
     let (live, artifact, log) = fit_live(
         "refit",
         StreamConfig {
-            drift_threshold: 0.2,
             min_rows_between_refits: 8,
             baseline_sample_rows: 64,
             ..StreamConfig::default()
@@ -322,22 +339,26 @@ fn drift_and_refit_endpoints_report_and_hot_swap() {
     let server = start_server(registry);
     let addr = server.addr();
 
-    // Drift on a fresh model is zero.
+    // A fresh model has no drift: nothing fired, no refit due.
     let (status, body) = http(addr, "GET", "/v1/models/food/drift", "");
     assert_eq!(status, 200, "body: {body}");
-    assert_eq!(field(&body, "drift"), 0.0);
+    assert!(fired(&body).is_empty(), "body: {body}");
+    assert!(!would_refit(&body), "body: {body}");
     assert_eq!(field(&body, "epoch"), 0.0);
 
-    // Uniformly FD-violating traffic drives drift up.
+    // Uniformly FD-violating traffic moves the score shape: PSI and KS
+    // fire and a refit is due.
     let bad: Vec<(String, String)> = (0..16)
         .map(|i| ("60612".to_string(), format!("Springfield{i}")))
         .collect();
     let bad_refs: Vec<(&str, &str)> = bad.iter().map(|(z, c)| (z.as_str(), c.as_str())).collect();
     let (status, body) = post(addr, "/v1/models/food/rows", &rows_body(&bad_refs));
     assert_eq!(status, 200, "body: {body}");
-    assert!(field(&body, "drift") > 0.2, "body: {body}");
+    assert_eq!(field(&body, "appended"), 16.0, "body: {body}");
     let (_, body) = http(addr, "GET", "/v1/models/food/drift", "");
     assert!(field(&body, "rows_since_refit") >= 16.0, "body: {body}");
+    assert_eq!(fired(&body), ["psi", "ks"], "body: {body}");
+    assert!(would_refit(&body), "body: {body}");
 
     // Forced refit: retrain + persist + hot-swap, epoch preserved.
     let (status, body) = post(addr, "/v1/models/food/refit", "");
@@ -350,6 +371,8 @@ fn drift_and_refit_endpoints_report_and_hot_swap() {
         0.0,
         "refit must re-anchor the drift window (body: {body})"
     );
+    assert!(fired(&body).is_empty(), "body: {body}");
+    assert!(!would_refit(&body), "body: {body}");
     // Scoring still works and the generation shows on metrics.
     let (status, _) = post(
         addr,
@@ -411,7 +434,6 @@ fn scoring_and_ingest_stay_available_during_drift_triggered_refit() {
     let (live, artifact, log) = fit_live(
         "avail",
         StreamConfig {
-            drift_threshold: 0.2,
             min_rows_between_refits: 8,
             baseline_sample_rows: 64,
             ..StreamConfig::default()
@@ -692,9 +714,9 @@ fn labels_endpoint_probes_buffers_and_adapts_the_refit() {
     assert_eq!(status, 200, "body: {body}");
     assert_eq!(field(&body, "labels_pending"), 4.0);
     assert_eq!(field(&body, "probe_checked"), 8.0);
-    let doc = serve::parse_json(&body).expect("drift json");
+    let report = doc(&body);
     for stat in ["psi", "ks"] {
-        let per_attr = doc.get(stat).unwrap_or_else(|| panic!("no {stat}"));
+        let per_attr = report.get(stat).unwrap_or_else(|| panic!("no {stat}"));
         for attr in ["Zip", "City"] {
             assert!(
                 per_attr.get(attr).and_then(Json::as_f64).is_some(),
@@ -702,12 +724,29 @@ fn labels_endpoint_probes_buffers_and_adapts_the_refit() {
             );
         }
     }
-    assert!(doc.get("fired").and_then(Json::as_arr).is_some(), "{body}");
-    let signals = doc
+    assert!(
+        report.get("fired").and_then(Json::as_arr).is_some(),
+        "{body}"
+    );
+    let signals = report
         .get("signals")
         .and_then(Json::as_arr)
         .expect("signals array");
-    assert_eq!(signals.len(), 5, "five drift signals: {body}");
+    assert_eq!(signals.len(), 3, "three drift signals: {body}");
+    // Every signal's flag agrees with `fired` and `would_refit`: the
+    // body is built from one monitor snapshot.
+    let name = |s: &Json| s.get("signal").and_then(Json::as_str).map(str::to_owned);
+    let names: Vec<String> = signals.iter().filter_map(name).collect();
+    assert_eq!(names, ["psi", "ks", "probe"], "{body}");
+    let flagged: Vec<String> = signals
+        .iter()
+        .filter(|s| s.get("fired").and_then(Json::as_bool) == Some(true))
+        .filter_map(name)
+        .collect();
+    assert_eq!(flagged, fired(&body), "{body}");
+    let min_rows = live.config().min_rows_between_refits as f64;
+    let due = field(&body, "rows_since_refit") >= min_rows && !flagged.is_empty();
+    assert_eq!(would_refit(&body), due, "{body}");
 
     // Validation failures are 400s that name the problem and leave the
     // buffer alone; wrong method is a 405.
