@@ -62,32 +62,18 @@ impl LrFeatures {
         self.reference.n_attrs().saturating_sub(1) + 1 + self.n_constraints
     }
 
-    /// Is the queried tuple literally a reference tuple? Then fit-time
-    /// violation semantics (self-excluding counts) apply.
-    fn row_matches_reference(&self, d: &Dataset, t: usize) -> bool {
-        std::ptr::eq(d, &self.reference)
-            || (t < self.reference.n_tuples()
-                && (0..self.reference.n_attrs())
-                    .all(|a| d.value(t, a) == self.reference.value(t, a)))
-    }
-
+    /// Features of cell `cell` of `data` holding `value`. Violation
+    /// counts exclude the cell's own row only when `data` is the owned
+    /// reference (compared by pointer); every other dataset is foreign.
     fn vector(&self, data: &Dataset, cell: CellId, value: &str) -> Vec<f32> {
         let (t, a) = (cell.t(), cell.a());
         let mut v = self.cooc.features(data, t, a, value);
         v.push(self.empirical[a].prob(value));
         if let Some(engine) = &self.violations {
-            let counts = if self.row_matches_reference(data, t) {
-                if value == self.reference.value(t, a) {
-                    engine.tuple_vector(t)
-                } else {
-                    engine.tuple_vector_with_override(&self.reference, t, a, value)
-                }
-            } else {
-                let values: Vec<&str> = (0..self.reference.n_attrs())
-                    .map(|c| if c == a { value } else { data.value(t, c) })
-                    .collect();
-                engine.external_tuple_vector(&self.reference, &values)
-            };
+            let mut values = data.tuple_values(t);
+            values[a] = value;
+            let own = std::ptr::eq(data, &self.reference).then_some(t);
+            let counts = engine.vector(&self.reference, &values, own);
             v.extend(counts.iter().map(|&c| (1.0 + c as f32).ln()));
         }
         v
@@ -130,11 +116,12 @@ impl Detector for LogisticRegression {
             return Box::new(ConstantScore(0.0));
         }
         let feats = LrFeatures::fit(ctx.dirty, ctx.constraints);
-        // Assemble training matrix.
+        // Assemble training matrix over the owned reference: training
+        // cells are reference cells.
         let rows: Vec<Vec<f32>> = train
             .examples()
             .iter()
-            .map(|ex| feats.vector(ctx.dirty, ex.cell, &ex.observed))
+            .map(|ex| feats.vector(&feats.reference, ex.cell, &ex.observed))
             .collect();
         let targets: Vec<usize> = train
             .examples()

@@ -1,6 +1,6 @@
 //! Criterion benchmarks for violation detection: index build at two
 //! scales (the hash-join fast path should scale ~linearly) and the
-//! override query used per augmented example.
+//! own-row query used per augmented example.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use holo_constraints::ViolationEngine;
@@ -23,7 +23,9 @@ fn bench_override_query(c: &mut Criterion) {
         let mut t = 0usize;
         b.iter(|| {
             t = (t + 1) % g.dirty.n_tuples();
-            black_box(engine.tuple_vector_with_override(&g.dirty, t, 3, "Springfield"))
+            let mut values = g.dirty.tuple_values(t);
+            values[3] = "Springfield";
+            black_box(engine.vector(&g.dirty, &values, Some(t)))
         })
     });
     c.bench_function("violation_tuple_vector", |b| {

@@ -219,10 +219,12 @@ fn bench_stream(c: &mut Criterion) {
     let (delta_secs, rebuild_secs) = bench_apply_delta_vs_rebuild(c);
     let rows_per_sec = bench_ingest_throughput(c);
     let (quiet, busy) = bench_scoring_during_refit(c);
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
     println!(
         "\nBENCH_stream summary (paste into BENCH_stream.json):\n\
          {{\"reference_rows\": {REFERENCE_ROWS}, \
+         \"cores\": {cores}, \
          \"apply_delta_append_secs\": {delta_secs:.6}, \
          \"full_rebuild_secs\": {rebuild_secs:.6}, \
          \"delta_speedup_x\": {:.1}, \

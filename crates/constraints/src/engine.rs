@@ -19,9 +19,12 @@
 //! * **Unkeyed / Unary** — capped pairwise scan, or a linear scan for
 //!   single-tuple check constraints.
 //!
-//! Every strategy also answers *hypothetical* queries — "how many
-//! conflicts would tuple `t` have if cell `(t, a)` held value `v`?" —
-//! which the featurizer needs for augmented (transformed) examples.
+//! Every strategy also answers one query for a tuple given by its
+//! values, [`ConstraintIndex::violations`]: how many indexed rows would
+//! it conflict with? A tuple that *is* indexed row `t` with one cell
+//! changed (an augmented example) passes `own = Some(t)`, so row `t` is
+//! not its own partner; any other tuple (a row of a scored batch) passes
+//! `None`.
 
 use crate::ast::{DenialConstraint, Operand, Predicate};
 use holo_data::{Dataset, Symbol};
@@ -30,14 +33,6 @@ use std::collections::HashMap;
 /// Partner-scan cap for pathological blocks / unkeyed constraints.
 /// Counts are scaled by the sampled fraction, keeping features unbiased.
 const SCAN_CAP: usize = 4096;
-
-/// A cell-value override: pretend cell `(tuple, attr)` holds `value`.
-#[derive(Debug, Clone, Copy)]
-struct Override<'a> {
-    tuple: usize,
-    attr: usize,
-    value: &'a str,
-}
 
 /// Per-constraint violation index over one dataset.
 #[derive(Debug)]
@@ -129,7 +124,7 @@ impl ConstraintIndex {
         match &mut self.kind {
             IndexKind::Unary => {
                 for t in 0..n {
-                    if eval_conjunction(&self.dc.predicates, d, t, t, None) {
+                    if eval_conjunction(&self.dc.predicates, d, t, t) {
                         self.tuple_counts[t] = 1;
                     }
                 }
@@ -143,14 +138,14 @@ impl ConstraintIndex {
             } => {
                 block.reserve(n / 4);
                 for t in 0..n {
-                    let key = key_symbols(d, t, keys, None);
+                    let key = key_symbols(d, t, keys);
                     let b = d.symbol(t, *rhs);
                     *block.entry(key.clone()).or_insert(0) += 1;
                     *agree.entry((key.clone(), b)).or_insert(0) += 1;
                     rows.entry(key).or_default().push(t as u32);
                 }
                 for t in 0..n {
-                    let key = key_symbols(d, t, keys, None);
+                    let key = key_symbols(d, t, keys);
                     let b = d.symbol(t, *rhs);
                     let in_block = block[&key];
                     let agreeing = agree[&(key, b)];
@@ -163,7 +158,7 @@ impl ConstraintIndex {
                 blocks,
             } => {
                 for t in 0..n {
-                    let key = key_symbols(d, t, keys, None);
+                    let key = key_symbols(d, t, keys);
                     blocks.entry(key).or_default().push(t as u32);
                 }
                 let residual = residual.clone();
@@ -209,27 +204,19 @@ impl ConstraintIndex {
         self.tuple_counts.iter().filter(|&&c| c > 0).count()
     }
 
-    /// Conflicts between an *external* tuple — given as its resolved
-    /// values in schema order — and the reference dataset this index was
-    /// built over. This is the serving-time query: a trained artifact
-    /// scores tuples of an unseen batch against the reference data it
-    /// was fitted on. The external tuple is not assumed to be a member
-    /// of the reference, so no self-pair is excluded; a residual with a
-    /// disequality (the common case) rejects identical pairs anyway, so
-    /// re-presenting a reference tuple reproduces its fit-time count.
-    pub fn external_tuple_violations(&self, reference: &Dataset, values: &[&str]) -> u32 {
+    /// Conflicts between a tuple, given as its values in schema order,
+    /// and the rows of `d`, the dataset this index was built over.
+    ///
+    /// `own = Some(t)` says the tuple *is* row `t` of `d`, possibly with
+    /// changed cells: row `t` is then not counted as its own partner, so
+    /// row `t`'s observed values reproduce
+    /// [`ConstraintIndex::tuple_violations`]. With `own = None` the tuple
+    /// is foreign (a row of a scored batch) and every row of `d` is a
+    /// partner candidate.
+    pub fn violations(&self, d: &Dataset, values: &[&str], own: Option<usize>) -> u32 {
         match &self.kind {
-            IndexKind::Unary => {
-                // Unary constraints mention only t1; evaluate directly on
-                // the external values (the partner index is never read).
-                u32::from(eval_conjunction_ext(
-                    &self.dc.predicates,
-                    reference,
-                    values,
-                    0,
-                    true,
-                ))
-            }
+            // Unary constraints mention only t1: the partner is never read.
+            IndexKind::Unary => u32::from(eval_values(&self.dc.predicates, d, values, 0, true)),
             IndexKind::Fd {
                 keys,
                 rhs,
@@ -237,87 +224,20 @@ impl ConstraintIndex {
                 agree,
                 ..
             } => {
-                let Some(key) = external_key_symbols(reference, values, keys) else {
-                    return 0; // never-seen key value: no reference partner
+                let Some(key) = value_key_symbols(d, values, keys) else {
+                    return 0; // never-seen key value: no row shares it
                 };
-                let in_block = block.get(&key).copied().unwrap_or(0);
-                let agreeing = match reference.pool().get(values[*rhs]) {
-                    Some(b) => agree.get(&(key, b)).copied().unwrap_or(0),
-                    None => 0, // brand-new value agrees with nobody
-                };
-                in_block.saturating_sub(agreeing)
-            }
-            IndexKind::Blocked {
-                keys,
-                residual,
-                blocks,
-            } => {
-                let Some(key) = external_key_symbols(reference, values, keys) else {
-                    return 0;
-                };
-                let Some(members) = blocks.get(&key) else {
-                    return 0;
-                };
-                count_partners_ext(residual, reference, values, members.len(), |i| {
-                    members[i] as usize
-                })
-            }
-            IndexKind::Unkeyed { residual } => {
-                count_partners_ext(residual, reference, values, reference.n_tuples(), |i| i)
-            }
-        }
-    }
-
-    /// Hypothetical count: violations for tuple `t` if cell `(t, attr)`
-    /// held `value` instead of its observed value.
-    pub fn tuple_violations_with_override(
-        &self,
-        d: &Dataset,
-        t: usize,
-        attr: usize,
-        value: &str,
-    ) -> u32 {
-        // If the overridden attribute is not mentioned by the constraint
-        // the count cannot change.
-        if !self.dc.attrs().contains(&attr) {
-            return self.tuple_counts[t];
-        }
-        let ov = Override {
-            tuple: t,
-            attr,
-            value,
-        };
-        match &self.kind {
-            IndexKind::Unary => u32::from(eval_conjunction(&self.dc.predicates, d, t, t, Some(ov))),
-            IndexKind::Fd {
-                keys,
-                rhs,
-                block,
-                agree,
-                ..
-            } => {
-                let orig_key = key_symbols(d, t, keys, None);
-                let orig_b = d.symbol(t, *rhs);
-                let new_key = match key_symbols_opt(d, t, keys, Some(ov)) {
-                    Some(k) => k,
-                    // Key contains a never-seen value: no partners share it.
-                    None => return 0,
-                };
-                let new_b = if *rhs == attr {
-                    d.pool().get(value)
-                } else {
-                    Some(orig_b)
-                };
-                let mut in_block = block.get(&new_key).copied().unwrap_or(0);
-                if new_key == orig_key {
-                    in_block -= 1; // exclude self
-                }
-                let mut agreeing = match new_b {
-                    Some(b) => agree.get(&(new_key.clone(), b)).copied().unwrap_or(0),
-                    None => 0, // brand-new value agrees with nobody
-                };
-                if new_key == orig_key && new_b == Some(orig_b) {
-                    agreeing -= 1; // exclude self
+                let b = d.pool().get(values[*rhs]); // `None`: agrees with nobody
+                let mut in_block = block.get(&key).copied().unwrap_or(0);
+                let mut agreeing = b
+                    .and_then(|b| agree.get(&(key.clone(), b)).copied())
+                    .unwrap_or(0);
+                if let Some(t) = own {
+                    // Row `t` sits in this block only if its key matches.
+                    if keys.iter().zip(&*key).all(|(&a, &k)| d.symbol(t, a) == k) {
+                        in_block -= 1;
+                        agreeing -= u32::from(b == Some(d.symbol(t, *rhs)));
+                    }
                 }
                 in_block - agreeing
             }
@@ -326,18 +246,22 @@ impl ConstraintIndex {
                 residual,
                 blocks,
             } => {
-                let new_key = match key_symbols_opt(d, t, keys, Some(ov)) {
-                    Some(k) => k,
-                    None => return 0,
-                };
-                let Some(members) = blocks.get(&new_key) else {
+                let Some(members) = value_key_symbols(d, values, keys).and_then(|k| blocks.get(&k))
+                else {
                     return 0;
                 };
-                count_partners_for(residual, d, t, members, Some(ov))
+                let own = own.filter(|&t| members.binary_search(&(t as u32)).is_ok());
+                count_partners(
+                    residual,
+                    d,
+                    values,
+                    members.len(),
+                    |i| members[i] as usize,
+                    own,
+                )
             }
             IndexKind::Unkeyed { residual } => {
-                let all: Vec<u32> = (0..d.n_tuples() as u32).collect();
-                count_partners_for(residual, d, t, &all, Some(ov))
+                count_partners(residual, d, values, d.n_tuples(), |i| i, own)
             }
         }
     }
@@ -364,7 +288,7 @@ impl ConstraintIndex {
         debug_assert_eq!(t_new + 1, d.n_tuples());
         match &mut self.kind {
             IndexKind::Unary => {
-                let hit = eval_conjunction(&self.dc.predicates, d, t_new, t_new, None);
+                let hit = eval_conjunction(&self.dc.predicates, d, t_new, t_new);
                 self.tuple_counts.push(u32::from(hit));
             }
             IndexKind::Fd {
@@ -374,7 +298,7 @@ impl ConstraintIndex {
                 agree,
                 rows,
             } => {
-                let key = key_symbols(d, t_new, keys, None);
+                let key = key_symbols(d, t_new, keys);
                 let b = d.symbol(t_new, *rhs);
                 *block.entry(key.clone()).or_insert(0) += 1;
                 *agree.entry((key.clone(), b)).or_insert(0) += 1;
@@ -392,7 +316,7 @@ impl ConstraintIndex {
                 residual,
                 blocks,
             } => {
-                let key = key_symbols(d, t_new, keys, None);
+                let key = key_symbols(d, t_new, keys);
                 let members = blocks.entry(key).or_default();
                 members.push(t_new as u32);
                 self.tuple_counts.push(0);
@@ -414,7 +338,7 @@ impl ConstraintIndex {
         }
         match &mut self.kind {
             IndexKind::Unary => {
-                let hit = eval_conjunction(&self.dc.predicates, d, t, t, None);
+                let hit = eval_conjunction(&self.dc.predicates, d, t, t);
                 self.tuple_counts[t] = u32::from(hit);
             }
             IndexKind::Fd {
@@ -426,7 +350,7 @@ impl ConstraintIndex {
             } => {
                 let old_key = interned_key_symbols(d, old_values, keys);
                 let old_b = interned_symbol(d, &old_values[*rhs]);
-                let new_key = key_symbols(d, t, keys, None);
+                let new_key = key_symbols(d, t, keys);
                 let new_b = d.symbol(t, *rhs);
                 decrement(block, &old_key);
                 decrement_pair(agree, (old_key.clone(), old_b));
@@ -455,7 +379,7 @@ impl ConstraintIndex {
                 blocks,
             } => {
                 let old_key = interned_key_symbols(d, old_values, keys);
-                let new_key = key_symbols(d, t, keys, None);
+                let new_key = key_symbols(d, t, keys);
                 if old_key != new_key {
                     remove_member(blocks, &old_key, t);
                     insert_member(blocks, new_key.clone(), t);
@@ -567,27 +491,11 @@ impl ViolationEngine {
             .collect()
     }
 
-    /// Violation-count vector for an external tuple (resolved values in
-    /// schema order) against the reference dataset: one entry per
-    /// constraint. See [`ConstraintIndex::external_tuple_violations`].
-    pub fn external_tuple_vector(&self, reference: &Dataset, values: &[&str]) -> Vec<u32> {
+    /// [`ConstraintIndex::violations`] for every constraint.
+    pub fn vector(&self, d: &Dataset, values: &[&str], own: Option<usize>) -> Vec<u32> {
         self.indexes
             .iter()
-            .map(|ix| ix.external_tuple_violations(reference, values))
-            .collect()
-    }
-
-    /// Hypothetical violation-count vector under a cell override.
-    pub fn tuple_vector_with_override(
-        &self,
-        d: &Dataset,
-        t: usize,
-        attr: usize,
-        value: &str,
-    ) -> Vec<u32> {
-        self.indexes
-            .iter()
-            .map(|ix| ix.tuple_violations_with_override(d, t, attr, value))
+            .map(|ix| ix.violations(d, values, own))
             .collect()
     }
 
@@ -700,59 +608,32 @@ fn dedup_keys<'a>(old: &'a [Symbol], new: &'a [Symbol]) -> Vec<&'a [Symbol]> {
     }
 }
 
-/// Key symbols for tuple `t` without overrides (always resolvable).
-fn key_symbols(d: &Dataset, t: usize, keys: &[usize], ov: Option<Override<'_>>) -> Box<[Symbol]> {
-    key_symbols_opt(d, t, keys, ov).expect("non-override key must resolve")
+/// Key symbols of row `t`.
+fn key_symbols(d: &Dataset, t: usize, keys: &[usize]) -> Box<[Symbol]> {
+    keys.iter().map(|&a| d.symbol(t, a)).collect()
 }
 
-/// Key symbols, or `None` when an overridden component is a value the
-/// pool has never seen (such a key can match no existing block).
-fn key_symbols_opt(
-    d: &Dataset,
-    t: usize,
-    keys: &[usize],
-    ov: Option<Override<'_>>,
-) -> Option<Box<[Symbol]>> {
-    let mut out = Vec::with_capacity(keys.len());
-    for &a in keys {
-        let sym = match ov {
-            Some(o) if o.tuple == t && o.attr == a => d.pool().get(o.value)?,
-            _ => d.symbol(t, a),
-        };
-        out.push(sym);
-    }
-    Some(out.into_boxed_slice())
+/// Key symbols of a tuple given as values, or `None` when any key value
+/// is one the pool has never seen (such a key matches no block).
+fn value_key_symbols(d: &Dataset, values: &[&str], keys: &[usize]) -> Option<Box<[Symbol]>> {
+    keys.iter().map(|&a| d.pool().get(values[a])).collect()
 }
 
-/// Key symbols for an external tuple, or `None` when any key value is
-/// one the reference pool has never seen (such a key matches no block).
-fn external_key_symbols(
-    reference: &Dataset,
-    values: &[&str],
-    keys: &[usize],
-) -> Option<Box<[Symbol]>> {
-    let mut out = Vec::with_capacity(keys.len());
-    for &a in keys {
-        out.push(reference.pool().get(values[a])?);
-    }
-    Some(out.into_boxed_slice())
-}
-
-/// Resolve an operand where one side of the pair is an external tuple
-/// (`ext`, values in schema order) and the other is reference tuple `s`.
-/// `ext_is_t1` says which constraint variable the external tuple plays.
-fn resolve_ext<'a>(
+/// Resolve an operand where one side of the pair is a tuple given as
+/// `values` (schema order) and the other is row `s` of `d`.
+/// `values_are_t1` says which constraint variable `values` plays.
+fn resolve_values<'a>(
     d: &'a Dataset,
     operand: &'a Operand,
-    ext: &[&'a str],
+    values: &[&'a str],
     s: usize,
-    ext_is_t1: bool,
+    values_are_t1: bool,
 ) -> &'a str {
     match operand {
         Operand::Const(c) => c,
         Operand::Var { tuple, attr } => {
-            if (*tuple == 0) == ext_is_t1 {
-                ext[*attr]
+            if (*tuple == 0) == values_are_t1 {
+                values[*attr]
             } else {
                 d.value(s, *attr)
             }
@@ -760,81 +641,31 @@ fn resolve_ext<'a>(
     }
 }
 
-fn eval_conjunction_ext(
+fn eval_values(
     preds: &[Predicate],
     d: &Dataset,
-    ext: &[&str],
+    values: &[&str],
     s: usize,
-    ext_is_t1: bool,
+    values_are_t1: bool,
 ) -> bool {
     preds.iter().all(|p| {
-        let l = resolve_ext(d, &p.left, ext, s, ext_is_t1);
-        let r = resolve_ext(d, &p.right, ext, s, ext_is_t1);
+        let l = resolve_values(d, &p.left, values, s, values_are_t1);
+        let r = resolve_values(d, &p.right, values, s, values_are_t1);
         p.op.eval(l, r)
     })
 }
 
-/// Reference partners conflicting with the external tuple, capped at
-/// [`SCAN_CAP`] samples and scaled back for an unbiased estimate (the
-/// same sampling scheme as [`count_partners_for`]).
-fn count_partners_ext(
-    residual: &[Predicate],
-    d: &Dataset,
-    ext: &[&str],
-    n_members: usize,
-    member: impl Fn(usize) -> usize,
-) -> u32 {
-    if n_members == 0 {
-        return 0;
-    }
-    let stride = (n_members / SCAN_CAP).max(1);
-    let mut sampled = 0usize;
-    let mut hits = 0usize;
-    let mut i = 0usize;
-    while i < n_members {
-        let s = member(i);
-        i += stride;
-        sampled += 1;
-        if eval_conjunction_ext(residual, d, ext, s, true)
-            || eval_conjunction_ext(residual, d, ext, s, false)
-        {
-            hits += 1;
-        }
-    }
-    ((hits as f64) * (n_members as f64) / (sampled as f64)).round() as u32
-}
-
-fn resolve<'a>(
-    d: &'a Dataset,
-    operand: &'a Operand,
-    t1: usize,
-    t2: usize,
-    ov: Option<Override<'a>>,
-) -> &'a str {
+fn resolve<'a>(d: &'a Dataset, operand: &'a Operand, t1: usize, t2: usize) -> &'a str {
     match operand {
         Operand::Const(c) => c,
-        Operand::Var { tuple, attr } => {
-            let t = if *tuple == 0 { t1 } else { t2 };
-            if let Some(o) = ov {
-                if o.tuple == t && o.attr == *attr {
-                    return o.value;
-                }
-            }
-            d.value(t, *attr)
-        }
+        Operand::Var { tuple, attr } => d.value(if *tuple == 0 { t1 } else { t2 }, *attr),
     }
 }
 
-fn eval_conjunction(
-    preds: &[Predicate],
-    d: &Dataset,
-    t1: usize,
-    t2: usize,
-    ov: Option<Override<'_>>,
-) -> bool {
+fn eval_conjunction(preds: &[Predicate], d: &Dataset, t1: usize, t2: usize) -> bool {
     preds.iter().all(|p| {
-        let l = resolve(d, &p.left, t1, t2, ov);
-        let r = resolve(d, &p.right, t1, t2, ov);
+        let l = resolve(d, &p.left, t1, t2);
+        let r = resolve(d, &p.right, t1, t2);
         p.op.eval(l, r)
     })
 }
@@ -851,9 +682,7 @@ fn count_pairs_in_block(residual: &[Predicate], d: &Dataset, members: &[u32], co
         for (i, &ti) in members.iter().enumerate() {
             for &tj in &members[i + 1..] {
                 let (a, b) = (ti as usize, tj as usize);
-                if eval_conjunction(residual, d, a, b, None)
-                    || eval_conjunction(residual, d, b, a, None)
-                {
+                if eval_conjunction(residual, d, a, b) || eval_conjunction(residual, d, b, a) {
                     counts[a] += 1;
                     counts[b] += 1;
                 }
@@ -861,38 +690,38 @@ fn count_pairs_in_block(residual: &[Predicate], d: &Dataset, members: &[u32], co
         }
     } else {
         for &ti in members {
-            counts[ti as usize] = count_partners_for(residual, d, ti as usize, members, None);
+            let t = ti as usize;
+            let values = d.tuple_values(t);
+            counts[t] = count_partners(residual, d, &values, m, |i| members[i] as usize, Some(t));
         }
     }
 }
 
-/// Conflicting partners of `t` within `members`, capped at [`SCAN_CAP`]
-/// samples and scaled back to the block size for an unbiased estimate.
-fn count_partners_for(
+/// Conflicting partners of the tuple with `values` among `n` candidate
+/// rows of `d` (`member(i)` is the `i`-th), not counting row `own`,
+/// which must be a candidate when given. Past [`SCAN_CAP`] candidates
+/// the scan samples at a fixed stride and scales the hits back to the
+/// candidate count for an unbiased estimate.
+fn count_partners(
     residual: &[Predicate],
     d: &Dataset,
-    t: usize,
-    members: &[u32],
-    ov: Option<Override<'_>>,
+    values: &[&str],
+    n: usize,
+    member: impl Fn(usize) -> usize,
+    own: Option<usize>,
 ) -> u32 {
-    let others = members
-        .len()
-        .saturating_sub(usize::from(members.contains(&(t as u32))));
+    let others = n.saturating_sub(usize::from(own.is_some()));
     if others == 0 {
         return 0;
     }
-    let stride = (members.len() / SCAN_CAP).max(1);
     let mut sampled = 0usize;
     let mut hits = 0usize;
-    let mut i = 0usize;
-    while i < members.len() {
-        let s = members[i] as usize;
-        i += stride;
-        if s == t {
+    for s in (0..n).step_by((n / SCAN_CAP).max(1)).map(member) {
+        if Some(s) == own {
             continue;
         }
         sampled += 1;
-        if eval_conjunction(residual, d, t, s, ov) || eval_conjunction(residual, d, s, t, ov) {
+        if eval_values(residual, d, values, s, true) || eval_values(residual, d, values, s, false) {
             hits += 1;
         }
     }
@@ -956,12 +785,22 @@ mod tests {
         assert_eq!(e.indexes()[0].n_violating_tuples(), 0);
     }
 
+    /// Row `t`'s values with cell `(t, a)` set to `v`.
+    fn with_cell<'a>(d: &'a Dataset, t: usize, a: usize, v: &'a str) -> Vec<&'a str> {
+        let mut values = d.tuple_values(t);
+        values[a] = v;
+        values
+    }
+
     #[test]
     fn override_fixing_the_error_clears_violations() {
         let (d, e) = engine("Zip -> City");
         let ix = &e.indexes()[0];
         // Fixing row 2's City to "Chicago" removes all its conflicts.
-        assert_eq!(ix.tuple_violations_with_override(&d, 2, 1, "Chicago"), 0);
+        assert_eq!(
+            ix.violations(&d, &with_cell(&d, 2, 1, "Chicago"), Some(2)),
+            0
+        );
         // And row 0 would keep its single conflict (query doesn't mutate).
         assert_eq!(ix.tuple_violations(0), 1);
     }
@@ -972,7 +811,10 @@ mod tests {
         let ix = &e.indexes()[0];
         // Breaking row 1's City creates conflicts with rows 0 (Chicago)
         // and 2 (Cicago): both differ from the override value.
-        assert_eq!(ix.tuple_violations_with_override(&d, 1, 1, "Madison"), 2);
+        assert_eq!(
+            ix.violations(&d, &with_cell(&d, 1, 1, "Madison"), Some(1)),
+            2
+        );
     }
 
     #[test]
@@ -980,22 +822,22 @@ mod tests {
         let (d, e) = engine("Zip -> City");
         let ix = &e.indexes()[0];
         // A brand-new Zip matches no block: zero conflicts.
-        assert_eq!(ix.tuple_violations_with_override(&d, 2, 0, "99999"), 0);
+        assert_eq!(ix.violations(&d, &with_cell(&d, 2, 0, "99999"), Some(2)), 0);
     }
 
     #[test]
     fn override_on_unrelated_attr_is_unchanged() {
         let (d, e) = engine("Zip -> City");
         let ix = &e.indexes()[0];
-        assert_eq!(ix.tuple_violations_with_override(&d, 2, 2, "100"), 2);
+        assert_eq!(ix.violations(&d, &with_cell(&d, 2, 2, "100"), Some(2)), 2);
     }
 
     #[test]
     fn override_unary() {
         let (d, e) = engine("t1.Score < '0'");
         let ix = &e.indexes()[0];
-        assert_eq!(ix.tuple_violations_with_override(&d, 3, 2, "4"), 0);
-        assert_eq!(ix.tuple_violations_with_override(&d, 0, 2, "-9"), 1);
+        assert_eq!(ix.violations(&d, &with_cell(&d, 3, 2, "4"), Some(3)), 0);
+        assert_eq!(ix.violations(&d, &with_cell(&d, 0, 2, "-9"), Some(0)), 1);
     }
 
     #[test]
@@ -1016,9 +858,9 @@ mod tests {
         let (d, e) = engine("t1.Zip = t2.Zip & t1.City ~ t2.City & t1.Score != t2.Score");
         let ix = &e.indexes()[0];
         // Moving row 2 to a fresh zip removes its conflicts.
-        assert_eq!(ix.tuple_violations_with_override(&d, 2, 0, "00000"), 0);
+        assert_eq!(ix.violations(&d, &with_cell(&d, 2, 0, "00000"), Some(2)), 0);
         // Matching row 0's score removes exactly the row-0 conflict.
-        assert_eq!(ix.tuple_violations_with_override(&d, 2, 2, "5"), 1);
+        assert_eq!(ix.violations(&d, &with_cell(&d, 2, 2, "5"), Some(2)), 1);
     }
 
     #[test]
@@ -1038,8 +880,8 @@ mod tests {
 
     #[test]
     fn external_tuple_matches_internal_for_member_tuples() {
-        // Re-presenting a reference tuple as an external one reproduces
-        // its fit-time count: the self-pair cancels through the
+        // A row's own values reproduce its fit-time count, as its own
+        // row and as a foreign copy: the self-pair cancels through the
         // agreement counts (FD) or fails the disequality (blocked).
         for spec in [
             "Zip -> City",
@@ -1049,13 +891,27 @@ mod tests {
             let ix = &e.indexes()[0];
             for t in 0..d.n_tuples() {
                 let vals = d.tuple_values(t);
-                assert_eq!(
-                    ix.external_tuple_violations(&d, &vals),
-                    ix.tuple_violations(t),
-                    "{spec}: tuple {t}"
-                );
+                for own in [Some(t), None] {
+                    assert_eq!(
+                        ix.violations(&d, &vals, own),
+                        ix.tuple_violations(t),
+                        "{spec}: tuple {t}, own {own:?}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn a_foreign_copy_of_a_row_meets_that_row() {
+        // `t1.Score <= t2.Score` holds for a tuple paired with itself, so
+        // a foreign copy of row 0 conflicts with row 0 too; as row 0 it
+        // does not.
+        let (d, e) = engine("t1.Zip = t2.Zip & t1.Score <= t2.Score");
+        let ix = &e.indexes()[0];
+        let row0 = d.tuple_values(0);
+        assert_eq!(ix.violations(&d, &row0, Some(0)), ix.tuple_violations(0));
+        assert_eq!(ix.violations(&d, &row0, None), ix.tuple_violations(0) + 1);
     }
 
     #[test]
@@ -1064,33 +920,18 @@ mod tests {
         let ix = &e.indexes()[0];
         // A new 60612 tuple with a fresh city conflicts with all three
         // 60612 reference rows.
-        assert_eq!(
-            ix.external_tuple_violations(&d, &["60612", "Springfield", "1"]),
-            3
-        );
+        assert_eq!(ix.violations(&d, &["60612", "Springfield", "1"], None), 3);
         // Agreeing with the majority leaves only the Cicago conflict.
-        assert_eq!(
-            ix.external_tuple_violations(&d, &["60612", "Chicago", "1"]),
-            1
-        );
+        assert_eq!(ix.violations(&d, &["60612", "Chicago", "1"], None), 1);
         // A never-seen key matches no block.
-        assert_eq!(
-            ix.external_tuple_violations(&d, &["99999", "Chicago", "1"]),
-            0
-        );
+        assert_eq!(ix.violations(&d, &["99999", "Chicago", "1"], None), 0);
     }
 
     #[test]
     fn external_unary_and_vector() {
         let (d, e) = engine("Zip -> City\nt1.Score < '0'");
-        assert_eq!(
-            e.external_tuple_vector(&d, &["60612", "Cicago", "-3"]),
-            vec![2, 1]
-        );
-        assert_eq!(
-            e.external_tuple_vector(&d, &["53703", "Madison", "4"]),
-            vec![0, 0]
-        );
+        assert_eq!(e.vector(&d, &["60612", "Cicago", "-3"], None), vec![2, 1]);
+        assert_eq!(e.vector(&d, &["53703", "Madison", "4"], None), vec![0, 0]);
     }
 
     #[test]
@@ -1100,7 +941,7 @@ mod tests {
         assert_eq!(e.tuple_vector(2), vec![2, 0]);
         assert_eq!(e.tuple_vector(3), vec![0, 1]);
         assert_eq!(
-            e.tuple_vector_with_override(&d, 2, 1, "Chicago"),
+            e.vector(&d, &with_cell(&d, 2, 1, "Chicago"), Some(2)),
             vec![0, 0]
         );
     }
@@ -1194,6 +1035,21 @@ mod props {
     use holo_data::{DatasetBuilder, Schema};
     use proptest::prelude::*;
 
+    /// One constraint of each index shape: FD, blocked, unary, unkeyed.
+    const SHAPES: &str = "K -> V\n\
+                          t1.K = t2.K & t1.V != t2.V & t1.W != t2.W\n\
+                          t1.V = 'v0'\n\
+                          t1.V ~ t2.V & t1.W != t2.W";
+
+    /// A `K, V, W` table with values `k*`, `v*`, `w*`.
+    fn table(rows: &[(u8, u8, u8)]) -> Dataset {
+        let mut b = DatasetBuilder::new(Schema::new(["K", "V", "W"]));
+        for (k, v, w) in rows {
+            b.push_row(&[format!("k{k}"), format!("v{v}"), format!("w{w}")]);
+        }
+        b.build()
+    }
+
     /// Brute-force partner counting for cross-checking the fast paths.
     fn brute_force(d: &Dataset, dc: &DenialConstraint) -> Vec<u32> {
         let n = d.n_tuples();
@@ -1203,8 +1059,8 @@ mod props {
                 if s == t {
                     continue;
                 }
-                if eval_conjunction(&dc.predicates, d, t, s, None)
-                    || eval_conjunction(&dc.predicates, d, s, t, None)
+                if eval_conjunction(&dc.predicates, d, t, s)
+                    || eval_conjunction(&dc.predicates, d, s, t)
                 {
                     *count += 1;
                 }
@@ -1230,30 +1086,30 @@ mod props {
             prop_assert_eq!(e.indexes()[0].tuple_counts(), expect.as_slice());
         }
 
-        /// Override queries agree with rebuilding the index on a mutated
-        /// copy of the dataset.
+        /// The own-excluding query equals the maintained count of an
+        /// engine rebuilt over a copy with that one cell set, for every
+        /// index shape and any attribute, keys included (`3` is a value
+        /// the pool has never seen).
         #[test]
         fn override_matches_rebuild(
-            rows in proptest::collection::vec((0u8..3, 0u8..3), 2..16),
+            rows in proptest::collection::vec((0u8..3, 0u8..3, 0u8..3), 2..16),
             target in 0usize..16,
-            newv in 0u8..3,
+            attr in 0usize..3,
+            newv in 0u8..4,
         ) {
-            let mut b = DatasetBuilder::new(Schema::new(["K", "V"]));
-            for (k, v) in &rows {
-                b.push_row(&[format!("k{k}"), format!("v{v}")]);
-            }
-            let d = b.build();
+            let d = table(&rows);
             let t = target % rows.len();
-            let value = format!("v{newv}");
-            let dcs = parse_constraints("K -> V", d.schema()).unwrap();
+            let value = format!("{}{newv}", ["k", "v", "w"][attr]);
+            let dcs = parse_constraints(SHAPES, d.schema()).unwrap();
             let e = ViolationEngine::build(&d, &dcs);
-            let hypothetical = e.indexes()[0]
-                .tuple_violations_with_override(&d, t, 1, &value);
+            let mut values = d.tuple_values(t);
+            values[attr] = &value;
+            let hypothetical = e.vector(&d, &values, Some(t));
 
             let mut d2 = d.clone();
-            d2.set_value(t, 1, &value);
-            let e2 = ViolationEngine::build(&d2, &dcs);
-            prop_assert_eq!(hypothetical, e2.indexes()[0].tuple_violations(t));
+            d2.set_value(t, attr, &value);
+            let rebuilt = ViolationEngine::build(&d2, &dcs);
+            prop_assert_eq!(hypothetical, rebuilt.tuple_vector(t));
         }
 
         /// A random interleaving of appends/updates/deletes maintained
@@ -1264,18 +1120,8 @@ mod props {
             rows in proptest::collection::vec((0u8..3, 0u8..3, 0u8..3), 2..12),
             raw_ops in proptest::collection::vec((0u8..3, 0u16..64, 0u8..4, 0u8..4), 0..24),
         ) {
-            let mut b = DatasetBuilder::new(Schema::new(["K", "V", "W"]));
-            for (k, v, w) in &rows {
-                b.push_row(&[format!("k{k}"), format!("v{v}"), format!("w{w}")]);
-            }
-            let mut d = b.build();
-            let dcs = parse_constraints(
-                "K -> V\n\
-                 t1.K = t2.K & t1.V != t2.V & t1.W != t2.W\n\
-                 t1.V = 'v0'\n\
-                 t1.V ~ t2.V & t1.W != t2.W",
-                d.schema(),
-            ).unwrap();
+            let mut d = table(&rows);
+            let dcs = parse_constraints(SHAPES, d.schema()).unwrap();
             let mut e = ViolationEngine::build(&d, &dcs);
 
             for &(kind, t, a, v) in &raw_ops {
@@ -1315,11 +1161,7 @@ mod props {
         fn blocked_matches_brute_force(rows in proptest::collection::vec(
             (0u8..3, 0u8..3, 0u8..3), 1..16)
         ) {
-            let mut b = DatasetBuilder::new(Schema::new(["K", "V", "W"]));
-            for (k, v, w) in &rows {
-                b.push_row(&[format!("k{k}"), format!("v{v}"), format!("w{w}")]);
-            }
-            let d = b.build();
+            let d = table(&rows);
             let dcs = parse_constraints(
                 "t1.K = t2.K & t1.V != t2.V & t1.W != t2.W", d.schema()).unwrap();
             let e = ViolationEngine::build(&d, &dcs);

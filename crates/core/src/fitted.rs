@@ -530,6 +530,13 @@ fn read_config<R: Read>(r: &mut R) -> Result<HoloDetectConfig, ModelError> {
     let lr = binio::read_f32(r)?;
     let hidden_dim = binio::read_usize(r)?;
     let dropout = binio::read_f32(r)?;
+    // Checked here, not by the dropout layer's assert while the model
+    // skeleton is built (NaN fails the range test too).
+    if !(0.0..1.0).contains(&dropout) {
+        return Err(ModelError::Format(format!(
+            "dropout {dropout} outside [0, 1)"
+        )));
+    }
     let holdout_frac = binio::read_f64(r)?;
     let platt_epochs = binio::read_usize(r)?;
     let decision_threshold = binio::read_f32(r)?;
@@ -681,6 +688,14 @@ mod tests {
     }
 
     fn fitted(dirty: &Dataset, truth: &GroundTruth) -> FittedHoloDetect {
+        fitted_under(dirty, truth, &[])
+    }
+
+    fn fitted_under(
+        dirty: &Dataset,
+        truth: &GroundTruth,
+        constraints: &[holo_constraints::DenialConstraint],
+    ) -> FittedHoloDetect {
         let mut cfg = HoloDetectConfig::fast();
         cfg.epochs = 10;
         let train = truth.label_tuples(dirty, &(0..20).collect::<Vec<_>>());
@@ -688,10 +703,64 @@ mod tests {
             dirty,
             train: &train,
             sampling: None,
-            constraints: &[],
+            constraints,
             seed: 3,
         };
         HoloDetect::new(cfg).fit_model(&ctx)
+    }
+
+    /// `bytes` with the first occurrence of `old` overwritten by `new`
+    /// (of the same length).
+    fn splice(bytes: &[u8], old: &[u8], new: &[u8]) -> Vec<u8> {
+        assert_eq!(old.len(), new.len());
+        let at = bytes
+            .windows(old.len())
+            .position(|w| w == old)
+            .expect("pattern occurs in the artifact");
+        let mut out = bytes.to_vec();
+        out[at..at + new.len()].copy_from_slice(new);
+        out
+    }
+
+    #[test]
+    fn mutated_dropout_and_constraint_attr_are_typed_errors() {
+        use holo_constraints::{parse_constraints, Operand};
+        let (dirty, truth) = world();
+        let dcs = parse_constraints("Zip -> City", dirty.schema()).unwrap();
+        let model = fitted_under(&dirty, &truth, &dcs);
+        let mut bytes = Vec::new();
+        model.save_to(&mut bytes).unwrap();
+        let load = |b: Vec<u8>| FittedHoloDetect::load_from(&mut std::io::Cursor::new(b));
+        let pipeline = &model.artifact().unwrap().pipeline;
+
+        // A dropout outside [0, 1) once built the model skeleton into
+        // the dropout layer's assert.
+        let mut cfg = pipeline.cfg.clone();
+        let mut old = Vec::new();
+        write_config(&mut old, &cfg).unwrap();
+        for bad in [2.0, -0.5, 1.0, f32::NAN] {
+            cfg.dropout = bad;
+            let mut new = Vec::new();
+            write_config(&mut new, &cfg).unwrap();
+            let res = load(splice(&bytes, &old, &new));
+            assert!(matches!(res, Err(ModelError::Format(_))), "dropout {bad}");
+        }
+
+        // A constraint attribute past the schema once indexed out of
+        // bounds while the violation engine was built.
+        let dc = &pipeline.featurizer.constraints()[0];
+        let mut bad = dc.clone();
+        bad.predicates[0].left = Operand::Var {
+            tuple: 0,
+            attr: 1000,
+        };
+        let (mut old, mut new) = (Vec::new(), Vec::new());
+        dc.write_to(&mut old).unwrap();
+        bad.write_to(&mut new).unwrap();
+        assert!(load(splice(&bytes, &old, &new)).is_err());
+
+        // The unmutated bytes still load.
+        assert!(load(bytes).is_ok());
     }
 
     fn tmp_path(name: &str) -> std::path::PathBuf {

@@ -207,7 +207,8 @@ fn semi_supervised(
     pool.shuffle(&mut rng);
     pool.truncate((max_per_round * 4).max(1000).min(pool.len()));
     // Featurize against the pipeline's owned reference (identical to
-    // ctx.dirty at fit time, and hits the aligned fast path).
+    // ctx.dirty at fit time): its cells are reference cells, whose
+    // violation counts exclude their own row.
     let pool_x = pipeline.featurize_cells(pipeline.reference(), &pool);
 
     let mut fitted = train_plain(method, pipeline, base, holdout);

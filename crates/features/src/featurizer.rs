@@ -29,17 +29,14 @@ const BATCH_GRAIN: usize = 16;
 
 /// Per-batch memo for violation queries against a *foreign* dataset.
 ///
-/// All cells of one tuple share the same external violation vector (for
-/// their observed values) and the same alignment verdict, but the
-/// per-cell query API cannot know it is being called `n_attrs` times
-/// per tuple. Batch featurization threads each carry one of these so
-/// the block scans and row comparisons run once per tuple instead of
-/// once per cell. Only valid for a single queried dataset.
+/// All observed cells of one tuple share the same violation vector, but
+/// the per-cell query API cannot know it is being called `n_attrs` times
+/// per tuple. Batch featurization threads each carry one of these so the
+/// block scans run once per tuple instead of once per cell. Only valid
+/// for a single queried dataset.
 #[derive(Default)]
 struct ViolMemo {
-    /// tuple → does it match the reference row of the same index?
-    aligned: HashMap<usize, bool>,
-    /// tuple → external violation vector for its *observed* values.
+    /// tuple → violation vector for its *observed* values.
     foreign_observed: HashMap<usize, Vec<u32>>,
 }
 
@@ -53,9 +50,12 @@ struct ViolMemo {
 /// [`Featurizer::features_with_value`]. Value statistics come from the
 /// fit-time models; tuple context (co-occurrence partners, tuple
 /// embeddings) comes from the queried dataset; constraint violations are
-/// counted against the reference — with a per-cell fast path when the
-/// queried tuple *is* a reference tuple (same row, same values), which
-/// reproduces fit-time semantics exactly.
+/// counted against the reference. A cell is a *reference cell* only when
+/// the queried dataset is the owned reference itself
+/// ([`Featurizer::reference`], compared by pointer): its tuple is then
+/// not its own conflict partner, exactly as at fit time. Every other
+/// dataset, a copy of the reference included, is foreign, and its
+/// tuples are counted against every reference row.
 ///
 /// All queries are `&self` and thread-safe, so batch featurization
 /// parallelizes with scoped threads.
@@ -304,21 +304,10 @@ impl Featurizer {
         &self.constraints
     }
 
-    /// Is the queried tuple literally a reference tuple — same row
-    /// index, same values? Then fit-time violation semantics apply
-    /// (conflict counts exclude the tuple itself); otherwise the tuple
-    /// is scored as an external one against the reference.
-    fn row_matches_reference(&self, d: &Dataset, t: usize) -> bool {
-        if std::ptr::eq(d, &self.reference) {
-            return true;
-        }
-        t < self.reference.n_tuples()
-            && d.n_attrs() == self.n_attrs
-            && (0..self.n_attrs).all(|a| d.value(t, a) == self.reference.value(t, a))
-    }
-
-    /// Features for a cell of `d` (the dataset being scored — the
-    /// reference or any schema-compatible batch) with its observed value.
+    /// Features for a cell of `d` (the dataset being scored — the owned
+    /// [`Featurizer::reference`] or any schema-compatible batch) with its
+    /// observed value. Violation counts exclude the cell's own tuple only
+    /// when `d` is the owned reference.
     pub fn features(&self, d: &Dataset, cell: CellId) -> Vec<f32> {
         let value = d.cell_value(cell).to_owned();
         self.features_with_value(d, cell, &value)
@@ -326,7 +315,8 @@ impl Featurizer {
 
     /// Features for a cell of `d` under a hypothetical value (the
     /// augmented example case: a transformed value inside the real tuple
-    /// context).
+    /// context). Pass the owned [`Featurizer::reference`] for a reference
+    /// cell, so its violation counts exclude its own row.
     pub fn features_with_value(&self, d: &Dataset, cell: CellId, value: &str) -> Vec<f32> {
         self.features_memo(d, cell, value, &mut ViolMemo::default())
     }
@@ -342,33 +332,19 @@ impl Featurizer {
         value: &str,
         memo: &mut ViolMemo,
     ) -> Vec<u32> {
-        let aligned = if std::ptr::eq(d, &self.reference) {
-            true
-        } else {
-            *memo
-                .aligned
-                .entry(t)
-                .or_insert_with(|| self.row_matches_reference(d, t))
-        };
-        if aligned {
-            if value == self.reference.value(t, a) {
-                engine.tuple_vector(t)
-            } else {
-                engine.tuple_vector_with_override(&self.reference, t, a, value)
-            }
-        } else if value == d.value(t, a) {
+        let reference_cell = std::ptr::eq(d, &self.reference);
+        let observed = value == d.value(t, a);
+        if reference_cell && observed {
+            engine.tuple_vector(t)
+        } else if observed {
             memo.foreign_observed
                 .entry(t)
-                .or_insert_with(|| {
-                    let values: Vec<&str> = (0..self.n_attrs).map(|c| d.value(t, c)).collect();
-                    engine.external_tuple_vector(&self.reference, &values)
-                })
+                .or_insert_with(|| engine.vector(&self.reference, &d.tuple_values(t), None))
                 .clone()
         } else {
-            let values: Vec<&str> = (0..self.n_attrs)
-                .map(|c| if c == a { value } else { d.value(t, c) })
-                .collect();
-            engine.external_tuple_vector(&self.reference, &values)
+            let mut values = d.tuple_values(t);
+            values[a] = value;
+            engine.vector(&self.reference, &values, reference_cell.then_some(t))
         }
     }
 
@@ -854,7 +830,20 @@ impl Featurizer {
         let n_dc = binio::read_usize(r)?;
         let mut constraints = Vec::with_capacity(binio::bounded_cap(n_dc, 64));
         for _ in 0..n_dc {
-            constraints.push(DenialConstraint::read_from(r)?);
+            let dc = DenialConstraint::read_from(r)?;
+            // The violation engine built below indexes the reference's
+            // columns by these attributes.
+            if let Some(a) = dc.attrs().into_iter().find(|&a| a >= reference.n_attrs()) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "constraint {:?} reads attribute {a}, the reference has {}",
+                        dc.name,
+                        reference.n_attrs()
+                    ),
+                ));
+            }
+            constraints.push(dc);
         }
         let read_ngrams = |r: &mut R| -> io::Result<Vec<NgramModel>> {
             let n = binio::read_usize(r)?;
@@ -999,10 +988,11 @@ mod tests {
             .iter()
             .position(|n| n == "violations:dc0")
             .unwrap();
-        // The typo row participates in violations; fixing it clears them.
+        // The typo row participates in violations; fixing it clears them
+        // (as a reference cell, its own observed row is no partner).
         let typo_cell = CellId::new(40, 1);
         let dirty = f.features(&d, typo_cell);
-        let fixed = f.features_with_value(&d, typo_cell, "Chicago");
+        let fixed = f.features_with_value(f.reference(), typo_cell, "Chicago");
         assert!(dirty[viol_idx] > 0.0);
         assert_eq!(fixed[viol_idx], 0.0);
     }
@@ -1042,10 +1032,37 @@ mod tests {
         assert!(breaking[viol_idx] > consistent[viol_idx]);
 
         // Value statistics come from the reference, not the batch: a
-        // batch cell whose value matches reference row 0 featurizes like
-        // reference row 0 except for violation self-exclusion — and row
-        // 0 of this batch *is* reference row 0, so it matches exactly.
+        // batch row equal to row 0 of the caller's dataset featurizes
+        // exactly like it. Both are foreign rows, and under an FD a
+        // foreign copy's self-pair cancels, so both also match
+        // reference row 0.
         assert_eq!(consistent, f.features(&d, CellId::new(0, 1)));
+    }
+
+    #[test]
+    fn a_foreign_rows_violations_do_not_depend_on_its_position() {
+        // `t1.State <= t2.State` holds for a tuple paired with itself, so
+        // a copy of reference row 0 conflicts with row 0 as well. A batch
+        // row is foreign at every index: at index 0 it must not take
+        // reference row 0's own-row exclusion.
+        let d = dataset();
+        let dcs = parse_constraints("t1.Zip = t2.Zip & t1.State <= t2.State", d.schema()).unwrap();
+        let f = Featurizer::fit(&d, &dcs, FeatureConfig::fast());
+        let batch = |rows: &[Vec<&str>]| {
+            let mut b = DatasetBuilder::new(Schema::new(["Zip", "City", "State"]));
+            for row in rows {
+                b.push_row(row);
+            }
+            b.build()
+        };
+        let row0 = d.tuple_values(0);
+        let at1 = batch(&[vec!["53703", "Madison", "WI"], row0.clone()]);
+        let at0 = batch(&[row0]);
+        // The State cell: the City cell's violation feature is masked.
+        assert_eq!(
+            f.features(&at0, CellId::new(0, 2)),
+            f.features(&at1, CellId::new(1, 2))
+        );
     }
 
     #[test]
@@ -1236,7 +1253,7 @@ mod tests {
         // Scores on the (grown) reference itself…
         assert_eq!(
             feature_bits(&f, f.reference()),
-            feature_bits(&rebuilt, &replica)
+            feature_bits(&rebuilt, rebuilt.reference())
         );
         // …and on a foreign batch mixing seen and unseen values.
         let mut b = DatasetBuilder::new(Schema::new(["Zip", "City", "State"]));

@@ -46,8 +46,6 @@
 //! ([`holo_trace::SpanRecorder`]) the three `/v1/trace/*` endpoints
 //! page, and their span durations feed the
 //! `holo_trace_stage_micros{stage=...}` histograms on `/metrics`.
-//! [`TraceConfig::access_log`] additionally emits one structured JSON
-//! line per request on stderr.
 //!
 //! The four streaming endpoints answer 409 for a model served
 //! statically; registering a `holo_stream::LiveModel` through
@@ -121,16 +119,12 @@ pub struct ServeConfig {
 pub struct TraceConfig {
     /// Byte budget for the recorder's trace ring (overwrite-oldest).
     pub ring_bytes: usize,
-    /// Emit one structured JSON log line per finished request on
-    /// stderr (trace id, endpoint, status, total microseconds).
-    pub access_log: bool,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             ring_bytes: 1 << 20,
-            access_log: false,
         }
     }
 }
@@ -166,7 +160,6 @@ struct App {
     metrics: Arc<Metrics>,
     limits: ParseLimits,
     recorder: Arc<SpanRecorder>,
-    access_log: bool,
 }
 
 /// A running serving stack: HTTP server + registry.
@@ -233,7 +226,6 @@ pub fn start(
         metrics,
         limits: ParseLimits::default(),
         recorder,
-        access_log: cfg.trace.access_log,
     });
     let handler: Handler = {
         let app = Arc::clone(&app);
@@ -315,17 +307,7 @@ impl App {
         self.metrics.record_response(resp.status, clock.elapsed());
         holo_trace::note("status", Value::U64(u64::from(resp.status)));
         let id = trace.id();
-        let finished = trace.finish();
-        if self.access_log {
-            let line = Json::Obj(vec![
-                ("trace".into(), Json::Str(format_trace_id(id))),
-                ("method".into(), Json::Str(req.method.clone())),
-                ("endpoint".into(), Json::Str(finished.endpoint.clone())),
-                ("status".into(), Json::Num(f64::from(resp.status))),
-                ("micros".into(), Json::Num(finished.total_micros as f64)),
-            ]);
-            eprintln!("{line}");
-        }
+        trace.finish();
         resp.with_header("x-holo-trace", format_trace_id(id))
     }
 

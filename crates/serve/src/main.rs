@@ -33,8 +33,6 @@ options:
   --addr HOST:PORT       listen address          (default 127.0.0.1:7878)
   --workers N            HTTP worker threads     (default 4)
   --max-body-bytes N     request body cap        (default 1048576)
-  --access-log           one JSON log line per request on stderr
-                         (trace id, endpoint, status, micros)
   --trace-ring-bytes N   trace ring byte budget  (default 1048576)
 
 Every request is traced, and every traced stage notes its allocations;
@@ -84,7 +82,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.http.max_body_bytes =
                     parse_num(&value("--max-body-bytes")?, "--max-body-bytes")?;
             }
-            "--access-log" => args.trace.access_log = true,
             "--trace-ring-bytes" => {
                 args.trace.ring_bytes =
                     parse_num(&value("--trace-ring-bytes")?, "--trace-ring-bytes")?;

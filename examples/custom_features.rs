@@ -33,8 +33,11 @@ fn main() {
         .next()
         .map(|(c, v)| (c, v.to_owned()))
         .expect("dataset has errors");
-    let dirty_vec = f.features(&g.dirty, cell);
-    let fixed_vec = f.features_with_value(&g.dirty, cell, &truth_value);
+    // The featurizer's owned reference holds the fitted rows as
+    // reference cells: the hypothetical repair is not counted against
+    // the cell's own observed row.
+    let dirty_vec = f.features(f.reference(), cell);
+    let fixed_vec = f.features_with_value(f.reference(), cell, &truth_value);
     println!(
         "cell t{}.{}: observed {:?} vs truth {:?}",
         cell.t(),
@@ -65,7 +68,7 @@ fn main() {
     // Features support batch extraction for custom models.
     let cells: Vec<(CellId, Option<String>)> =
         g.dirty.cell_ids().take(8).map(|c| (c, None)).collect();
-    let batch = f.features_batch(&g.dirty, &cells, 2);
+    let batch = f.features_batch(f.reference(), &cells, 2);
     println!(
         "batch featurized {} cells x {} dims",
         batch.len(),

@@ -82,9 +82,10 @@ fn violation_overrides_agree_with_truth_repairs() {
         let mut repaired = g.dirty.clone();
         repaired.set_value(cell.t(), cell.a(), truth_value);
         let rebuilt = ViolationEngine::build(&repaired, &g.constraints);
+        let mut values = g.dirty.tuple_values(cell.t());
+        values[cell.a()] = truth_value;
         for (ix, rix) in engine.indexes().iter().zip(rebuilt.indexes()) {
-            let hypothetical =
-                ix.tuple_violations_with_override(&g.dirty, cell.t(), cell.a(), truth_value);
+            let hypothetical = ix.violations(&g.dirty, &values, Some(cell.t()));
             assert_eq!(
                 hypothetical,
                 rix.tuple_violations(cell.t()),

@@ -22,7 +22,7 @@ fn feature_means(kind: DatasetKind, rows: usize, name: &str) -> (f32, f32) {
     for t in 0..g.dirty.n_tuples() {
         for a in 0..g.dirty.n_attrs() {
             let cell = CellId::new(t, a);
-            let v = f.features(&g.dirty, cell)[idx] as f64;
+            let v = f.features(f.reference(), cell)[idx] as f64;
             if g.truth.label(cell).is_error() {
                 err = (err.0 + v, err.1 + 1);
             } else if (t + a) % 7 == 0 {
@@ -85,8 +85,8 @@ fn feature_vectors_distinguish_dirty_from_repaired() {
     let mut differs = 0usize;
     let mut total = 0usize;
     for (cell, truth_value) in g.truth.error_cells().take(60) {
-        let dirty = f.features(&g.dirty, cell);
-        let fixed = f.features_with_value(&g.dirty, cell, truth_value);
+        let dirty = f.features(f.reference(), cell);
+        let fixed = f.features_with_value(f.reference(), cell, truth_value);
         total += 1;
         if dirty.iter().zip(&fixed).any(|(a, b)| (a - b).abs() > 1e-6) {
             differs += 1;

@@ -170,8 +170,9 @@ fn unseen_batch(tag: usize) -> Dataset {
     b.build()
 }
 
-/// The reference's first `k` rows: every row equals the reference row
-/// at its own index, so the featurizer takes its index-aligned path.
+/// The reference's first `k` rows, as a request batch: each row equals
+/// the reference row at its own index, and is still a foreign row (only
+/// the artifact's owned reference holds reference cells).
 fn reference_rows(k: usize) -> Dataset {
     let (dirty, _) = world();
     let mut b = DatasetBuilder::new(dirty.schema().clone());
@@ -190,8 +191,8 @@ fn concurrent_scores_are_bitwise_identical_to_in_process_score_batch() {
     let addr = server.addr();
 
     // 6 client threads x 6 requests, concurrently: 4 of unseen rows and
-    // 2 of reference rows 0..k (the aligned path). Every response must
-    // equal a direct score_batch.
+    // 2 of copies of reference rows 0..k. Every response must equal a
+    // direct score_batch.
     let sent_cells: usize = std::thread::scope(|s| {
         let model = &model;
         let handles: Vec<_> = (0..6)
