@@ -356,31 +356,33 @@ impl AdaptiveRefit {
         let (examples, mut report, mut timing) =
             self.examples_timed(artifact.reference(), labels)?;
         let examples = Self::weight_fresh(examples, model.n_train_examples(), &mut report);
-        let mut model = model;
         // The labels are ground truth — fold them into the
         // representation: every labeled error cell is repaired to its
-        // clean value, purging the drifted values from the count-based
+        // clean value on a copy of the reference, and the count-based
         // statistics (co-occurrence, violations, frequencies) every
-        // *other* cell is scored against. The error examples above keep
+        // *other* cell is scored against are rebuilt over that copy,
+        // purging the drifted values. The error examples above keep
         // their observed values — they now featurize as drifted values
         // in clean contexts, which is exactly the contrast the
-        // classifier must learn.
+        // classifier must learn. `examples_timed` checked every label
+        // inside the budget against the reference's shape.
+        let reference = artifact.reference();
+        let mut repaired: Option<Dataset> = None;
         let budget = labels.len().min(self.cfg.max_labels);
         for label in labels.iter().take(budget) {
             for (a, clean) in label.clean.iter().enumerate() {
-                if model
-                    .artifact()
-                    .map(|s| s.reference().value(label.row, a) != clean)
-                    .unwrap_or(false)
-                {
-                    model.apply_delta(&holo_data::DeltaOp::Update {
-                        tuple: label.row,
-                        attr: a,
-                        value: clean.clone(),
-                    })?;
+                let current = repaired.as_ref().unwrap_or(reference);
+                if current.value(label.row, a) != clean {
+                    repaired
+                        .get_or_insert_with(|| reference.clone())
+                        .set_value(label.row, a, clean);
                     report.repaired_cells += 1;
                 }
             }
+        }
+        let mut model = model;
+        if let Some(repaired) = repaired {
+            model.rebuild_representation_at(&repaired)?;
         }
         drop(adapt);
         let train = stage("refit_with");
@@ -610,6 +612,59 @@ mod tests {
         let (examples, report) = AdaptiveRefit::default().examples(&d, &[]).unwrap();
         assert!(examples.is_empty());
         assert_eq!(report, AdaptReport::default());
+    }
+
+    #[test]
+    fn refit_repairs_each_differing_labeled_cell_once() {
+        let dirty = reference();
+        let mut clean = dirty.clone();
+        clean.set_value(10, 1, "Chicago");
+        clean.set_value(11, 1, "Madison");
+        let truth = holo_data::GroundTruth::from_pair(&clean, &dirty);
+        let train = truth.label_tuples(&dirty, &(0..dirty.n_tuples()).collect::<Vec<_>>());
+        let dcs = holo_constraints::parse_constraints("Zip -> City", dirty.schema()).unwrap();
+        let mut cfg = holodetect::HoloDetectConfig::fast();
+        cfg.epochs = 4;
+        let model = holodetect::HoloDetect::new(cfg).fit_model(&holo_eval::FitContext {
+            dirty: &dirty,
+            train: &train,
+            sampling: None,
+            constraints: &dcs,
+            seed: 7,
+        });
+        let fix = RowLabel {
+            row: 10,
+            clean: vec!["60612".into(), "Chicago".into()], // City differs
+        };
+        let agree = RowLabel {
+            row: 0,
+            clean: vec!["60612".into(), "Chicago".into()], // equals the reference
+        };
+        // What the repair must leave behind: the pre-refit representation
+        // rebuilt over the reference with the one cell repaired.
+        let mut repaired = model.artifact().unwrap().reference().clone();
+        repaired.set_value(10, 1, "Chicago");
+        let expected = model
+            .artifact()
+            .unwrap()
+            .pipeline()
+            .featurizer
+            .rebuilt_at(&repaired);
+
+        let labels = [fix.clone(), fix, agree];
+        let (refitted, report) = AdaptiveRefit::default().refit(model, &labels).unwrap();
+        assert_eq!(report.repaired_cells, 1, "a cell named twice counts once");
+        let featurizer = &refitted.artifact().unwrap().pipeline().featurizer;
+        let reference = featurizer.reference();
+        assert_eq!(reference.value(10, 1), "Chicago");
+        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for cell in reference.cell_ids() {
+            assert_eq!(
+                bits(featurizer.features(reference, cell)),
+                bits(expected.features(expected.reference(), cell)),
+                "{cell}"
+            );
+        }
     }
 
     #[test]

@@ -54,8 +54,8 @@ enum IndexKind {
         /// (key symbols, rhs symbol) → number of tuples agreeing
         agree: HashMap<(Box<[Symbol]>, Symbol), u32>,
         /// key symbols → member tuple ids (ascending). The partition the
-        /// incremental maintainers recount after a delta: appending one
-        /// row touches only the tuples sharing its key, never the table.
+        /// append maintainer recounts: appending one row touches only the
+        /// tuples sharing its key, never the table.
         rows: HashMap<Box<[Symbol]>, Vec<u32>>,
     },
     Blocked {
@@ -268,15 +268,15 @@ impl ConstraintIndex {
 
     // -------------------------------------------------- incremental ops
     //
-    // The streaming maintainers: apply one dataset delta to the index
+    // The streaming maintainer: apply one appended row to the index
     // *in place of* a rebuild, with the guarantee that the maintained
     // counts are bitwise-identical to `ConstraintIndex::build` over the
-    // post-delta dataset. Each op recounts only the hash partition(s)
-    // the changed tuple belongs to, using the *same* per-block counting
-    // code the builder uses — identical inputs, identical arithmetic,
-    // identical (stride-sampled, order-sensitive) estimates. Member
-    // lists are kept ascending, exactly as a rebuild's `0..n` scan
-    // produces them, so the sampled paths see the same sequences.
+    // grown dataset. An append recounts only the hash partition the new
+    // row joins, using the *same* per-block counting code the builder
+    // uses — identical inputs, identical arithmetic, identical
+    // (stride-sampled, order-sensitive) estimates. The new row's id is
+    // the largest, so pushing it keeps member lists ascending, exactly
+    // as a rebuild's `0..n` scan produces them.
     //
     // The `Unkeyed` shape has no partition to scope a recount to; it
     // falls back to a full repopulate (rare in practice — it only
@@ -324,128 +324,6 @@ impl ConstraintIndex {
                     self.tuple_counts[m as usize] = 0;
                 }
                 count_pairs_in_block(residual, d, members, &mut self.tuple_counts);
-            }
-            IndexKind::Unkeyed { .. } => self.populate(d),
-        }
-    }
-
-    /// Maintain the index after cell `(t, attr)` changed: `d` already
-    /// holds the new value; `old_values` is the tuple's full pre-update
-    /// row (its strings are still interned — pools never shrink).
-    pub fn apply_update(&mut self, d: &Dataset, t: usize, attr: usize, old_values: &[String]) {
-        if !self.dc.attrs().contains(&attr) {
-            return; // the constraint never reads this attribute
-        }
-        match &mut self.kind {
-            IndexKind::Unary => {
-                let hit = eval_conjunction(&self.dc.predicates, d, t, t);
-                self.tuple_counts[t] = u32::from(hit);
-            }
-            IndexKind::Fd {
-                keys,
-                rhs,
-                block,
-                agree,
-                rows,
-            } => {
-                let old_key = interned_key_symbols(d, old_values, keys);
-                let old_b = interned_symbol(d, &old_values[*rhs]);
-                let new_key = key_symbols(d, t, keys);
-                let new_b = d.symbol(t, *rhs);
-                decrement(block, &old_key);
-                decrement_pair(agree, (old_key.clone(), old_b));
-                *block.entry(new_key.clone()).or_insert(0) += 1;
-                *agree.entry((new_key.clone(), new_b)).or_insert(0) += 1;
-                if old_key != new_key {
-                    remove_member(rows, &old_key, t);
-                    insert_member(rows, new_key.clone(), t);
-                }
-                for key in dedup_keys(&old_key, &new_key) {
-                    let Some(members) = rows.get(key) else {
-                        continue;
-                    };
-                    let in_block = block.get(key).copied().unwrap_or(0);
-                    let bkey: Box<[Symbol]> = Box::from(key);
-                    for &m in members {
-                        let mb = d.symbol(m as usize, *rhs);
-                        let agreeing = agree.get(&(bkey.clone(), mb)).copied().unwrap_or(0);
-                        self.tuple_counts[m as usize] = in_block - agreeing;
-                    }
-                }
-            }
-            IndexKind::Blocked {
-                keys,
-                residual,
-                blocks,
-            } => {
-                let old_key = interned_key_symbols(d, old_values, keys);
-                let new_key = key_symbols(d, t, keys);
-                if old_key != new_key {
-                    remove_member(blocks, &old_key, t);
-                    insert_member(blocks, new_key.clone(), t);
-                }
-                let residual = residual.clone();
-                for key in dedup_keys(&old_key, &new_key) {
-                    let Some(members) = blocks.get(key) else {
-                        continue;
-                    };
-                    for &m in members {
-                        self.tuple_counts[m as usize] = 0;
-                    }
-                    count_pairs_in_block(&residual, d, members, &mut self.tuple_counts);
-                }
-            }
-            IndexKind::Unkeyed { .. } => self.populate(d),
-        }
-    }
-
-    /// Maintain the index after tuple `t` was removed: `d` no longer
-    /// contains the row (later rows shifted up by one); `old_values` is
-    /// the removed row.
-    pub fn apply_delete(&mut self, d: &Dataset, t: usize, old_values: &[String]) {
-        match &mut self.kind {
-            IndexKind::Unary => {
-                self.tuple_counts.remove(t);
-            }
-            IndexKind::Fd {
-                keys,
-                rhs,
-                block,
-                agree,
-                rows,
-            } => {
-                let old_key = interned_key_symbols(d, old_values, keys);
-                let old_b = interned_symbol(d, &old_values[*rhs]);
-                decrement(block, &old_key);
-                decrement_pair(agree, (old_key.clone(), old_b));
-                remove_member(rows, &old_key, t);
-                shift_members_down(rows.values_mut(), t);
-                self.tuple_counts.remove(t);
-                if let Some(members) = rows.get(&old_key) {
-                    let in_block = block.get(&old_key).copied().unwrap_or(0);
-                    for &m in members {
-                        let mb = d.symbol(m as usize, *rhs);
-                        let agreeing = agree.get(&(old_key.clone(), mb)).copied().unwrap_or(0);
-                        self.tuple_counts[m as usize] = in_block - agreeing;
-                    }
-                }
-            }
-            IndexKind::Blocked {
-                keys,
-                residual,
-                blocks,
-            } => {
-                let old_key = interned_key_symbols(d, old_values, keys);
-                remove_member(blocks, &old_key, t);
-                shift_members_down(blocks.values_mut(), t);
-                self.tuple_counts.remove(t);
-                let residual = residual.clone();
-                if let Some(members) = blocks.get(&old_key) {
-                    for &m in members {
-                        self.tuple_counts[m as usize] = 0;
-                    }
-                    count_pairs_in_block(&residual, d, members, &mut self.tuple_counts);
-                }
             }
             IndexKind::Unkeyed { .. } => self.populate(d),
         }
@@ -507,106 +385,10 @@ impl ViolationEngine {
             ix.apply_append(d, t_new);
         }
     }
-
-    /// Maintain every index after a cell update (see
-    /// [`ConstraintIndex::apply_update`]).
-    pub fn apply_update(&mut self, d: &Dataset, t: usize, attr: usize, old_values: &[String]) {
-        for ix in &mut self.indexes {
-            ix.apply_update(d, t, attr, old_values);
-        }
-    }
-
-    /// Maintain every index after a row deletion (see
-    /// [`ConstraintIndex::apply_delete`]).
-    pub fn apply_delete(&mut self, d: &Dataset, t: usize, old_values: &[String]) {
-        for ix in &mut self.indexes {
-            ix.apply_delete(d, t, old_values);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
 // helpers
-
-/// The symbol of a value that is guaranteed interned (it sat in a cell
-/// of `d` before the delta — pools never shrink).
-fn interned_symbol(d: &Dataset, value: &str) -> Symbol {
-    d.pool()
-        .get(value)
-        .expect("pre-delta value must be interned")
-}
-
-/// Key symbols of a pre-delta row given as resolved values.
-fn interned_key_symbols(d: &Dataset, values: &[String], keys: &[usize]) -> Box<[Symbol]> {
-    keys.iter()
-        .map(|&a| interned_symbol(d, &values[a]))
-        .collect::<Vec<_>>()
-        .into_boxed_slice()
-}
-
-/// Decrement a block-count entry, dropping it at zero so the map stays
-/// identical to one built from scratch over the post-delta dataset.
-fn decrement(map: &mut HashMap<Box<[Symbol]>, u32>, key: &[Symbol]) {
-    if let Some(c) = map.get_mut(key) {
-        *c -= 1;
-        if *c == 0 {
-            map.remove(key);
-        }
-    }
-}
-
-/// [`decrement`] for the FD agreement map.
-fn decrement_pair(map: &mut HashMap<(Box<[Symbol]>, Symbol), u32>, key: (Box<[Symbol]>, Symbol)) {
-    if let Some(c) = map.get_mut(&key) {
-        *c -= 1;
-        if *c == 0 {
-            map.remove(&key);
-        }
-    }
-}
-
-/// Remove tuple `t` from its (ascending) member list, dropping empty
-/// lists entirely (as a rebuild would never create them).
-fn remove_member(map: &mut HashMap<Box<[Symbol]>, Vec<u32>>, key: &[Symbol], t: usize) {
-    if let Some(members) = map.get_mut(key) {
-        if let Ok(i) = members.binary_search(&(t as u32)) {
-            members.remove(i);
-        }
-        if members.is_empty() {
-            map.remove(key);
-        }
-    }
-}
-
-/// Insert tuple `t` into a member list at its sorted position, keeping
-/// the ascending order a rebuild's `0..n` scan produces (the sampled
-/// counting paths are order-sensitive).
-fn insert_member(map: &mut HashMap<Box<[Symbol]>, Vec<u32>>, key: Box<[Symbol]>, t: usize) {
-    let members = map.entry(key).or_default();
-    let i = members.partition_point(|&m| m < t as u32);
-    members.insert(i, t as u32);
-}
-
-/// After deleting row `t`, every stored id greater than `t` shifts down
-/// by one (datasets keep row indices dense).
-fn shift_members_down<'a>(lists: impl Iterator<Item = &'a mut Vec<u32>>, t: usize) {
-    for members in lists {
-        for m in members.iter_mut() {
-            if *m > t as u32 {
-                *m -= 1;
-            }
-        }
-    }
-}
-
-/// The one or two distinct keys an update touched.
-fn dedup_keys<'a>(old: &'a [Symbol], new: &'a [Symbol]) -> Vec<&'a [Symbol]> {
-    if old == new {
-        vec![new]
-    } else {
-        vec![old, new]
-    }
-}
 
 /// Key symbols of row `t`.
 fn key_symbols(d: &Dataset, t: usize, keys: &[usize]) -> Box<[Symbol]> {
@@ -954,8 +736,8 @@ mod tests {
         assert!(e.tuple_vector(0).is_empty());
     }
 
-    /// Apply (append / update / delete) one op to both the dataset and
-    /// the engine, then assert the maintained counts equal a rebuild.
+    /// Append rows to both the dataset and the engine, then assert the
+    /// maintained counts equal a rebuild after each.
     fn assert_delta_matches_rebuild(spec: &str) {
         let (mut d, mut e) = engine(spec);
         let dcs: Vec<DenialConstraint> = e.indexes().iter().map(|ix| ix.dc.clone()).collect();
@@ -974,32 +756,14 @@ mod tests {
         d.push_row(&["99999", "Nowhere", "1"]);
         e.apply_append(&d);
         check(&d, &e, "append fresh");
-        // Update a cell to heal a violation.
-        let old: Vec<String> = d.tuple_values(2).iter().map(|s| s.to_string()).collect();
-        d.set_value(2, 1, "Chicago");
-        e.apply_update(&d, 2, 1, &old);
-        check(&d, &e, "update heal");
-        // Update a key attribute (moves the row between blocks).
-        let old: Vec<String> = d.tuple_values(4).iter().map(|s| s.to_string()).collect();
-        d.set_value(4, 0, "60612");
-        e.apply_update(&d, 4, 0, &old);
-        check(&d, &e, "update move block");
-        // Update an attribute the constraint ignores.
-        let old: Vec<String> = d.tuple_values(0).iter().map(|s| s.to_string()).collect();
-        d.set_value(0, 2, "42");
-        e.apply_update(&d, 0, 2, &old);
-        check(&d, &e, "update unrelated");
-        // Delete a middle row (later ids shift down).
-        let old: Vec<String> = d.tuple_values(1).iter().map(|s| s.to_string()).collect();
-        d.remove_row(1);
-        e.apply_delete(&d, 1, &old);
-        check(&d, &e, "delete middle");
-        // Delete the last row.
-        let t = d.n_tuples() - 1;
-        let old: Vec<String> = d.tuple_values(t).iter().map(|s| s.to_string()).collect();
-        d.remove_row(t);
-        e.apply_delete(&d, t, &old);
-        check(&d, &e, "delete last");
+        // Append a row that only the third attribute tells apart.
+        d.push_row(&["60612", "Chicago", "-1"]);
+        e.apply_append(&d);
+        check(&d, &e, "append unrelated");
+        // Append into the now-largest block.
+        d.push_row(&["60612", "Cicago", "3"]);
+        e.apply_append(&d);
+        check(&d, &e, "append into block");
     }
 
     #[test]
@@ -1112,42 +876,21 @@ mod props {
             prop_assert_eq!(hypothetical, rebuilt.tuple_vector(t));
         }
 
-        /// A random interleaving of appends/updates/deletes maintained
-        /// through apply_* equals an index rebuilt from scratch over the
-        /// post-delta dataset — for every index shape at once.
+        /// A random sequence of appends maintained through
+        /// `apply_append` equals an index rebuilt from scratch over the
+        /// grown dataset — for every index shape at once.
         #[test]
         fn random_deltas_match_rebuild(
             rows in proptest::collection::vec((0u8..3, 0u8..3, 0u8..3), 2..12),
-            raw_ops in proptest::collection::vec((0u8..3, 0u16..64, 0u8..4, 0u8..4), 0..24),
+            appends in proptest::collection::vec((0u8..4, 0u8..4, 0u8..4), 0..24),
         ) {
             let mut d = table(&rows);
             let dcs = parse_constraints(SHAPES, d.schema()).unwrap();
             let mut e = ViolationEngine::build(&d, &dcs);
 
-            for &(kind, t, a, v) in &raw_ops {
-                let n = d.n_tuples();
-                match kind % 3 {
-                    0 => {
-                        d.push_row(&[format!("k{v}"), format!("v{a}"), format!("w{v}")]);
-                        e.apply_append(&d);
-                    }
-                    1 if n > 0 => {
-                        let t = t as usize % n;
-                        let attr = a as usize % 3;
-                        let old: Vec<String> =
-                            d.tuple_values(t).iter().map(|s| s.to_string()).collect();
-                        d.set_value(t, attr, &format!("v{v}"));
-                        e.apply_update(&d, t, attr, &old);
-                    }
-                    2 if n > 0 => {
-                        let t = t as usize % n;
-                        let old: Vec<String> =
-                            d.tuple_values(t).iter().map(|s| s.to_string()).collect();
-                        d.remove_row(t);
-                        e.apply_delete(&d, t, &old);
-                    }
-                    _ => {}
-                }
+            for &(k, v, w) in &appends {
+                d.push_row(&[format!("k{k}"), format!("v{v}"), format!("w{w}")]);
+                e.apply_append(&d);
             }
 
             let fresh = ViolationEngine::build(&d, &dcs);

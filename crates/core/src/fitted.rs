@@ -239,25 +239,25 @@ impl FittedHoloDetect {
         }
     }
 
-    /// Apply one reference-dataset delta to the fitted state in place
-    /// of a refit: the owned representation `Q` (inside the featurizer)
-    /// advances one epoch with the guarantee that scoring afterwards is
-    /// bitwise-identical to a model whose count-based representation was
-    /// rebuilt from scratch over the post-delta dataset (the classifier,
-    /// calibration, and learned embeddings are frozen between refits —
-    /// exactly what [`FittedHoloDetect::rebuild_representation_at`]
-    /// reproduces).
+    /// Apply one reference-dataset delta (an appended row) to the
+    /// fitted state in place of a refit: the owned representation `Q`
+    /// (inside the featurizer) advances one epoch with the guarantee that
+    /// scoring afterwards is bitwise-identical to a model whose
+    /// count-based representation was rebuilt from scratch over the
+    /// grown dataset (the classifier, calibration, and learned embeddings
+    /// are frozen between refits — exactly what
+    /// [`FittedHoloDetect::rebuild_representation_at`] reproduces).
     ///
-    /// The stored training/holdout/tuning examples are maintained too,
-    /// so [`FittedHoloDetect::refit_with`] stays valid after any delta
-    /// sequence: a deleted tuple drops its examples, and examples behind
-    /// it shift down with their rows.
+    /// An append moves no existing row, so the stored training, holdout
+    /// and tuning examples keep addressing their cells and
+    /// [`FittedHoloDetect::refit_with`] stays valid after any delta
+    /// sequence.
     ///
     /// # Errors
     ///
     /// [`ModelError::Degenerate`] for a model with no fitted state;
-    /// [`ModelError::Format`] for an inapplicable op (arity mismatch,
-    /// row/attr out of bounds) — nothing is half-applied.
+    /// [`ModelError::Format`] for a row whose arity does not match the
+    /// schema — nothing is half-applied.
     pub fn apply_delta(&mut self, op: &holo_data::DeltaOp) -> Result<(), ModelError> {
         let Some(s) = &mut self.state else {
             return Err(ModelError::Degenerate {
@@ -267,35 +267,7 @@ impl FittedHoloDetect {
         s.pipeline
             .featurizer
             .apply_delta(op)
-            .map_err(|e| ModelError::Format(e.to_string()))?;
-        if let holo_data::DeltaOp::Delete { tuple } = op {
-            let t = *tuple;
-            let keep = |e: &TrainExample| e.cell.t() != t;
-            let shift = |e: &mut TrainExample| {
-                if e.cell.t() > t {
-                    e.cell = CellId::new(e.cell.t() - 1, e.cell.a());
-                }
-            };
-            s.examples.retain(keep);
-            s.examples.iter_mut().for_each(shift);
-            s.holdout.retain(keep);
-            s.holdout.iter_mut().for_each(shift);
-            if let Some((tune, weights)) = &mut s.tune {
-                let mut kept = Vec::with_capacity(weights.len());
-                let mut i = 0;
-                tune.retain(|e| {
-                    let k = keep(e);
-                    if k {
-                        kept.push(weights[i]);
-                    }
-                    i += 1;
-                    k
-                });
-                tune.iter_mut().for_each(shift);
-                *weights = kept;
-            }
-        }
-        Ok(())
+            .map_err(|e| ModelError::Format(e.to_string()))
     }
 
     /// Override the worker-thread count used by subsequent refits
@@ -312,8 +284,8 @@ impl FittedHoloDetect {
     /// Replace the representation's count-based state with one rebuilt
     /// from scratch over `d` (embeddings, classifier, and calibration
     /// untouched) — the reference implementation
-    /// [`FittedHoloDetect::apply_delta`] is held bitwise-equal to, used
-    /// by the streaming parity tests and benchmarks.
+    /// [`FittedHoloDetect::apply_delta`] is held bitwise-equal to, and
+    /// how an adaptive refit folds repaired cells into the reference.
     ///
     /// # Errors
     /// [`ModelError::Degenerate`] for a model with no fitted state.
@@ -857,12 +829,9 @@ mod tests {
             DeltaOp::Append {
                 values: vec!["94103".into(), "SF".into()],
             },
-            DeltaOp::Update {
-                tuple: 0,
-                attr: 1,
-                value: "Chicago".into(),
+            DeltaOp::Append {
+                values: vec!["60612".into(), "Chicago".into()],
             },
-            DeltaOp::Delete { tuple: 7 },
         ];
         let mut replica = baseline.artifact().unwrap().reference().clone();
         for op in &ops {
@@ -895,7 +864,7 @@ mod tests {
     }
 
     #[test]
-    fn deltas_change_scores_and_refit_survives_deletes() {
+    fn appends_change_scores_and_refit_survives_them() {
         use holo_data::DeltaOp;
         let (dirty, truth) = world();
         let mut model = fitted(&dirty, &truth);
@@ -921,11 +890,9 @@ mod tests {
             "ingest must be visible in scores"
         );
 
-        // Deleting training rows drops their examples and shifts the
-        // rest; refit_with still runs on the maintained example set.
-        model.apply_delta(&DeltaOp::Delete { tuple: 0 }).unwrap();
-        model.apply_delta(&DeltaOp::Delete { tuple: 0 }).unwrap();
-        assert!(model.n_train_examples() < n_examples);
+        // Appends move no row: the example set is untouched, and
+        // refit_with still runs on it over the grown reference.
+        assert_eq!(model.n_train_examples(), n_examples);
         let refitted = model.refit_with(Vec::new()).unwrap();
         let cells: Vec<CellId> = refitted
             .artifact()
@@ -943,7 +910,9 @@ mod tests {
     fn degenerate_apply_delta_is_typed() {
         let mut deg = FittedHoloDetect::degenerate("AUG");
         assert!(matches!(
-            deg.apply_delta(&holo_data::DeltaOp::Delete { tuple: 0 }),
+            deg.apply_delta(&holo_data::DeltaOp::Append {
+                values: vec!["60612".into(), "Chicago".into()]
+            }),
             Err(ModelError::Degenerate { .. })
         ));
     }

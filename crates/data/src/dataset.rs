@@ -99,19 +99,6 @@ impl Dataset {
         }
     }
 
-    /// Remove tuple `t`, shifting every later tuple up by one (so row
-    /// indices stay dense). The pool keeps the removed strings — symbols
-    /// of surviving cells are untouched.
-    ///
-    /// # Panics
-    /// Panics if `t` is out of range.
-    pub fn remove_row(&mut self, t: usize) {
-        assert!(t < self.n_tuples(), "remove_row({t}) out of range");
-        for col in &mut self.columns {
-            col.remove(t);
-        }
-    }
-
     /// Iterate over every cell id in row-major order.
     pub fn cell_ids(&self) -> impl Iterator<Item = CellId> + '_ {
         let (nt, na) = (self.n_tuples(), self.n_attrs());

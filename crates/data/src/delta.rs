@@ -1,21 +1,24 @@
-//! The streaming delta log: epoch-stamped append/update/delete ops over
-//! a [`Dataset`], with an optional durable, replayable on-disk record.
+//! The streaming delta log: epoch-stamped appends over a [`Dataset`],
+//! with an optional durable, replayable on-disk record.
 //!
-//! Production reference data is never frozen: rows arrive, cells get
-//! corrected, stale tuples are retired. [`DeltaOp`] is the unit of that
-//! change, [`DeltaLog`] the ordered history. Epochs are 1-based op
-//! counts: the dataset "at epoch `e`" is the base dataset with the first
-//! `e` ops applied, so any two maintainers that have consumed the same
-//! epoch agree on the exact row layout (appends go at the end, deletes
-//! shift later rows up — `Vec::remove` semantics).
+//! Production reference data is never frozen: rows keep arriving.
+//! [`DeltaOp`] is the unit of that change, [`DeltaLog`] the ordered
+//! history. The maintained reference only grows, so every op is an
+//! append. Epochs are 1-based op counts: the dataset "at epoch `e`" is
+//! the base dataset with the first `e` ops applied, so any two
+//! maintainers that have consumed the same epoch agree on the exact row
+//! layout (each append goes at the end, and no row ever moves).
 //!
 //! The on-disk format reuses [`binio`]: a header (magic, version, the
 //! epoch the log starts after, the schema) followed by one record per
 //! op, flushed per batch. Replay tolerates a torn tail record (a crash
-//! mid-append): the partial record is dropped and the file truncated
-//! back to the last whole op, so `artifact ⊕ log` always reconstructs a
-//! consistent state. [`DeltaLog::compact_through`] drops ops that have
-//! been baked into a refitted artifact, keeping the log bounded.
+//! mid-append, which leaves a record that runs past the end of the
+//! file): the partial record is dropped and the file truncated back to
+//! the last whole op, so `artifact ⊕ log` always reconstructs a
+//! consistent state. Any other undecodable record is corruption: opening
+//! fails and the file is left as it was. [`DeltaLog::compact_through`]
+//! drops ops that have been baked into a refitted artifact, keeping the
+//! log bounded.
 
 use crate::binio;
 use crate::dataset::Dataset;
@@ -29,8 +32,11 @@ use std::path::{Path, PathBuf};
 const MAGIC: &[u8; 8] = b"HOLODLTA";
 /// Current log format version.
 const FORMAT_VERSION: u32 = 1;
+/// Record tag of [`DeltaOp::Append`], the only op.
+const APPEND_TAG: u8 = 0;
 
-/// One mutation of a dataset.
+/// One mutation of a dataset. The maintained reference only grows, so
+/// appending a tuple is the only op.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeltaOp {
     /// Append a tuple at the end (its row index is the pre-op
@@ -38,20 +44,6 @@ pub enum DeltaOp {
     Append {
         /// The new tuple's values, in schema order.
         values: Vec<String>,
-    },
-    /// Overwrite one cell.
-    Update {
-        /// Row index of the cell.
-        tuple: usize,
-        /// Attribute index of the cell.
-        attr: usize,
-        /// The new value.
-        value: String,
-    },
-    /// Remove tuple `tuple`, shifting every later tuple up by one.
-    Delete {
-        /// Row index to remove.
-        tuple: usize,
     },
 }
 
@@ -65,35 +57,12 @@ pub enum DeltaError {
         /// Schema arity.
         want: usize,
     },
-    /// An update/delete addresses a row the dataset does not have.
-    RowOutOfBounds {
-        /// The offending row index.
-        tuple: usize,
-        /// Rows available.
-        n_tuples: usize,
-    },
-    /// An update addresses an attribute outside the schema.
-    AttrOutOfBounds {
-        /// The offending attribute index.
-        attr: usize,
-        /// Attributes available.
-        n_attrs: usize,
-    },
 }
 
 impl fmt::Display for DeltaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DeltaError::ArityMismatch { got, want } => {
-                write!(f, "append arity {got} does not match schema arity {want}")
-            }
-            DeltaError::RowOutOfBounds { tuple, n_tuples } => {
-                write!(f, "row {tuple} out of bounds (dataset has {n_tuples} rows)")
-            }
-            DeltaError::AttrOutOfBounds { attr, n_attrs } => {
-                write!(f, "attr {attr} out of bounds (schema has {n_attrs} attrs)")
-            }
-        }
+        let DeltaError::ArityMismatch { got, want } = self;
+        write!(f, "append arity {got} does not match schema arity {want}")
     }
 }
 
@@ -102,41 +71,14 @@ impl std::error::Error for DeltaError {}
 impl Dataset {
     /// Validate and apply one delta op in place.
     pub fn apply_delta(&mut self, op: &DeltaOp) -> Result<(), DeltaError> {
-        match op {
-            DeltaOp::Append { values } => {
-                if values.len() != self.n_attrs() {
-                    return Err(DeltaError::ArityMismatch {
-                        got: values.len(),
-                        want: self.n_attrs(),
-                    });
-                }
-                self.push_row(values);
-            }
-            DeltaOp::Update { tuple, attr, value } => {
-                if *tuple >= self.n_tuples() {
-                    return Err(DeltaError::RowOutOfBounds {
-                        tuple: *tuple,
-                        n_tuples: self.n_tuples(),
-                    });
-                }
-                if *attr >= self.n_attrs() {
-                    return Err(DeltaError::AttrOutOfBounds {
-                        attr: *attr,
-                        n_attrs: self.n_attrs(),
-                    });
-                }
-                self.set_value(*tuple, *attr, value);
-            }
-            DeltaOp::Delete { tuple } => {
-                if *tuple >= self.n_tuples() {
-                    return Err(DeltaError::RowOutOfBounds {
-                        tuple: *tuple,
-                        n_tuples: self.n_tuples(),
-                    });
-                }
-                self.remove_row(*tuple);
-            }
+        let DeltaOp::Append { values } = op;
+        if values.len() != self.n_attrs() {
+            return Err(DeltaError::ArityMismatch {
+                got: values.len(),
+                want: self.n_attrs(),
+            });
         }
+        self.push_row(values);
         Ok(())
     }
 }
@@ -179,8 +121,14 @@ impl DeltaLog {
 
     /// Open (or create) a durable log at `path` for datasets of
     /// `schema`. An existing file is replayed into memory; a torn tail
-    /// record (crash mid-append) is dropped and the file truncated back
-    /// to the last whole op. The file's schema must match.
+    /// record (one that runs past the end of the file: a crash
+    /// mid-append) is dropped and the file truncated back to the last
+    /// whole op. The file's schema must match.
+    ///
+    /// # Errors
+    /// `InvalidData`, naming the record's byte offset, for a record that
+    /// cannot be decoded for any other reason (an unknown tag, invalid
+    /// UTF-8). The file is then left untouched.
     pub fn open(path: &Path, schema: Schema) -> io::Result<DeltaLog> {
         if !path.exists() {
             let mut file = File::create(path)?;
@@ -196,7 +144,7 @@ impl DeltaLog {
             });
         }
         let bytes = std::fs::read(path)?;
-        let mut r = io::Cursor::new(&bytes[..]);
+        let mut r = io::Cursor::new(bytes.as_slice());
         let (base_epoch, file_schema) = read_header(&mut r)?;
         if file_schema != schema {
             return Err(io::Error::new(
@@ -214,7 +162,13 @@ impl DeltaLog {
                 }
                 Ok(None) => break,
                 // A torn tail: keep the whole ops, drop the fragment.
-                Err(_) => break,
+                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
+                Err(e) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("delta log {}: record at byte {good}: {e}", path.display()),
+                    ))
+                }
             }
         }
         if (good as usize) < bytes.len() {
@@ -267,36 +221,23 @@ impl DeltaLog {
             self.base_epoch
         );
         let skip = (epoch - self.base_epoch) as usize;
-        &self.ops[skip.min(self.ops.len())..]
+        self.ops.get(skip..).unwrap_or(&[])
     }
 
-    /// Validate `op` against the schema (arity / attribute range; row
-    /// bounds are the dataset's to check) and append it, durably when
-    /// the log has a file. Returns the new epoch. Call
+    /// Check `op`'s arity against the schema and append it, durably
+    /// when the log has a file. Returns the new epoch. Call
     /// [`DeltaLog::flush`] after a batch.
     pub fn append(&mut self, op: DeltaOp) -> io::Result<u64> {
-        match &op {
-            DeltaOp::Append { values } if values.len() != self.schema.len() => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    DeltaError::ArityMismatch {
-                        got: values.len(),
-                        want: self.schema.len(),
-                    }
-                    .to_string(),
-                ));
-            }
-            DeltaOp::Update { attr, .. } if *attr >= self.schema.len() => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    DeltaError::AttrOutOfBounds {
-                        attr: *attr,
-                        n_attrs: self.schema.len(),
-                    }
-                    .to_string(),
-                ));
-            }
-            _ => {}
+        let DeltaOp::Append { values } = &op;
+        if values.len() != self.schema.len() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                DeltaError::ArityMismatch {
+                    got: values.len(),
+                    want: self.schema.len(),
+                }
+                .to_string(),
+            ));
         }
         if let Some(f) = &mut self.file {
             write_op(f, &op)?;
@@ -393,60 +334,36 @@ fn read_header<R: Read>(r: &mut R) -> io::Result<(u64, Schema)> {
 }
 
 fn write_op<W: Write>(w: &mut W, op: &DeltaOp) -> io::Result<()> {
-    match op {
-        DeltaOp::Append { values } => {
-            binio::write_u8(w, 0)?;
-            binio::write_usize(w, values.len())?;
-            for v in values {
-                binio::write_str(w, v)?;
-            }
-        }
-        DeltaOp::Update { tuple, attr, value } => {
-            binio::write_u8(w, 1)?;
-            binio::write_usize(w, *tuple)?;
-            binio::write_usize(w, *attr)?;
-            binio::write_str(w, value)?;
-        }
-        DeltaOp::Delete { tuple } => {
-            binio::write_u8(w, 2)?;
-            binio::write_usize(w, *tuple)?;
-        }
+    let DeltaOp::Append { values } = op;
+    binio::write_u8(w, APPEND_TAG)?;
+    binio::write_usize(w, values.len())?;
+    for v in values {
+        binio::write_str(w, v)?;
     }
     Ok(())
 }
 
-/// Read one op; `Ok(None)` at a clean end-of-stream, `Err` on a torn or
-/// corrupt record.
+/// Read one op; `Ok(None)` at a clean end-of-stream. A record that runs
+/// past the end of the data fails with `UnexpectedEof` (a torn tail);
+/// every other failure, any tag but [`APPEND_TAG`] included, is
+/// corruption.
 fn read_op(r: &mut io::Cursor<&[u8]>) -> io::Result<Option<DeltaOp>> {
     if r.position() as usize >= r.get_ref().len() {
         return Ok(None);
     }
     let tag = binio::read_u8(r)?;
-    let op = match tag {
-        0 => {
-            let n = binio::read_usize(r)?;
-            let mut values = Vec::with_capacity(binio::bounded_cap(n, 24));
-            for _ in 0..n {
-                values.push(binio::read_str(r)?);
-            }
-            DeltaOp::Append { values }
-        }
-        1 => DeltaOp::Update {
-            tuple: binio::read_usize(r)?,
-            attr: binio::read_usize(r)?,
-            value: binio::read_str(r)?,
-        },
-        2 => DeltaOp::Delete {
-            tuple: binio::read_usize(r)?,
-        },
-        t => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad delta op tag {t}"),
-            ))
-        }
-    };
-    Ok(Some(op))
+    if tag != APPEND_TAG {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("bad delta op tag {tag}"),
+        ));
+    }
+    let n = binio::read_usize(r)?;
+    let mut values = Vec::with_capacity(binio::bounded_cap(n, 24));
+    for _ in 0..n {
+        values.push(binio::read_str(r)?);
+    }
+    Ok(Some(DeltaOp::Append { values }))
 }
 
 #[cfg(test)]
@@ -465,6 +382,12 @@ mod tests {
         b.build()
     }
 
+    fn append(zip: &str, city: &str) -> DeltaOp {
+        DeltaOp::Append {
+            values: vec![zip.into(), city.into()],
+        }
+    }
+
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
             "holo-delta-{}-{:?}-{name}.dlog",
@@ -476,22 +399,12 @@ mod tests {
     #[test]
     fn apply_delta_mutates_like_its_op_says() {
         let mut d = base();
-        d.apply_delta(&DeltaOp::Append {
-            values: vec!["60614".into(), "Chicago".into()],
-        })
-        .unwrap();
-        assert_eq!(d.n_tuples(), 3);
+        d.apply_delta(&append("60614", "Chicago")).unwrap();
+        d.apply_delta(&append("60612", "Cicago")).unwrap();
+        assert_eq!(d.n_tuples(), 4);
+        assert_eq!(d.tuple_values(0), vec!["60612", "Chicago"]);
         assert_eq!(d.tuple_values(2), vec!["60614", "Chicago"]);
-        d.apply_delta(&DeltaOp::Update {
-            tuple: 0,
-            attr: 1,
-            value: "Cicago".into(),
-        })
-        .unwrap();
-        assert_eq!(d.value(0, 1), "Cicago");
-        d.apply_delta(&DeltaOp::Delete { tuple: 1 }).unwrap();
-        assert_eq!(d.n_tuples(), 2);
-        assert_eq!(d.tuple_values(1), vec!["60614", "Chicago"]);
+        assert_eq!(d.tuple_values(3), vec!["60612", "Cicago"]);
     }
 
     #[test]
@@ -503,26 +416,6 @@ mod tests {
             }),
             Err(DeltaError::ArityMismatch { got: 1, want: 2 })
         ));
-        assert!(matches!(
-            d.apply_delta(&DeltaOp::Update {
-                tuple: 9,
-                attr: 0,
-                value: "x".into()
-            }),
-            Err(DeltaError::RowOutOfBounds { .. })
-        ));
-        assert!(matches!(
-            d.apply_delta(&DeltaOp::Update {
-                tuple: 0,
-                attr: 9,
-                value: "x".into()
-            }),
-            Err(DeltaError::AttrOutOfBounds { .. })
-        ));
-        assert!(matches!(
-            d.apply_delta(&DeltaOp::Delete { tuple: 2 }),
-            Err(DeltaError::RowOutOfBounds { .. })
-        ));
         // Nothing was half-applied.
         assert_eq!(d.n_tuples(), 2);
     }
@@ -531,20 +424,17 @@ mod tests {
     fn in_memory_log_epochs_and_replay() {
         let mut log = DeltaLog::in_memory(schema());
         assert_eq!(log.epoch(), 0);
-        let e1 = log
-            .append(DeltaOp::Append {
-                values: vec!["1".into(), "a".into()],
-            })
-            .unwrap();
-        let e2 = log.append(DeltaOp::Delete { tuple: 0 }).unwrap();
+        let e1 = log.append(append("1", "a")).unwrap();
+        let e2 = log.append(append("2", "b")).unwrap();
         assert_eq!((e1, e2), (1, 2));
         assert_eq!(log.ops_after(1).len(), 1);
         assert_eq!(log.ops_after(2).len(), 0);
 
         let mut d = base();
         log.replay_onto(&mut d, 0).unwrap();
-        assert_eq!(d.n_tuples(), 2); // +1 append, -1 delete
-        assert_eq!(d.tuple_values(1), vec!["1", "a"]);
+        assert_eq!(d.n_tuples(), 4);
+        assert_eq!(d.tuple_values(2), vec!["1", "a"]);
+        assert_eq!(d.tuple_values(3), vec!["2", "b"]);
     }
 
     #[test]
@@ -553,13 +443,6 @@ mod tests {
         assert!(log
             .append(DeltaOp::Append {
                 values: vec!["just one".into()]
-            })
-            .is_err());
-        assert!(log
-            .append(DeltaOp::Update {
-                tuple: 0,
-                attr: 7,
-                value: "x".into()
             })
             .is_err());
         assert_eq!(log.epoch(), 0);
@@ -571,16 +454,8 @@ mod tests {
         std::fs::remove_file(&path).ok();
         {
             let mut log = DeltaLog::open(&path, schema()).unwrap();
-            log.append(DeltaOp::Append {
-                values: vec!["60614".into(), "Chicago".into()],
-            })
-            .unwrap();
-            log.append(DeltaOp::Update {
-                tuple: 0,
-                attr: 1,
-                value: "Cicago".into(),
-            })
-            .unwrap();
+            log.append(append("60614", "Chicago")).unwrap();
+            log.append(append("60612", "Cicago")).unwrap();
             log.flush().unwrap();
         }
         let log = DeltaLog::open(&path, schema()).unwrap();
@@ -588,8 +463,8 @@ mod tests {
         assert_eq!(log.base_epoch(), 0);
         let mut d = base();
         log.replay_onto(&mut d, 0).unwrap();
-        assert_eq!(d.n_tuples(), 3);
-        assert_eq!(d.value(0, 1), "Cicago");
+        assert_eq!(d.n_tuples(), 4);
+        assert_eq!(d.value(3, 1), "Cicago");
         std::fs::remove_file(&path).ok();
     }
 
@@ -599,27 +474,85 @@ mod tests {
         std::fs::remove_file(&path).ok();
         {
             let mut log = DeltaLog::open(&path, schema()).unwrap();
-            log.append(DeltaOp::Append {
-                values: vec!["60614".into(), "Chicago".into()],
-            })
-            .unwrap();
+            log.append(append("60614", "Chicago")).unwrap();
             log.flush().unwrap();
         }
         // Simulate a crash mid-append: half a record at the tail.
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&[1, 0, 0, 0]).unwrap(); // tag + partial tuple id
+            f.write_all(&[APPEND_TAG, 2, 0, 0]).unwrap(); // tag + partial arity
         }
         let mut log = DeltaLog::open(&path, schema()).unwrap();
         assert_eq!(log.epoch(), 1, "torn record must not count");
         // The file was truncated: appending and reopening stays clean.
-        log.append(DeltaOp::Delete { tuple: 0 }).unwrap();
+        log.append(append("53703", "Madison")).unwrap();
         log.flush().unwrap();
         drop(log);
         let log = DeltaLog::open(&path, schema()).unwrap();
         assert_eq!(log.epoch(), 2);
-        assert_eq!(log.ops()[1], DeltaOp::Delete { tuple: 0 });
+        assert_eq!(log.ops()[1], append("53703", "Madison"));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Open `path`, expecting corruption: an `InvalidData` error that
+    /// names `offset`, with the file's bytes left exactly as they were.
+    fn assert_rejected_untouched(path: &Path, offset: usize) {
+        let before = std::fs::read(path).unwrap();
+        let err = DeltaLog::open(path, schema()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(&format!("byte {offset}")), "{err}");
+        assert_eq!(std::fs::read(path).unwrap(), before, "file was modified");
+    }
+
+    #[test]
+    fn a_corrupt_record_is_an_error_not_a_torn_tail() {
+        // Three committed appends; the second record's tag is flipped.
+        let path = tmp("corrupt");
+        std::fs::remove_file(&path).ok();
+        let second = {
+            let mut log = DeltaLog::open(&path, schema()).unwrap();
+            log.append(append("60614", "Chicago")).unwrap();
+            log.flush().unwrap();
+            let second = std::fs::metadata(&path).unwrap().len() as usize;
+            log.append(append("53703", "Madison")).unwrap();
+            log.append(append("10001", "NYC")).unwrap();
+            log.flush().unwrap();
+            second
+        };
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[second] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        // The two committed rows behind it must not be destroyed.
+        assert_rejected_untouched(&path, second);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn update_and_delete_tags_are_rejected_with_the_file_unchanged() {
+        // The records the log's earlier update (tag 1: tuple, attr,
+        // value) and delete (tag 2: tuple) ops wrote.
+        let mut update = vec![1];
+        binio::write_usize(&mut update, 0).unwrap();
+        binio::write_usize(&mut update, 1).unwrap();
+        binio::write_str(&mut update, "Cicago").unwrap();
+        let mut delete = vec![2];
+        binio::write_usize(&mut delete, 0).unwrap();
+        for (name, record) in [("update", update), ("delete", delete)] {
+            let path = tmp(name);
+            std::fs::remove_file(&path).ok();
+            {
+                let mut log = DeltaLog::open(&path, schema()).unwrap();
+                log.append(append("60614", "Chicago")).unwrap();
+                log.flush().unwrap();
+            }
+            let offset = std::fs::metadata(&path).unwrap().len() as usize;
+            {
+                let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+                f.write_all(&record).unwrap();
+            }
+            assert_rejected_untouched(&path, offset);
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]
@@ -638,10 +571,8 @@ mod tests {
         {
             let mut log = DeltaLog::open(&path, schema()).unwrap();
             for i in 0..5 {
-                log.append(DeltaOp::Append {
-                    values: vec![format!("zip{i}"), format!("city{i}")],
-                })
-                .unwrap();
+                log.append(append(&format!("zip{i}"), &format!("city{i}")))
+                    .unwrap();
             }
             log.flush().unwrap();
             log.compact_through(3).unwrap();
@@ -649,13 +580,14 @@ mod tests {
             assert_eq!(log.epoch(), 5);
             assert_eq!(log.ops().len(), 2);
             // Appends after compaction land after the retained tail.
-            log.append(DeltaOp::Delete { tuple: 0 }).unwrap();
+            log.append(append("zip5", "city5")).unwrap();
             log.flush().unwrap();
         }
         let log = DeltaLog::open(&path, schema()).unwrap();
         assert_eq!(log.base_epoch(), 3);
         assert_eq!(log.epoch(), 6);
         assert_eq!(log.ops().len(), 3);
+        assert_eq!(log.ops()[2], append("zip5", "city5"));
         std::fs::remove_file(&path).ok();
     }
 
@@ -664,10 +596,8 @@ mod tests {
     fn ops_after_before_horizon_panics() {
         let mut log = DeltaLog::in_memory(schema());
         for i in 0..3 {
-            log.append(DeltaOp::Append {
-                values: vec![format!("z{i}"), format!("c{i}")],
-            })
-            .unwrap();
+            log.append(append(&format!("z{i}"), &format!("c{i}")))
+                .unwrap();
         }
         log.compact_through(2).unwrap();
         log.ops_after(1);
@@ -680,43 +610,12 @@ mod props {
     use crate::dataset::DatasetBuilder;
     use proptest::prelude::*;
 
-    /// Resolve generated `(kind, tuple, a, b)` tuples into an always
-    /// applicable op sequence (row targets taken modulo the live count).
-    fn resolve(raw: &[(u8, u16, u8, u8)], mut rows: usize) -> Vec<DeltaOp> {
-        let mut out = Vec::new();
-        for &(kind, t, a, b) in raw {
-            match kind % 3 {
-                0 => {
-                    out.push(DeltaOp::Append {
-                        values: vec![format!("z{a}"), format!("c{b}")],
-                    });
-                    rows += 1;
-                }
-                1 if rows > 0 => {
-                    out.push(DeltaOp::Update {
-                        tuple: t as usize % rows,
-                        attr: (a as usize) % 2,
-                        value: format!("u{b}"),
-                    });
-                }
-                2 if rows > 0 => {
-                    out.push(DeltaOp::Delete {
-                        tuple: t as usize % rows,
-                    });
-                    rows -= 1;
-                }
-                _ => {}
-            }
-        }
-        out
-    }
-
     proptest! {
         /// A durable log replays to exactly the same dataset as applying
         /// the ops directly, across a reopen.
         #[test]
         fn durable_replay_equals_direct_application(
-            raw in proptest::collection::vec((0u8..3, 0u16..64, 0u8..5, 0u8..5), 0..40)
+            raw in proptest::collection::vec((0u8..5, 0u8..5), 0..40)
         ) {
             let schema = Schema::new(["Z", "C"]);
             let mut b = DatasetBuilder::new(schema.clone());
@@ -724,7 +623,12 @@ mod props {
             b.push_row(&["53703", "Madison"]);
             let base = b.build();
 
-            let ops = resolve(&raw, base.n_tuples());
+            let ops: Vec<DeltaOp> = raw
+                .iter()
+                .map(|(z, c)| DeltaOp::Append {
+                    values: vec![format!("z{z}"), format!("c{c}")],
+                })
+                .collect();
             let mut direct = base.clone();
             for op in &ops {
                 direct.apply_delta(op).unwrap();

@@ -15,8 +15,7 @@
 //! * [`csv`] — a small, dependency-free CSV reader/writer,
 //! * [`binio`] — the hand-rolled binary codec trained-model artifacts
 //!   persist through (no registry dependencies),
-//! * [`delta`] — epoch-stamped append/update/delete ops over a dataset
-//!   plus the durable, replayable [`delta::DeltaLog`] the streaming
+//! * [`delta`] — epoch-stamped appends to a dataset plus the durable, replayable [`delta::DeltaLog`] the streaming
 //!   subsystem maintains models through,
 //! * [`labels`] — the training set `T = {(c, v_c, v*_c)}`, ground truth,
 //!   and the `E_c ∈ {correct, error}` label type.

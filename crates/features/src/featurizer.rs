@@ -90,11 +90,10 @@ pub struct Featurizer {
     /// in first-appearance column order (the order a refit would produce
     /// — the strided candidate scan is order-sensitive).
     neighbor_candidates: Vec<Vec<String>>,
-    /// Per-column distinct-value occurrence counts backing the candidate
-    /// lists under streaming deltas (empty until the first delta needs
-    /// them). `candidate_counts[a][value]` is how many cells of column
-    /// `a` currently hold `value`.
-    candidate_counts: Vec<HashMap<String, u32>>,
+    /// Per-column set of the tokens in `neighbor_candidates` (empty until
+    /// the first append needs it): an appended value is a new candidate
+    /// exactly when its token is not in the set yet.
+    candidate_tokens: Vec<HashSet<String>>,
     /// LRU memo: (attr, value) → top-1 distance. Neighbour queries are
     /// the most expensive feature; values repeat massively. Bounded by
     /// [`NN_CACHE_CAP`]; invalidated when a delta changes a column's
@@ -106,30 +105,7 @@ impl Featurizer {
     /// Fit the representation over `d` with the given constraints. The
     /// featurizer keeps its own copy of `d` as the reference dataset.
     pub fn fit(d: &Dataset, constraints: &[DenialConstraint], cfg: FeatureConfig) -> Self {
-        let na = d.n_attrs();
-        let order = cfg.ngram_order;
-
-        let (ngram, sym_ngram, length) = if cfg.enabled(Component::FormatModels) {
-            (
-                (0..na)
-                    .map(|a| NgramModel::fit(d, a, order, false))
-                    .collect(),
-                (0..na)
-                    .map(|a| NgramModel::fit(d, a, order, true))
-                    .collect(),
-                (0..na).map(|a| LengthModel::fit(d, a)).collect(),
-            )
-        } else {
-            (Vec::new(), Vec::new(), Vec::new())
-        };
-        let empirical: Vec<EmpiricalModel> = if cfg.enabled(Component::EmpiricalModels) {
-            (0..na).map(|a| EmpiricalModel::fit(d, a)).collect()
-        } else {
-            Vec::new()
-        };
-        let cooc = cfg
-            .enabled(Component::Cooccurrence)
-            .then(|| CoocModel::fit(d, cfg.smoothing));
+        let counts = CountModels::fit(d, &cfg);
 
         // Embedding corpora. Char/token corpora are deduplicated by cell
         // value (values repeat heavily; dedup keeps skip-gram training
@@ -155,26 +131,15 @@ impl Featurizer {
             Embedding::train(&corpus::value_token_corpus(d), &bag_cfg)
         });
 
-        let neighbor_candidates: Vec<Vec<String>> = if cfg.enabled(Component::Neighborhood) {
-            (0..na).map(|a| column_candidates(d, a)).collect()
-        } else {
-            Vec::new()
-        };
-
         Self::assemble(
             cfg,
             d.clone(),
             constraints.to_vec(),
-            ngram,
-            sym_ngram,
-            length,
-            empirical,
-            cooc,
+            counts,
             char_emb,
             word_emb,
             tuple_emb,
             value_emb,
-            neighbor_candidates,
         )
     }
 
@@ -185,17 +150,20 @@ impl Featurizer {
         cfg: FeatureConfig,
         reference: Dataset,
         constraints: Vec<DenialConstraint>,
-        ngram: Vec<NgramModel>,
-        sym_ngram: Vec<NgramModel>,
-        length: Vec<LengthModel>,
-        empirical: Vec<EmpiricalModel>,
-        cooc: Option<CoocModel>,
+        counts: CountModels,
         char_emb: Option<Embedding>,
         word_emb: Option<Embedding>,
         tuple_emb: Option<Embedding>,
         value_emb: Option<Embedding>,
-        neighbor_candidates: Vec<Vec<String>>,
     ) -> Self {
+        let CountModels {
+            ngram,
+            sym_ngram,
+            length,
+            empirical,
+            cooc,
+            neighbor_candidates,
+        } = counts;
         let na = reference.n_attrs();
         let violations = (cfg.enabled(Component::ConstraintViolations) && !constraints.is_empty())
             .then(|| ViolationEngine::build(&reference, &constraints));
@@ -232,7 +200,7 @@ impl Featurizer {
             tuple_emb,
             value_emb,
             neighbor_candidates,
-            candidate_counts: Vec::new(),
+            candidate_tokens: Vec::new(),
             nn_cache: Mutex::new(LruCache::new(NN_CACHE_CAP)),
         }
     }
@@ -476,247 +444,87 @@ impl Featurizer {
 
     // ------------------------------------------------- incremental ops
 
-    /// Apply one dataset delta to the fitted state *in place of* a
-    /// rebuild: the owned reference advances one epoch, and every
-    /// count-based model (format n-grams, lengths, empirical
+    /// Apply one dataset delta (an appended row) to the fitted state *in
+    /// place of* a rebuild: the owned reference advances one epoch, and
+    /// every count-based model (format n-grams, lengths, empirical
     /// distributions, co-occurrence tables, violation indexes,
     /// neighbourhood candidates) is maintained so that subsequent
     /// queries are **bitwise-identical** to a featurizer rebuilt from
-    /// scratch over the post-delta dataset with the same (frozen)
-    /// embeddings — see [`Featurizer::rebuilt_at`], the reference
-    /// implementation the proptests compare against.
+    /// scratch over the grown dataset with the same (frozen) embeddings
+    /// — see [`Featurizer::rebuilt_at`], the reference implementation
+    /// the proptests compare against.
     ///
     /// The learned embeddings are deliberately *not* maintained: they
     /// are train-once artifacts, learned from the dataset at fit time.
     pub fn apply_delta(&mut self, op: &DeltaOp) -> Result<(), DeltaError> {
-        match op {
-            DeltaOp::Append { values } => {
-                if values.len() != self.n_attrs {
-                    return Err(DeltaError::ArityMismatch {
-                        got: values.len(),
-                        want: self.n_attrs,
-                    });
-                }
-                self.ensure_candidate_counts();
-                self.reference.push_row(values);
-                if self.cfg.enabled(Component::FormatModels) {
-                    for (a, v) in values.iter().enumerate() {
-                        self.ngram[a].add_value(v);
-                        self.sym_ngram[a].add_value(v);
-                        self.length[a].add_value(v);
-                    }
-                }
-                if self.cfg.enabled(Component::EmpiricalModels) {
-                    for (a, v) in values.iter().enumerate() {
-                        self.empirical[a].add_value(v);
-                    }
-                }
-                if let Some(cooc) = &mut self.cooc {
-                    cooc.add_row(values);
-                }
-                if let Some(engine) = &mut self.violations {
-                    engine.apply_append(&self.reference);
-                }
-                if self.cfg.enabled(Component::Neighborhood) {
-                    let mut set_changed = false;
-                    for (a, v) in values.iter().enumerate() {
-                        let c = self.candidate_counts[a].entry(v.clone()).or_insert(0);
-                        *c += 1;
-                        if *c == 1 {
-                            // First appearance in this column: a rebuild
-                            // would list it last, exactly where we put it.
-                            self.neighbor_candidates[a].push(value_token(a, v));
-                            set_changed = true;
-                        }
-                    }
-                    if set_changed {
-                        self.invalidate_nn_cache();
-                    }
+        let DeltaOp::Append { values } = op;
+        if values.len() != self.n_attrs {
+            return Err(DeltaError::ArityMismatch {
+                got: values.len(),
+                want: self.n_attrs,
+            });
+        }
+        self.reference.push_row(values);
+        if self.cfg.enabled(Component::FormatModels) {
+            for (a, v) in values.iter().enumerate() {
+                self.ngram[a].add_value(v);
+                self.sym_ngram[a].add_value(v);
+                self.length[a].add_value(v);
+            }
+        }
+        if self.cfg.enabled(Component::EmpiricalModels) {
+            for (a, v) in values.iter().enumerate() {
+                self.empirical[a].add_value(v);
+            }
+        }
+        if let Some(cooc) = &mut self.cooc {
+            cooc.add_row(values);
+        }
+        if let Some(engine) = &mut self.violations {
+            engine.apply_append(&self.reference);
+        }
+        if self.cfg.enabled(Component::Neighborhood) {
+            if self.candidate_tokens.is_empty() {
+                self.candidate_tokens = self
+                    .neighbor_candidates
+                    .iter()
+                    .map(|col| col.iter().cloned().collect())
+                    .collect();
+            }
+            let mut set_changed = false;
+            for (a, v) in values.iter().enumerate() {
+                let token = value_token(a, v);
+                if self.candidate_tokens[a].insert(token.clone()) {
+                    // First appearance in this column: a rebuild would
+                    // list it last, exactly where we put it.
+                    self.neighbor_candidates[a].push(token);
+                    set_changed = true;
                 }
             }
-            DeltaOp::Update { tuple, attr, value } => {
-                let (t, a) = (*tuple, *attr);
-                if t >= self.reference.n_tuples() {
-                    return Err(DeltaError::RowOutOfBounds {
-                        tuple: t,
-                        n_tuples: self.reference.n_tuples(),
-                    });
-                }
-                if a >= self.n_attrs {
-                    return Err(DeltaError::AttrOutOfBounds {
-                        attr: a,
-                        n_attrs: self.n_attrs,
-                    });
-                }
-                let old_row: Vec<String> = (0..self.n_attrs)
-                    .map(|c| self.reference.value(t, c).to_owned())
-                    .collect();
-                self.ensure_candidate_counts();
-                self.reference.set_value(t, a, value);
-                if self.cfg.enabled(Component::FormatModels) {
-                    self.ngram[a].remove_value(&old_row[a]);
-                    self.ngram[a].add_value(value);
-                    self.sym_ngram[a].remove_value(&old_row[a]);
-                    self.sym_ngram[a].add_value(value);
-                    self.length[a].remove_value(&old_row[a]);
-                    self.length[a].add_value(value);
-                }
-                if self.cfg.enabled(Component::EmpiricalModels) {
-                    self.empirical[a].replace_value(&old_row[a], value);
-                }
-                if let Some(cooc) = &mut self.cooc {
-                    let mut new_row = old_row.clone();
-                    new_row[a] = value.clone();
-                    cooc.remove_row(&old_row);
-                    cooc.add_row(&new_row);
-                }
-                if let Some(engine) = &mut self.violations {
-                    engine.apply_update(&self.reference, t, a, &old_row);
-                }
-                if self.cfg.enabled(Component::Neighborhood) && old_row[a] != *value {
-                    // A swap can reorder first appearances, and the
-                    // strided candidate scan is order-sensitive: rebuild
-                    // the column's list the way a refit would.
-                    if self.rebuild_candidates_column(a) {
-                        self.invalidate_nn_cache();
-                    }
-                }
-            }
-            DeltaOp::Delete { tuple } => {
-                let t = *tuple;
-                if t >= self.reference.n_tuples() {
-                    return Err(DeltaError::RowOutOfBounds {
-                        tuple: t,
-                        n_tuples: self.reference.n_tuples(),
-                    });
-                }
-                let old_row: Vec<String> = (0..self.n_attrs)
-                    .map(|c| self.reference.value(t, c).to_owned())
-                    .collect();
-                self.ensure_candidate_counts();
-                self.reference.remove_row(t);
-                if self.cfg.enabled(Component::FormatModels) {
-                    for (a, v) in old_row.iter().enumerate() {
-                        self.ngram[a].remove_value(v);
-                        self.sym_ngram[a].remove_value(v);
-                        self.length[a].remove_value(v);
-                    }
-                }
-                if self.cfg.enabled(Component::EmpiricalModels) {
-                    for (a, v) in old_row.iter().enumerate() {
-                        self.empirical[a].remove_value(v);
-                    }
-                }
-                if let Some(cooc) = &mut self.cooc {
-                    cooc.remove_row(&old_row);
-                }
-                if let Some(engine) = &mut self.violations {
-                    engine.apply_delete(&self.reference, t, &old_row);
-                }
-                if self.cfg.enabled(Component::Neighborhood) {
-                    // Removing a row can move any column's first
-                    // appearances; rebuild them all.
-                    let mut changed = false;
-                    for a in 0..self.n_attrs {
-                        changed |= self.rebuild_candidates_column(a);
-                    }
-                    if changed {
-                        self.invalidate_nn_cache();
-                    }
-                }
+            if set_changed {
+                self.invalidate_nn_cache();
             }
         }
         Ok(())
     }
 
     /// A featurizer refitted from scratch over `d` with this one's
-    /// configuration, constraints, and **frozen** learned embeddings —
-    /// the reference implementation incremental maintenance is held
-    /// bitwise-equal to, and the baseline the streaming proptests
-    /// compare against.
+    /// configuration, constraints, and **frozen** learned embeddings.
+    /// It is the reference implementation incremental maintenance is
+    /// held bitwise-equal to, and the one way labeled repairs reach the
+    /// representation (an adaptive refit rebuilds at the repaired
+    /// reference).
     pub fn rebuilt_at(&self, d: &Dataset) -> Featurizer {
-        let na = d.n_attrs();
-        let cfg = self.cfg.clone();
-        let order = cfg.ngram_order;
-        let (ngram, sym_ngram, length) = if cfg.enabled(Component::FormatModels) {
-            (
-                (0..na)
-                    .map(|a| NgramModel::fit(d, a, order, false))
-                    .collect(),
-                (0..na)
-                    .map(|a| NgramModel::fit(d, a, order, true))
-                    .collect(),
-                (0..na).map(|a| LengthModel::fit(d, a)).collect(),
-            )
-        } else {
-            (Vec::new(), Vec::new(), Vec::new())
-        };
-        let empirical: Vec<EmpiricalModel> = if cfg.enabled(Component::EmpiricalModels) {
-            (0..na).map(|a| EmpiricalModel::fit(d, a)).collect()
-        } else {
-            Vec::new()
-        };
-        let cooc = cfg
-            .enabled(Component::Cooccurrence)
-            .then(|| CoocModel::fit(d, cfg.smoothing));
-        let neighbor_candidates: Vec<Vec<String>> = if cfg.enabled(Component::Neighborhood) {
-            (0..na).map(|a| column_candidates(d, a)).collect()
-        } else {
-            Vec::new()
-        };
         Self::assemble(
-            cfg,
+            self.cfg.clone(),
             d.clone(),
             self.constraints.clone(),
-            ngram,
-            sym_ngram,
-            length,
-            empirical,
-            cooc,
+            CountModels::fit(d, &self.cfg),
             self.char_emb.clone(),
             self.word_emb.clone(),
             self.tuple_emb.clone(),
             self.value_emb.clone(),
-            neighbor_candidates,
         )
-    }
-
-    /// Lazily build the per-column occurrence counts the candidate
-    /// maintainers need (one O(cells) scan, on the first delta only).
-    fn ensure_candidate_counts(&mut self) {
-        if !self.cfg.enabled(Component::Neighborhood) || !self.candidate_counts.is_empty() {
-            return;
-        }
-        self.candidate_counts = (0..self.n_attrs)
-            .map(|a| {
-                let mut m: HashMap<String, u32> = HashMap::new();
-                for &s in self.reference.column(a) {
-                    *m.entry(self.reference.pool().resolve(s).to_owned())
-                        .or_insert(0) += 1;
-                }
-                m
-            })
-            .collect();
-    }
-
-    /// Recompute column `a`'s candidate list (and occurrence counts)
-    /// from the current reference, in first-appearance order — exactly
-    /// what a refit produces. Returns whether the list changed.
-    fn rebuild_candidates_column(&mut self, a: usize) -> bool {
-        let fresh = column_candidates(&self.reference, a);
-        let mut counts: HashMap<String, u32> = HashMap::new();
-        for &s in self.reference.column(a) {
-            *counts
-                .entry(self.reference.pool().resolve(s).to_owned())
-                .or_insert(0) += 1;
-        }
-        self.candidate_counts[a] = counts;
-        if fresh != self.neighbor_candidates[a] {
-            self.neighbor_candidates[a] = fresh;
-            true
-        } else {
-            false
-        }
     }
 
     /// Drop the nearest-neighbour memo: a candidate-set change makes
@@ -885,21 +693,63 @@ impl Featurizer {
             }
             neighbor_candidates.push(col);
         }
-        Ok(Self::assemble(
-            cfg,
-            reference,
-            constraints,
+        let counts = CountModels {
             ngram,
             sym_ngram,
             length,
             empirical,
             cooc,
+            neighbor_candidates,
+        };
+        Ok(Self::assemble(
+            cfg,
+            reference,
+            constraints,
+            counts,
             char_emb,
             word_emb,
             tuple_emb,
             value_emb,
-            neighbor_candidates,
         ))
+    }
+}
+
+/// The count-based models of a featurizer: everything a delta maintains
+/// and a rebuild refits, each empty when its component is disabled.
+struct CountModels {
+    ngram: Vec<NgramModel>,
+    sym_ngram: Vec<NgramModel>,
+    length: Vec<LengthModel>,
+    empirical: Vec<EmpiricalModel>,
+    cooc: Option<CoocModel>,
+    neighbor_candidates: Vec<Vec<String>>,
+}
+
+impl CountModels {
+    /// Fit every enabled count-based model over `d`: the one path both
+    /// [`Featurizer::fit`] and [`Featurizer::rebuilt_at`] take.
+    fn fit(d: &Dataset, cfg: &FeatureConfig) -> Self {
+        let na = d.n_attrs();
+        let columns = |on: bool| if on { 0..na } else { 0..0 };
+        let format = cfg.enabled(Component::FormatModels);
+        CountModels {
+            ngram: columns(format)
+                .map(|a| NgramModel::fit(d, a, cfg.ngram_order, false))
+                .collect(),
+            sym_ngram: columns(format)
+                .map(|a| NgramModel::fit(d, a, cfg.ngram_order, true))
+                .collect(),
+            length: columns(format).map(|a| LengthModel::fit(d, a)).collect(),
+            empirical: columns(cfg.enabled(Component::EmpiricalModels))
+                .map(|a| EmpiricalModel::fit(d, a))
+                .collect(),
+            cooc: cfg
+                .enabled(Component::Cooccurrence)
+                .then(|| CoocModel::fit(d, cfg.smoothing)),
+            neighbor_candidates: columns(cfg.enabled(Component::Neighborhood))
+                .map(|a| column_candidates(d, a))
+                .collect(),
+        }
     }
 }
 
@@ -1231,18 +1081,12 @@ mod tests {
             DeltaOp::Append {
                 values: vec!["10001".into(), "NYC".into(), "NY".into()],
             },
-            DeltaOp::Update {
-                tuple: 40,
-                attr: 1,
-                value: "Chicago".into(),
+            DeltaOp::Append {
+                values: vec!["60612".into(), "Cicago".into(), "IL".into()],
             },
-            DeltaOp::Delete { tuple: 3 },
-            DeltaOp::Update {
-                tuple: 0,
-                attr: 0,
-                value: "99999".into(),
+            DeltaOp::Append {
+                values: vec!["99999".into(), "Chicago".into(), "IL".into()],
             },
-            DeltaOp::Delete { tuple: 0 },
         ];
         for op in &ops {
             f.apply_delta(op).unwrap();
@@ -1273,14 +1117,6 @@ mod tests {
                 values: vec!["too".into(), "short".into()]
             })
             .is_err());
-        assert!(f
-            .apply_delta(&DeltaOp::Update {
-                tuple: 999,
-                attr: 0,
-                value: "x".into()
-            })
-            .is_err());
-        assert!(f.apply_delta(&DeltaOp::Delete { tuple: 999 }).is_err());
         assert_eq!(f.reference().n_tuples(), before);
     }
 

@@ -106,33 +106,7 @@ impl NgramModel {
             *self.counts.entry(g).or_insert(0) += 1;
             self.total += 1;
         }
-        self.refresh_vocab();
-    }
-
-    /// Remove one occurrence of `value`'s grams (a streamed row left).
-    /// Gram entries that reach zero are dropped so the distinct-gram
-    /// count (and thus the smoothing denominator) matches a refit.
-    pub fn remove_value(&mut self, value: &str) {
-        let view = if self.symbolic {
-            symbolize(value)
-        } else {
-            value.to_owned()
-        };
-        for g in char_ngrams(&view, self.order) {
-            if let Some(c) = self.counts.get_mut(&g) {
-                *c -= 1;
-                if *c == 0 {
-                    self.counts.remove(&g);
-                }
-                self.total -= 1;
-            }
-        }
-        self.refresh_vocab();
-    }
-
-    /// Recompute the smoothing denominator exactly as `fit` would over
-    /// the current counts.
-    fn refresh_vocab(&mut self) {
+        // The smoothing denominator, exactly as `fit` computes it.
         if !self.symbolic {
             self.vocab = self.counts.len() as f64 + 1000.0;
         }
@@ -211,19 +185,6 @@ impl LengthModel {
         self.total += 1;
     }
 
-    /// Remove one occurrence of `value`'s length, dropping zero entries
-    /// so the distinct-length denominator matches a refit.
-    pub fn remove_value(&mut self, value: &str) {
-        let len = value.chars().count();
-        if let Some(c) = self.counts.get_mut(&len) {
-            *c -= 1;
-            if *c == 0 {
-                self.counts.remove(&len);
-            }
-            self.total -= 1;
-        }
-    }
-
     /// Serialize the fitted model.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
         binio::write_usize(w, self.counts.len())?;
@@ -292,30 +253,6 @@ impl EmpiricalModel {
     pub fn add_value(&mut self, value: &str) {
         *self.counts.entry(value.to_owned()).or_insert(0) += 1;
         self.n += 1;
-    }
-
-    /// Remove one occurrence of `value` and shrink the row total
-    /// (a streamed row left the column).
-    pub fn remove_value(&mut self, value: &str) {
-        if let Some(c) = self.counts.get_mut(value) {
-            *c -= 1;
-            if *c == 0 {
-                self.counts.remove(value);
-            }
-            self.n -= 1;
-        }
-    }
-
-    /// Swap one occurrence of `old` for `new` (a cell update: the row
-    /// total is unchanged).
-    pub fn replace_value(&mut self, old: &str, new: &str) {
-        if let Some(c) = self.counts.get_mut(old) {
-            *c -= 1;
-            if *c == 0 {
-                self.counts.remove(old);
-            }
-        }
-        *self.counts.entry(new.to_owned()).or_insert(0) += 1;
     }
 
     /// Serialize the fitted model.
@@ -466,41 +403,7 @@ impl CoocModel {
                     .or_insert(0) += 1;
             }
         }
-        self.refresh_distinct();
-    }
-
-    /// Remove one previously counted row. Entries that reach zero are
-    /// dropped so the per-column distinct counts (the smoothing
-    /// denominators) match a refit.
-    pub fn remove_row(&mut self, values: &[String]) {
-        let na = self.counts.len();
-        debug_assert_eq!(values.len(), na, "cooc row arity");
-        let syms: Vec<Symbol> = values
-            .iter()
-            .map(|v| *self.ids.get(v.as_str()).expect("removed row was counted"))
-            .collect();
-        for a in 0..na {
-            if let Some(c) = self.counts[a].get_mut(&syms[a]) {
-                *c -= 1;
-                if *c == 0 {
-                    self.counts[a].remove(&syms[a]);
-                }
-            }
-            for a2 in (a + 1)..na {
-                let key = (syms[a], syms[a2]);
-                if let Some(c) = self.joint[a][a2 - a - 1].get_mut(&key) {
-                    *c -= 1;
-                    if *c == 0 {
-                        self.joint[a][a2 - a - 1].remove(&key);
-                    }
-                }
-            }
-        }
-        self.refresh_distinct();
-    }
-
-    /// Recompute the smoothing denominators exactly as `fit` would.
-    fn refresh_distinct(&mut self) {
+        // The smoothing denominators, exactly as `fit` computes them.
         for (d, c) in self.distinct.iter_mut().zip(&self.counts) {
             *d = (c.len() as f64).max(1.0);
         }
@@ -791,51 +694,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn incremental_removals_match_refit_bitwise() {
-        // Stream the format outlier out again: the models must equal a
-        // fit that never saw it — zero-count entries must be dropped so
-        // the distinct counts (denominators) shrink too.
-        let full = zips();
-        let mut b = DatasetBuilder::new(Schema::new(["Zip", "City"]));
-        for t in 0..100 {
-            b.push_row(&full.tuple_values(t));
-        }
-        let without = b.build();
-
-        let mut ngram = NgramModel::fit(&full, 0, 3, false);
-        let mut length = LengthModel::fit(&full, 0);
-        let mut emp = EmpiricalModel::fit(&full, 0);
-        let mut cooc = CoocModel::fit(&full, 1.0);
-        let outlier: Vec<String> = full
-            .tuple_values(100)
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        ngram.remove_value(&outlier[0]);
-        length.remove_value(&outlier[0]);
-        emp.remove_value(&outlier[0]);
-        cooc.remove_row(&outlier);
-
-        let ngram2 = NgramModel::fit(&without, 0, 3, false);
-        let length2 = LengthModel::fit(&without, 0);
-        let emp2 = EmpiricalModel::fit(&without, 0);
-        let cooc2 = CoocModel::fit(&without, 1.0);
-        for v in ["60612", "6061x", ""] {
-            assert_eq!(ngram.feature(v).to_bits(), ngram2.feature(v).to_bits());
-            assert_eq!(length.prob(v).to_bits(), length2.prob(v).to_bits());
-            assert_eq!(emp.prob(v).to_bits(), emp2.prob(v).to_bits());
-            assert_eq!(
-                cooc.conditional(0, v, 1, "Chicago").to_bits(),
-                cooc2.conditional(0, v, 1, "Chicago").to_bits()
-            );
-        }
-        // And the empirical swap helper keeps the row total fixed.
-        emp.replace_value("60612", "99999");
-        assert!((emp.prob("99999") - 1.0 / 100.0).abs() < 1e-6);
-        assert!((emp.prob("60612") - 49.0 / 100.0).abs() < 1e-6);
     }
 
     #[test]

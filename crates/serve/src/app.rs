@@ -350,7 +350,8 @@ impl App {
         }
     }
 
-    /// The `/metrics` page: global counters, per-model streaming gauges
+    /// The `/metrics` page: global counters (ingested rows and received
+    /// labels summed over the live models), per-model streaming gauges
     /// (epoch, rows since refit, refits, generation, pending labels,
     /// per-attribute PSI/KS) for every live registry entry, and the
     /// per-stage trace histograms. Every family carries `# HELP`/`# TYPE`
@@ -369,6 +370,31 @@ impl App {
             };
             let report = live.drift_report();
             lives.push((name, live, report));
+        }
+        // Each live model counts its own successful ingests and label
+        // posts; the process totals are their sums (0 with none live).
+        let (rows, labels) = lives
+            .iter()
+            .fold((0u64, 0u64), |(rows, labels), (_, live, _)| {
+                (
+                    rows.saturating_add(live.rows_ingested()),
+                    labels.saturating_add(live.labels_received()),
+                )
+            });
+        for (family, help, total) in [
+            (
+                "holo_serve_rows_ingested_total",
+                "Rows accepted by streaming ingest.",
+                rows,
+            ),
+            (
+                "holo_serve_labels_received_total",
+                "Operator labels accepted by /labels calls.",
+                labels,
+            ),
+        ] {
+            write_family_header(&mut page, family, help, "counter");
+            let _ = writeln!(page, "{family} {total}");
         }
         if !lives.is_empty() {
             let gauges: [(&str, &str, GaugeFn<'_>); 5] = [
@@ -517,7 +543,6 @@ impl App {
         drop(validate);
         let report = live.ingest_rows(validated).map_err(Failure::model)?;
         holo_trace::note("model", Value::Str(name.to_string()));
-        self.metrics.record_rows_ingested(report.appended);
         Ok(Response::json(
             200,
             Json::Obj(vec![
@@ -640,7 +665,6 @@ impl App {
             });
         }
         let accepted = live.add_labels(labels).map_err(Failure::model)?;
-        self.metrics.record_labels_received(accepted);
         let r = live.drift_report();
         Ok(Response::json(
             200,

@@ -396,9 +396,7 @@ pub struct Metrics {
     responses_5xx: AtomicU64,
     cells_scored_total: AtomicU64,
     reloads_total: AtomicU64,
-    rows_ingested_total: AtomicU64,
     stream_refits_total: AtomicU64,
-    labels_received_total: AtomicU64,
     /// Request latency in microseconds.
     latency_micros: Histogram,
     model_errors: [AtomicU64; MODEL_ERROR_CATEGORIES.len()],
@@ -421,9 +419,7 @@ impl Metrics {
             responses_5xx: AtomicU64::new(0),
             cells_scored_total: AtomicU64::new(0),
             reloads_total: AtomicU64::new(0),
-            rows_ingested_total: AtomicU64::new(0),
             stream_refits_total: AtomicU64::new(0),
-            labels_received_total: AtomicU64::new(0),
             latency_micros: Histogram::new(vec![
                 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
                 1_000_000,
@@ -484,19 +480,9 @@ impl Metrics {
         sat_add(&self.reloads_total, 1);
     }
 
-    /// Record rows accepted by a streaming ingest call.
-    pub fn record_rows_ingested(&self, rows: usize) {
-        sat_add(&self.rows_ingested_total, rows as u64);
-    }
-
     /// Record a completed (endpoint-driven) streaming refit.
     pub fn record_stream_refit(&self) {
         sat_add(&self.stream_refits_total, 1);
-    }
-
-    /// Record operator labels accepted by a `/labels` call.
-    pub fn record_labels_received(&self, labels: usize) {
-        sat_add(&self.labels_received_total, labels as u64);
     }
 
     /// Total requests recorded so far.
@@ -550,19 +536,9 @@ impl Metrics {
                 &self.reloads_total,
             ),
             (
-                "holo_serve_rows_ingested_total",
-                "Rows accepted by streaming ingest.",
-                &self.rows_ingested_total,
-            ),
-            (
                 "holo_serve_stream_refits_total",
                 "Completed endpoint-driven streaming refits.",
                 &self.stream_refits_total,
-            ),
-            (
-                "holo_serve_labels_received_total",
-                "Operator labels accepted by /labels calls.",
-                &self.labels_received_total,
             ),
         ] {
             write_family_header(&mut out, name, help, "counter");
@@ -666,21 +642,6 @@ mod tests {
         assert!(page.contains("holo_serve_responses_total{class=\"5xx\"} 1"));
         // No latency observation was faked for them.
         assert!(page.contains("holo_serve_request_latency_micros_count 0"));
-    }
-
-    #[test]
-    fn labels_received_counter_renders_and_saturates() {
-        let m = Metrics::new();
-        assert!(m.render().contains("holo_serve_labels_received_total 0"));
-        m.record_labels_received(7);
-        assert!(m.render().contains("holo_serve_labels_received_total 7"));
-        m.labels_received_total.store(u64::MAX, Ordering::Relaxed);
-        m.record_labels_received(3);
-        assert!(
-            m.render()
-                .contains(&format!("holo_serve_labels_received_total {}", u64::MAX)),
-            "counter wrapped"
-        );
     }
 
     #[test]
@@ -839,9 +800,7 @@ mod tests {
         m.record_scored_cells(40);
         m.record_model_error(&ModelError::Format("bad".into()));
         m.record_reload();
-        m.record_rows_ingested(12);
         m.record_stream_refit();
-        m.record_labels_received(2);
         let mut page = m.render();
         // Include the trace-derived stage family with a label value that
         // needs escaping, exactly as `/metrics` serves it.

@@ -12,12 +12,12 @@
 //! a load), so this crate keeps a served model current three ways:
 //!
 //! * **Incremental maintenance** — every ingested row becomes a
-//!   [`holo_data::DeltaOp`] in a durable [`holo_data::DeltaLog`] and is
-//!   applied to the fitted state through
-//!   `FittedHoloDetect::apply_delta`, which maintains the owned
+//!   [`holo_data::DeltaOp::Append`] in a durable
+//!   [`holo_data::DeltaLog`] and is applied to the fitted state through
+//!   `FittedHoloDetect::apply_delta`, which appends to the owned
 //!   reference copy, the violation indexes, and every count-based
 //!   representation model with the repo's established parity bar:
-//!   scoring after any delta sequence is **bitwise-identical** to a
+//!   scoring after any append sequence is **bitwise-identical** to a
 //!   from-scratch rebuild of the count-based state at the same epoch.
 //! * **Drift monitoring** — [`drift::DriftMonitor`] tracks three
 //!   signals of ingested rows against a baseline anchored at the last

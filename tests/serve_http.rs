@@ -240,6 +240,16 @@ fn concurrent_scores_are_bitwise_identical_to_in_process_score_batch() {
         page.contains(&format!("holo_serve_cells_scored_total {sent_cells}\n")),
         "expected {sent_cells} scored cells: {page}"
     );
+    // The streaming totals sum over live models; with none they read 0.
+    for family in [
+        "holo_serve_rows_ingested_total",
+        "holo_serve_labels_received_total",
+    ] {
+        assert!(
+            page.contains(&format!("\n{family} 0\n")),
+            "{family}: {page}"
+        );
+    }
     server.shutdown();
     std::fs::remove_file(&path).ok();
 }
