@@ -244,22 +244,13 @@ impl Pipeline {
 
     /// Tune the decision threshold on the holdout (the §6.1 "hold-out
     /// set used for hyper parameter tuning"): grid-search the calibrated
-    /// probability threshold maximizing holdout F1. Falls back to the
-    /// configured default when the holdout is empty or single-class.
-    pub fn select_threshold(
-        &self,
-        model: &WideDeepModel,
-        platt: &PlattScaler,
-        holdout: &[TrainExample],
-    ) -> f64 {
-        self.select_threshold_weighted(model, platt, holdout, &vec![1.0; holdout.len()])
-    }
-
-    /// Weighted threshold tuning. Weights let a tuning set whose class
-    /// mix differs from the deployment distribution (e.g. a holdout
-    /// balanced with synthetic errors) stand in for it: each example
-    /// contributes its weight to the weighted confusion counts, so the
-    /// selected threshold maximizes the *estimated deployment* F1.
+    /// probability threshold maximizing weighted holdout F1. Falls back
+    /// to the configured default when the holdout is empty or
+    /// single-class. Weights let a tuning set whose class mix differs
+    /// from the deployment distribution (e.g. a holdout balanced with
+    /// synthetic errors) stand in for it: each example contributes its
+    /// weight to the weighted confusion counts, so the selected
+    /// threshold maximizes the *estimated deployment* F1.
     pub fn select_threshold_weighted(
         &self,
         model: &WideDeepModel,

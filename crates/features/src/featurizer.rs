@@ -3,7 +3,6 @@
 
 use crate::config::{Component, FeatureConfig};
 use crate::layout::FeatureLayout;
-use crate::lru::LruCache;
 use crate::wide::{CoocModel, EmpiricalModel, LengthModel, NgramModel};
 use holo_constraints::{DenialConstraint, ViolationEngine};
 use holo_data::{binio, CellId, Dataset, DeltaError, DeltaOp};
@@ -15,11 +14,10 @@ use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// Bound on the nearest-neighbour memo. Long-lived artifacts score
-/// endless batches of fresh values; without a cap the memo is a slow
-/// memory leak. Bounded LRU: a streaming featurizer keeps its hot
-/// entries for the life of the artifact instead of periodically dumping
-/// them wholesale (the PR 2 clear-on-full stopgap).
+/// Bound on the nearest-neighbour memo, summed over its columns: without
+/// one, a long-lived artifact scoring endless fresh values leaks memory.
+/// A full memo is emptied and refills; the holobench workloads peak at a
+/// few thousand entries, so the cap only ever guards memory.
 const NN_CACHE_CAP: usize = 1 << 16;
 
 /// Work-grain (cells per claim) for batch featurization. Small enough
@@ -38,6 +36,59 @@ const BATCH_GRAIN: usize = 16;
 struct ViolMemo {
     /// tuple → violation vector for its *observed* values.
     foreign_observed: HashMap<usize, Vec<u32>>,
+}
+
+/// Lifetime counters (plus current occupancy) of the nearest-neighbour
+/// memo, for `/metrics` export. Hits, misses and evictions count since
+/// the featurizer was built, saturate, and survive an append dropping a
+/// column's entries, so `/metrics` rates stay monotone.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups that found their value.
+    pub hits: u64,
+    /// Lookups that missed.
+    pub misses: u64,
+    /// Entries dropped because the memo was full.
+    pub evictions: u64,
+    /// Entries currently held.
+    pub entries: usize,
+    /// The bound on `entries`.
+    pub capacity: usize,
+}
+
+/// The nearest-neighbour memo: per column, value → top-1 distance. A
+/// column's distances depend only on its own candidates and the frozen
+/// value embedding, so an append that grows one column's candidates
+/// drops that column's map alone.
+struct NnMemo {
+    columns: Vec<HashMap<String, f32>>,
+    stats: CacheStats,
+}
+
+impl NnMemo {
+    fn get(&mut self, a: usize, value: &str) -> Option<f32> {
+        let hit = self.columns[a].get(value).copied();
+        let counter = match hit {
+            Some(_) => &mut self.stats.hits,
+            None => &mut self.stats.misses,
+        };
+        *counter = counter.saturating_add(1);
+        hit
+    }
+
+    fn insert(&mut self, a: usize, value: &str, dist: f32) {
+        let s = &mut self.stats;
+        if s.entries >= NN_CACHE_CAP {
+            self.columns.iter_mut().for_each(HashMap::clear);
+            s.evictions = s.evictions.saturating_add(s.entries as u64);
+            s.entries = 0;
+        }
+        // Two threads can miss the same value; the second insert
+        // overwrites an identical distance.
+        if self.columns[a].insert(value.to_owned(), dist).is_none() {
+            s.entries += 1;
+        }
+    }
 }
 
 /// The fitted representation model `Q` — an owned, dataset-independent
@@ -94,11 +145,9 @@ pub struct Featurizer {
     /// the first append needs it): an appended value is a new candidate
     /// exactly when its token is not in the set yet.
     candidate_tokens: Vec<HashSet<String>>,
-    /// LRU memo: (attr, value) → top-1 distance. Neighbour queries are
-    /// the most expensive feature; values repeat massively. Bounded by
-    /// [`NN_CACHE_CAP`]; invalidated when a delta changes a column's
-    /// candidate set.
-    nn_cache: Mutex<LruCache<(usize, String), f32>>,
+    /// Memoized top-1 neighbour distances: the most expensive feature,
+    /// over values that repeat massively.
+    nn_cache: Mutex<NnMemo>,
 }
 
 impl Featurizer {
@@ -199,9 +248,15 @@ impl Featurizer {
             word_emb,
             tuple_emb,
             value_emb,
+            nn_cache: Mutex::new(NnMemo {
+                columns: vec![HashMap::new(); neighbor_candidates.len()],
+                stats: CacheStats {
+                    capacity: NN_CACHE_CAP,
+                    ..CacheStats::default()
+                },
+            }),
             neighbor_candidates,
             candidate_tokens: Vec::new(),
-            nn_cache: Mutex::new(LruCache::new(NN_CACHE_CAP)),
         }
     }
 
@@ -491,18 +546,21 @@ impl Featurizer {
                     .map(|col| col.iter().cloned().collect())
                     .collect();
             }
-            let mut set_changed = false;
+            // `&mut self` needs no lock.
+            let memo = self
+                .nn_cache
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner);
             for (a, v) in values.iter().enumerate() {
                 let token = value_token(a, v);
                 if self.candidate_tokens[a].insert(token.clone()) {
                     // First appearance in this column: a rebuild would
-                    // list it last, exactly where we put it.
+                    // list it last, exactly where we put it, and the
+                    // column's memoized distances may now be stale.
                     self.neighbor_candidates[a].push(token);
-                    set_changed = true;
+                    memo.stats.entries -= memo.columns[a].len();
+                    memo.columns[a].clear();
                 }
-            }
-            if set_changed {
-                self.invalidate_nn_cache();
             }
         }
         Ok(())
@@ -527,25 +585,15 @@ impl Featurizer {
         )
     }
 
-    /// Drop the nearest-neighbour memo: a candidate-set change makes
-    /// every cached distance potentially stale.
-    fn invalidate_nn_cache(&self) {
-        // The cache locks all recover from poisoning: the memo holds
+    fn neighbor_distance(&self, a: usize, value: &str) -> f32 {
+        // The memo locks all recover from poisoning: the memo holds
         // only recomputable distances, so the worst case after a panic
         // elsewhere is a recomputation, never a wrong feature.
-        self.nn_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-    }
-
-    fn neighbor_distance(&self, a: usize, value: &str) -> f32 {
-        let key = (a, value.to_owned());
         if let Some(dist) = self
             .nn_cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
+            .get(a, value)
         {
             return dist;
         }
@@ -559,25 +607,17 @@ impl Featurizer {
         self.nn_cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, dist);
+            .insert(a, value, dist);
         dist
-    }
-
-    /// Current number of memoized neighbour distances (diagnostics).
-    pub fn nn_cache_len(&self) -> usize {
-        self.nn_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
     }
 
     /// Lifetime hit/miss/eviction counters (plus occupancy) of the
     /// nearest-neighbour memo, for `/metrics` export.
-    pub fn nn_cache_stats(&self) -> crate::lru::CacheStats {
+    pub fn nn_cache_stats(&self) -> CacheStats {
         self.nn_cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .stats()
+            .stats
     }
 
     /// Serialize the fitted representation. The violation engine, the
@@ -692,6 +732,28 @@ impl Featurizer {
                 col.push(binio::read_str(r)?);
             }
             neighbor_candidates.push(col);
+        }
+        // Scoring indexes every per-column table by attribute: hold the
+        // file to the shapes `Featurizer::fit` builds.
+        let (na, on) = (reference.n_attrs(), |c: Component| cfg.enabled(c));
+        let width = |c| if on(c) { na } else { 0 };
+        let shapes_hold = [ngram.len(), sym_ngram.len(), length.len()]
+            == [width(Component::FormatModels); 3]
+            && empirical.len() == width(Component::EmpiricalModels)
+            && neighbor_candidates.len() == width(Component::Neighborhood)
+            && cooc.is_some() == on(Component::Cooccurrence)
+            && cooc.as_ref().is_none_or(|c| c.has_arity(na))
+            && [&char_emb, &word_emb, &tuple_emb, &value_emb].map(Option::is_some)
+                == [
+                    Component::CharEmbedding,
+                    Component::WordEmbedding,
+                    Component::TupleEmbedding,
+                    Component::Neighborhood,
+                ]
+                .map(on);
+        if !shapes_hold {
+            let msg = "per-column models do not match the reference and its components";
+            return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
         }
         let counts = CountModels {
             ngram,
@@ -1016,7 +1078,23 @@ mod tests {
             .unwrap();
         assert_eq!(v1[nn_idx], v2[nn_idx]);
         assert!((0.0..=2.0).contains(&v1[nn_idx]));
-        assert!(f.nn_cache_len() >= 1);
+        assert!(f.nn_cache_stats().entries >= 1);
+    }
+
+    #[test]
+    fn full_nn_memo_is_emptied_and_counts_evictions() {
+        let memo = &mut fitted().1.nn_cache.into_inner().unwrap();
+        for i in 0..NN_CACHE_CAP {
+            memo.insert(i % 2, &i.to_string(), 0.5);
+        }
+        assert_eq!(memo.stats.entries, NN_CACHE_CAP);
+        assert_eq!(memo.stats.evictions, 0);
+        memo.insert(0, "one more", 0.25);
+        assert_eq!(memo.stats.entries, 1);
+        assert_eq!(memo.stats.evictions, NN_CACHE_CAP as u64);
+        assert_eq!(memo.get(0, "one more"), Some(0.25));
+        assert_eq!(memo.get(1, "1"), None);
+        assert_eq!((memo.stats.hits, memo.stats.misses), (1, 1));
     }
 
     #[test]
@@ -1122,25 +1200,46 @@ mod tests {
 
     #[test]
     fn appending_new_value_invalidates_nn_cache() {
-        let (d, mut f) = fitted();
-        // Warm the cache.
-        f.features(&d, CellId::new(0, 1));
-        assert!(f.nn_cache_len() >= 1);
-        // Appending a row with brand-new values changes candidate sets.
+        let (_, mut f) = fitted();
+        // Warm Zip, City and State.
+        for a in 0..3 {
+            f.features(f.reference(), CellId::new(0, a));
+        }
+        let warm = f.nn_cache_stats();
+        assert_eq!((warm.entries, warm.misses), (3, 3));
+        // A row new only in City: only City's distances can be stale.
         f.apply_delta(&DeltaOp::Append {
-            values: vec!["11111".into(), "Odessa".into(), "TX".into()],
+            values: vec!["60612".into(), "Odessa".into(), "IL".into()],
         })
         .unwrap();
-        assert_eq!(f.nn_cache_len(), 0, "stale nn distances must be dropped");
-        // Appending only already-known values keeps the cache.
+        assert_eq!(f.nn_cache_stats().entries, 2, "City was dropped");
+        // Zip and State still hit; City misses once.
+        for a in [0, 2] {
+            f.features(f.reference(), CellId::new(0, a));
+        }
+        assert_eq!(f.nn_cache_stats().misses, warm.misses);
         f.features(f.reference(), CellId::new(0, 1));
-        let warm = f.nn_cache_len();
-        assert!(warm >= 1);
+        assert_eq!(f.nn_cache_stats().misses, warm.misses + 1);
+        // Appending only already-known values keeps the memo.
         f.apply_delta(&DeltaOp::Append {
             values: vec!["60612".into(), "Chicago".into(), "IL".into()],
         })
         .unwrap();
-        assert_eq!(f.nn_cache_len(), warm);
+        assert_eq!(f.nn_cache_stats().entries, 3);
+    }
+
+    #[test]
+    fn artifact_missing_a_column_is_an_error_not_a_panic() {
+        let (_, f) = fitted();
+        let mut bad = f.rebuilt_at(f.reference());
+        bad.ngram.pop();
+        bad.neighbor_candidates.pop();
+        let mut buf = Vec::new();
+        bad.write_to(&mut buf).unwrap();
+        let err = Featurizer::read_from(&mut std::io::Cursor::new(buf))
+            .err()
+            .expect("a short per-column table must not load");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

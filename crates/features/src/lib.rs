@@ -28,10 +28,8 @@
 pub mod config;
 pub mod featurizer;
 pub mod layout;
-pub mod lru;
 pub mod wide;
 
 pub use config::{Component, FeatureConfig};
-pub use featurizer::Featurizer;
+pub use featurizer::{CacheStats, Featurizer};
 pub use layout::FeatureLayout;
-pub use lru::{CacheStats, LruCache};

@@ -376,6 +376,19 @@ impl CoocModel {
         out
     }
 
+    /// Whether every table is shaped for `na` columns, as
+    /// [`CoocModel::fit`] builds them over an `na`-column dataset.
+    pub(crate) fn has_arity(&self, na: usize) -> bool {
+        self.joint.len() == na
+            && self
+                .joint
+                .iter()
+                .enumerate()
+                .all(|(a, row)| row.len() == na - a - 1)
+            && self.counts.len() == na
+            && self.distinct.len() == na
+    }
+
     /// Intern a streamed value into the model's private pool mirror
     /// (new values get fresh dense symbols; the ids only ever serve as
     /// hash keys, so the numbering never affects conditionals).
@@ -510,6 +523,14 @@ mod tests {
         }
         b.push_row(&["6061x", "Chicago"]); // format outlier
         b.build()
+    }
+
+    #[test]
+    fn cooc_arity_is_the_fitted_column_count() {
+        let m = CoocModel::fit(&zips(), 1.0);
+        assert!(m.has_arity(2));
+        assert!(!m.has_arity(1));
+        assert!(!m.has_arity(3));
     }
 
     #[test]

@@ -20,11 +20,26 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static FREED_BYTES: AtomicU64 = AtomicU64::new(0);
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+/// The global counters, on one cache line of their own. Every
+/// allocation and free updates several of them, so counters spread
+/// over two lines make each call pay for both; where separate statics
+/// land is up to the linker, and it differs between binaries.
+#[repr(align(64))]
+struct Totals {
+    allocs: AtomicU64,
+    bytes: AtomicU64,
+    freed: AtomicU64,
+    live: AtomicU64,
+    peak: AtomicU64,
+}
+
+static TOTALS: Totals = Totals {
+    allocs: AtomicU64::new(0),
+    bytes: AtomicU64::new(0),
+    freed: AtomicU64::new(0),
+    live: AtomicU64::new(0),
+    peak: AtomicU64::new(0),
+};
 
 thread_local! {
     /// Cumulative allocations made by this thread, wrapping.
@@ -83,14 +98,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// Books one successful allocation of `n` bytes. Must never allocate
 /// or panic: it runs inside the global allocator.
 fn record_alloc(n: u64) {
-    crate::sat_add(&ALLOC_COUNT, 1);
-    crate::sat_add(&ALLOC_BYTES, n);
-    let prev = LIVE_BYTES
+    crate::sat_add(&TOTALS.allocs, 1);
+    crate::sat_add(&TOTALS.bytes, n);
+    let prev = TOTALS
+        .live
         .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
             Some(c.saturating_add(n))
         })
         .unwrap_or(0);
-    PEAK_BYTES.fetch_max(prev.saturating_add(n), Ordering::Relaxed);
+    TOTALS
+        .peak
+        .fetch_max(prev.saturating_add(n), Ordering::Relaxed);
     // `try_with` (never `with`): during thread teardown the TLS slot is
     // gone and `with` would panic — inside an allocator that aborts.
     let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get().wrapping_add(1)));
@@ -99,10 +117,12 @@ fn record_alloc(n: u64) {
 
 /// Books one deallocation of `n` bytes.
 fn record_dealloc(n: u64) {
-    crate::sat_add(&FREED_BYTES, n);
-    let _ = LIVE_BYTES.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
-        Some(c.saturating_sub(n))
-    });
+    crate::sat_add(&TOTALS.freed, n);
+    let _ = TOTALS
+        .live
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
+            Some(c.saturating_sub(n))
+        });
 }
 
 /// Cumulative bytes ever allocated by the *calling thread*, wrapping
@@ -140,11 +160,11 @@ pub struct AllocTotals {
 /// Snapshots the global allocation counters.
 pub fn alloc_totals() -> AllocTotals {
     AllocTotals {
-        allocs: ALLOC_COUNT.load(Ordering::Relaxed),
-        bytes: ALLOC_BYTES.load(Ordering::Relaxed),
-        freed_bytes: FREED_BYTES.load(Ordering::Relaxed),
-        live_bytes: LIVE_BYTES.load(Ordering::Relaxed),
-        peak_bytes: PEAK_BYTES.load(Ordering::Relaxed),
+        allocs: TOTALS.allocs.load(Ordering::Relaxed),
+        bytes: TOTALS.bytes.load(Ordering::Relaxed),
+        freed_bytes: TOTALS.freed.load(Ordering::Relaxed),
+        live_bytes: TOTALS.live.load(Ordering::Relaxed),
+        peak_bytes: TOTALS.peak.load(Ordering::Relaxed),
     }
 }
 

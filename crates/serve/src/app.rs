@@ -187,12 +187,6 @@ impl RunningServer {
         Arc::clone(&self.app.registry)
     }
 
-    /// The span recorder request traces land in (what the `/v1/trace/*`
-    /// endpoints page).
-    pub fn trace_recorder(&self) -> Arc<SpanRecorder> {
-        Arc::clone(&self.app.recorder)
-    }
-
     /// Graceful shutdown: drain in-flight HTTP requests, then join
     /// every worker.
     pub fn shutdown(mut self) {
@@ -231,8 +225,9 @@ pub fn start(
         let app = Arc::clone(&app);
         Arc::new(move |req: &Request| app.route(req))
     };
-    // Count protocol-level rejections (oversized/malformed requests the
-    // HTTP layer answers itself) so request storms show up on /metrics.
+    // Count the responses the HTTP layer answers itself (oversized or
+    // malformed requests, and the 500 of a handler that panicked) so
+    // request storms and panics show up on /metrics.
     let observer = {
         let metrics = Arc::clone(&app.metrics);
         Arc::new(move |status: u16| metrics.record_protocol_error(status))

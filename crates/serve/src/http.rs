@@ -162,10 +162,12 @@ impl Response {
 /// aggregate: a panic is caught and answered with a 500.
 pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
-/// Observer for protocol-level error responses (400/413/431/501) that
-/// the HTTP layer answers *before* a request ever reaches the handler —
-/// the hook a metrics layer uses so malformed-request storms stay
-/// visible.
+/// Observer for the error responses the HTTP layer answers itself: the
+/// protocol-level errors (400/413/431/501) written *before* a request
+/// reaches the handler, and the 500 written for a handler that
+/// panicked. It is the hook a metrics layer uses so malformed-request
+/// storms and handler panics stay visible; a handler that returns, on
+/// any status, books its own response.
 pub type ProtocolErrorObserver = Arc<dyn Fn(u16) + Send + Sync>;
 
 /// A running server: join handles plus the shutdown flag.
@@ -180,12 +182,6 @@ impl ServerHandle {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The SIGTERM-style drain flag: once set, workers finish in-flight
-    /// requests, close their connections, and exit.
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
     }
 
     /// Graceful shutdown: stop accepting, drain in-flight requests,
@@ -235,9 +231,8 @@ pub fn serve(addr: &str, cfg: HttpConfig, handler: Handler) -> io::Result<Server
     serve_with_observer(addr, cfg, handler, None)
 }
 
-/// [`serve`], with an observer notified of every protocol-level error
-/// response the layer writes on its own (the handler never sees those
-/// requests).
+/// [`serve`], with an observer notified of every error response the
+/// layer writes on its own (see [`ProtocolErrorObserver`]).
 pub fn serve_with_observer(
     addr: &str,
     cfg: HttpConfig,
@@ -385,10 +380,16 @@ fn handle_connection(
         };
         let (resp, panicked) = match catch_unwind(AssertUnwindSafe(|| handler(&req))) {
             Ok(r) => (r, false),
-            Err(_) => (
-                Response::text(500, "internal error: request handler panicked"),
-                true,
-            ),
+            Err(_) => {
+                // The handler died before it could book its response.
+                if let Some(obs) = observer {
+                    obs(500);
+                }
+                (
+                    Response::text(500, "internal error: request handler panicked"),
+                    true,
+                )
+            }
         };
         // Close after a panic (don't reuse a connection whose handler
         // died mid-request) and while draining.
@@ -798,7 +799,10 @@ mod tests {
                 last.store(u64::from(status), Ordering::SeqCst);
             })
         };
-        let handler: Handler = Arc::new(|_req: &Request| Response::text(200, "ok"));
+        let handler: Handler = Arc::new(|req: &Request| match req.path.as_str() {
+            "/boom" => panic!("poisoned request"),
+            _ => Response::text(200, "ok"),
+        });
         let server = serve_with_observer(
             "127.0.0.1:0",
             HttpConfig::default(),
@@ -810,10 +814,15 @@ mod tests {
         assert_eq!(status, 400);
         assert_eq!(seen.load(Ordering::SeqCst), 1);
         assert_eq!(last.load(Ordering::SeqCst), 400);
-        // Handled requests do NOT go through the observer.
+        // Handled requests do NOT go through the observer…
         let (status, _) = roundtrip(server.addr(), &get("/fine"));
         assert_eq!(status, 200);
         assert_eq!(seen.load(Ordering::SeqCst), 1);
+        // …but a handler that panicked never booked its 500.
+        let (status, _) = roundtrip(server.addr(), &get("/boom"));
+        assert_eq!(status, 500);
+        assert_eq!(seen.load(Ordering::SeqCst), 2);
+        assert_eq!(last.load(Ordering::SeqCst), 500);
         server.shutdown();
     }
 

@@ -462,10 +462,11 @@ impl Metrics {
         sat_add(&self.model_errors[idx], 1);
     }
 
-    /// Record a protocol-level error response (400/413/431/501) the
-    /// HTTP layer wrote before any handler ran. Counted in the request
+    /// Record an error response the HTTP layer wrote itself: a
+    /// protocol-level error (400/413/431/501) before any handler ran,
+    /// or the 500 for a handler that panicked. Counted in the request
     /// total and status classes but not the latency histogram (no
-    /// request was actually processed).
+    /// handler finished the request).
     pub fn record_protocol_error(&self, status: u16) {
         sat_add(&self.requests_total, 1);
         let class = match status {

@@ -672,23 +672,6 @@ impl LiveModel {
             .last(k)
     }
 
-    /// Install a model that corresponds to the log's compaction horizon
-    /// (e.g. the operator's original plain artifact): replay the log
-    /// tail onto it, anchor a drift baseline on it, then swap in model,
-    /// baseline and a bumped generation under one brief write lock.
-    /// Returns the new generation. For the artifact *file* — which may
-    /// be epoch-stamped by a refit — use [`LiveModel::reload_install`].
-    ///
-    /// # Errors
-    /// [`ModelError::Degenerate`] for an artifact with no fitted state;
-    /// [`ModelError::Format`] for a schema mismatch, an artifact epoch
-    /// outside the log's range, or a log compacted past the replayed
-    /// epoch while the install ran (a newer refit artifact exists:
-    /// reload that one).
-    pub fn install(&self, loaded: FittedHoloDetect) -> Result<u64, ModelError> {
-        self.install_at(loaded, None)
-    }
-
     /// Reload the artifact file (plain or epoch-stamped) and install
     /// it — the path every registry reload and drift-triggered hot swap
     /// goes through. Returns the new generation.
@@ -697,6 +680,18 @@ impl LiveModel {
         self.install_at(loaded, file_epoch)
     }
 
+    /// Install `loaded`, read from an artifact file stamped `file_epoch`
+    /// (`None` for a plain artifact, which sits at the log's compaction
+    /// horizon): replay the log tail onto it, anchor a drift baseline on
+    /// it, then swap in model, baseline and a bumped generation under
+    /// one brief write lock. Returns the new generation.
+    ///
+    /// # Errors
+    /// [`ModelError::Degenerate`] for an artifact with no fitted state;
+    /// [`ModelError::Format`] for a schema mismatch, an artifact epoch
+    /// outside the log's range, or a log compacted past the replayed
+    /// epoch while the install ran (a newer refit artifact exists:
+    /// reload that one).
     fn install_at(
         &self,
         mut loaded: FittedHoloDetect,
