@@ -10,7 +10,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use holo_data::{CellId, Dataset, DatasetBuilder, GroundTruth, Schema};
 use holo_eval::{FitContext, TrainedModel};
-use holo_serve::{HttpConfig, Json, ModelRegistry, RunningServer, ServeConfig, TraceConfig};
+use holo_serve::{HttpConfig, Json, ModelRegistry, RunningServer};
 use holodetect::{FittedHoloDetect, HoloDetect, HoloDetectConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -99,12 +99,9 @@ fn start(path: &std::path::Path, workers: usize) -> RunningServer {
     registry.load_insert("m", path).expect("load artifact");
     holo_serve::start(
         "127.0.0.1:0",
-        ServeConfig {
-            http: HttpConfig {
-                workers,
-                ..HttpConfig::default()
-            },
-            trace: TraceConfig::default(),
+        HttpConfig {
+            workers,
+            ..HttpConfig::default()
         },
         registry,
     )

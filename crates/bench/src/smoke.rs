@@ -4,7 +4,7 @@
 
 use holo_data::{DatasetBuilder, GroundTruth, Schema};
 use holo_eval::FitContext;
-use holo_serve::{HttpConfig, ModelRegistry, RunningServer, ServeConfig};
+use holo_serve::{HttpConfig, ModelRegistry, RunningServer};
 use holodetect::{HoloDetect, HoloDetectConfig};
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -58,12 +58,9 @@ impl Smoke {
 
         let registry = Arc::new(ModelRegistry::new());
         registry.load_insert("smoke", &artifact).expect("load");
-        let cfg = ServeConfig {
-            http: HttpConfig {
-                workers: 4,
-                ..HttpConfig::default()
-            },
-            ..ServeConfig::default()
+        let cfg = HttpConfig {
+            workers: 4,
+            ..HttpConfig::default()
         };
         let server = holo_serve::start("127.0.0.1:0", cfg, registry).expect("bind port 0");
         println!("{name} serving on {}", server.addr());

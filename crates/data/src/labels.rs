@@ -189,12 +189,6 @@ impl GroundTruth {
         }
     }
 
-    /// Construct directly from a map of erroneous cells (for hand-labeled
-    /// data) and the total cell count.
-    pub fn from_errors(errors: HashMap<CellId, String>, n_cells: usize) -> Self {
-        GroundTruth { errors, n_cells }
-    }
-
     /// The true label of a cell.
     #[inline]
     pub fn label(&self, cell: CellId) -> Label {

@@ -86,6 +86,24 @@ pub fn bucket_index(bounds: &[u64], v: u64) -> usize {
     bounds.partition_point(|&b| b < v)
 }
 
+/// Panics unless the histogram `bounds` are non-empty and strictly
+/// increasing — a non-monotonic bucket list silently misroutes
+/// observations. A `const fn`, so a const bound list is checked at
+/// compile time.
+pub const fn assert_bounds(bounds: &[u64]) {
+    assert!(!bounds.is_empty(), "histogram needs at least one bound");
+    let mut i = 1;
+    while i < bounds.len() {
+        assert!(
+            bounds[i - 1] < bounds[i],
+            "histogram bounds must be strictly increasing"
+        );
+        i += 1;
+    }
+}
+
+const _: () = assert_bounds(&LOCK_WAIT_BOUNDS_MICROS);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,5 +115,16 @@ mod tests {
         assert_eq!(c.load(Ordering::Relaxed), u64::MAX);
         sat_add(&c, 1);
         assert_eq!(c.load(Ordering::Relaxed), u64::MAX);
+    }
+
+    #[test]
+    fn observations_land_in_the_right_buckets() {
+        // Bounds are inclusive: le=10 → {1, 10}; le=100 → {11, 100};
+        // le=1000 → {}; +Inf → {5000}.
+        let buckets: Vec<usize> = [1, 10, 11, 100, 5000]
+            .iter()
+            .map(|&v| bucket_index(&[10, 100, 1000], v))
+            .collect();
+        assert_eq!(buckets, [0, 0, 1, 1, 3]);
     }
 }

@@ -19,7 +19,7 @@ use holo_adapt::{AdaptConfig, AdaptiveRefit, RowLabel};
 use holo_data::{CellId, Dataset, DatasetBuilder, DeltaOp, GroundTruth};
 use holo_datagen::{generate_clean, inject_errors};
 use holo_eval::{best_f1, f1_at_threshold, pr_auc, ModelError, Split, SplitConfig, TrainedModel};
-use holo_serve::{Json, ModelRegistry, ServeConfig};
+use holo_serve::{HttpConfig, Json, ModelRegistry};
 use holo_stream::{LiveModel, StreamConfig};
 use holo_trace::Stopwatch;
 use holodetect::{FittedHoloDetect, HoloDetect, HoloDetectConfig};
@@ -319,7 +319,7 @@ pub fn run_scenario(sc: &SchemaScenario, cfg: &SuiteConfig) -> Result<ScenarioRe
     registry.insert_live(sc.name, Arc::clone(&live));
     // The scenario's latency section records where the probe's heap
     // traffic went and which serving locks ran hottest.
-    let server = holo_serve::start("127.0.0.1:0", ServeConfig::default(), Arc::clone(&registry))
+    let server = holo_serve::start("127.0.0.1:0", HttpConfig::default(), Arc::clone(&registry))
         .map_err(ModelError::Io)?;
     let addr = server.addr();
 

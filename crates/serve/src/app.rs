@@ -86,48 +86,25 @@
 //! Typed [`ModelError`]s map onto statuses ([`error_status`]): client-
 //! shaped failures (`SchemaMismatch`, `CellOutOfBounds`) are 400s, an
 //! unusable degenerate model is a 409, and artifact I/O or format
-//! failures (reloads) are 500s. Every mapped error is also counted per
-//! category in the metrics, so a schema-mismatch storm is visible on
-//! `GET /metrics` as such.
+//! failures (reloads) are 500s. Every mapped error's category is also
+//! noted on the request's trace and counted from it in the metrics, so
+//! a schema-mismatch storm is visible on `GET /metrics` as such.
 
 use crate::http::{self, Handler, HttpConfig, Request, Response, ServerHandle};
 use crate::json::{self, Json, ParseLimits};
 use crate::metrics::{
     alloc_scopes, escape_label, model_error_category, render_nn_cache_metrics, render_prof_metrics,
-    render_stage_histograms, write_family_header, Metrics,
+    render_stage_histograms, write_family_header, Metrics, CATEGORY_NOTE, CELLS_SCORED_NOTE,
+    REFIT_ENDPOINT, RELOAD_ENDPOINT, STATUS_NOTE,
 };
 use crate::registry::{ModelRegistry, ServedModel};
 use holo_data::{CellId, Dataset, DatasetBuilder, Schema};
 use holo_eval::ModelError;
 use holo_trace::{
-    format_trace_id, parse_trace_id, stage, RecorderConfig, SpanRecorder, Stopwatch, Trace, Value,
+    format_trace_id, parse_trace_id, stage, RecorderConfig, SpanRecorder, Trace, Value,
 };
 use std::io;
 use std::sync::Arc;
-
-/// Everything the serving stack needs to start.
-#[derive(Debug, Clone, Default)]
-pub struct ServeConfig {
-    /// HTTP layer knobs.
-    pub http: HttpConfig,
-    /// Request-tracing knobs.
-    pub trace: TraceConfig,
-}
-
-/// Request-tracing knobs.
-#[derive(Debug, Clone)]
-pub struct TraceConfig {
-    /// Byte budget for the recorder's trace ring (overwrite-oldest).
-    pub ring_bytes: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            ring_bytes: 1 << 20,
-        }
-    }
-}
 
 /// Traces `GET /v1/trace/recent` returns at most.
 const RECENT_TRACES_SERVED: usize = 32;
@@ -168,23 +145,12 @@ pub struct RunningServer {
     /// handle has been taken for shutdown.
     addr: std::net::SocketAddr,
     http: Option<ServerHandle>,
-    app: Arc<App>,
 }
 
 impl RunningServer {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> std::net::SocketAddr {
         self.addr
-    }
-
-    /// The live metrics.
-    pub fn metrics(&self) -> Arc<Metrics> {
-        Arc::clone(&self.app.metrics)
-    }
-
-    /// The model registry (for out-of-band loads/reloads).
-    pub fn registry(&self) -> Arc<ModelRegistry> {
-        Arc::clone(&self.app.registry)
     }
 
     /// Graceful shutdown: drain in-flight HTTP requests, then join
@@ -207,19 +173,14 @@ impl Drop for RunningServer {
 /// Bind `addr` and serve the registry. Returns once listening.
 pub fn start(
     addr: &str,
-    cfg: ServeConfig,
+    cfg: HttpConfig,
     registry: Arc<ModelRegistry>,
 ) -> io::Result<RunningServer> {
-    let metrics = Arc::new(Metrics::new());
-    let recorder = Arc::new(SpanRecorder::new(RecorderConfig {
-        ring_bytes: cfg.trace.ring_bytes,
-        ..RecorderConfig::default()
-    }));
     let app = Arc::new(App {
         registry,
-        metrics,
+        metrics: Arc::new(Metrics::new()),
         limits: ParseLimits::default(),
-        recorder,
+        recorder: Arc::new(SpanRecorder::new(RecorderConfig::default())),
     });
     let handler: Handler = {
         let app = Arc::clone(&app);
@@ -232,16 +193,15 @@ pub fn start(
         let metrics = Arc::clone(&app.metrics);
         Arc::new(move |status: u16| metrics.record_protocol_error(status))
     };
-    let http = http::serve_with_observer(addr, cfg.http, handler, Some(observer))?;
+    let http = http::serve_with_observer(addr, cfg, handler, Some(observer))?;
     Ok(RunningServer {
         addr: http.addr(),
         http: Some(http),
-        app,
     })
 }
 
 /// A handler-level failure: status + message (+ the typed model error
-/// when there is one, for metrics).
+/// when there is one, whose category the response and trace carry).
 struct Failure {
     status: u16,
     msg: String,
@@ -273,14 +233,14 @@ impl Failure {
         }
     }
 
-    fn into_response(self, metrics: &Metrics) -> Response {
+    /// The error response; a model error's category is also noted on
+    /// the request's trace, which `/metrics` counts it from.
+    fn into_response(self) -> Response {
         let mut body = vec![("error".to_string(), Json::Str(self.msg))];
         if let Some(e) = &self.model_error {
-            body.push((
-                "category".to_string(),
-                Json::Str(model_error_category(e).to_string()),
-            ));
-            metrics.record_model_error(e);
+            let category = model_error_category(e);
+            body.push(("category".to_string(), Json::Str(category.to_string())));
+            holo_trace::note(CATEGORY_NOTE, Value::Str(category.to_string()));
         }
         Response::json(self.status, Json::Obj(body).to_string())
     }
@@ -288,22 +248,20 @@ impl Failure {
 
 impl App {
     fn route(&self, req: &Request) -> Response {
-        let clock = Stopwatch::start();
         // The trace starts at the request's first byte, so `parse`
         // sits at offset 0 and the handler's stages follow it.
-        let trace = self.recorder.begin(&endpoint_label(req), req.received);
+        let trace = self.recorder.begin(endpoint_label(req), req.received);
         holo_trace::note("method", Value::Str(req.method.clone()));
         if req.parse_micros > 0 {
             trace.child_at("parse", 0, req.parse_micros);
         }
-        let resp = self
-            .dispatch(req)
-            .unwrap_or_else(|f| f.into_response(&self.metrics));
-        self.metrics.record_response(resp.status, clock.elapsed());
-        holo_trace::note("status", Value::U64(u64::from(resp.status)));
-        let id = trace.id();
-        trace.finish();
-        resp.with_header("x-holo-trace", format_trace_id(id))
+        let resp = self.dispatch(req).unwrap_or_else(Failure::into_response);
+        holo_trace::note(STATUS_NOTE, Value::U64(u64::from(resp.status)));
+        // The finished trace is the request's one record: the recorder
+        // has its latency and stages, the metrics count its outcome.
+        let trace = trace.finish();
+        self.metrics.observe(&trace);
+        resp.with_header("x-holo-trace", format_trace_id(trace.id))
     }
 
     fn dispatch(&self, req: &Request) -> Result<Response, Failure> {
@@ -353,7 +311,8 @@ impl App {
     /// and every label value is escaped — the whole page stays parseable
     /// Prometheus text format.
     fn metrics_page(&self) -> String {
-        let mut page = self.metrics.render();
+        let (stages, requests) = self.recorder.stages();
+        let mut page = self.metrics.render(&requests);
         use std::fmt::Write as _;
         let mut lives = Vec::new();
         for name in self.registry.names() {
@@ -460,7 +419,6 @@ impl App {
             }
         }
         let recorder = &self.recorder;
-        let stages = recorder.stages();
         for (family, help, value) in [
             (
                 "holo_trace_recorded_total",
@@ -682,25 +640,19 @@ impl App {
     }
 
     /// `POST /v1/models/{name}/refit` — force a refit now: retrain on a
-    /// snapshot (scoring continues), persist, hot-swap through the
-    /// registry's generation-bumped reload.
+    /// snapshot (scoring continues), persist, and hot-swap through the
+    /// live session's generation-bumped install.
     fn refit(&self, name: &str) -> Result<Response, Failure> {
         let live = self.live_session(name)?;
         let base_epoch = live.refit_to_disk().map_err(Failure::model)?;
-        let swapped = match self.registry.reload(name) {
-            None => return Err(Failure::not_found(format!("no model named {name:?}"))),
-            Some(Err(e)) => return Err(Failure::model(e)),
-            Some(Ok(m)) => m,
-        };
-        self.metrics.record_reload();
-        self.metrics.record_stream_refit();
+        let generation = live.reload_install().map_err(Failure::model)?;
         Ok(Response::json(
             200,
             Json::Obj(vec![
                 ("model".into(), Json::Str(name.into())),
                 ("refit_epoch".into(), Json::Num(base_epoch as f64)),
                 ("epoch".into(), Json::Num(live.epoch() as f64)),
-                ("generation".into(), Json::Num(swapped.generation() as f64)),
+                ("generation".into(), Json::Num(generation as f64)),
             ])
             .to_string(),
         ))
@@ -728,17 +680,14 @@ impl App {
         match self.registry.reload(name) {
             None => Err(Failure::not_found(format!("no model named {name:?}"))),
             Some(Err(e)) => Err(Failure::model(e)),
-            Some(Ok(model)) => {
-                self.metrics.record_reload();
-                Ok(Response::json(
-                    200,
-                    Json::Obj(vec![
-                        ("model".into(), Json::Str(model.name().into())),
-                        ("generation".into(), Json::Num(model.generation() as f64)),
-                    ])
-                    .to_string(),
-                ))
-            }
+            Some(Ok(model)) => Ok(Response::json(
+                200,
+                Json::Obj(vec![
+                    ("model".into(), Json::Str(model.name().into())),
+                    ("generation".into(), Json::Num(model.generation() as f64)),
+                ])
+                .to_string(),
+            )),
         }
     }
 
@@ -763,7 +712,7 @@ impl App {
         let result = guarded(|| model.score_batch(&data, &cells));
         drop(score);
         let (scores, generation, model_threshold) = result.map_err(Failure::model)?;
-        self.metrics.record_scored_cells(scores.len());
+        holo_trace::note(CELLS_SCORED_NOTE, Value::U64(scores.len() as u64));
 
         let _encode = stage("encode");
         let mut out = vec![
@@ -799,7 +748,7 @@ impl App {
     /// snapshots are monotone non-decreasing.
     fn prof_page(&self) -> Response {
         let totals = holo_prof::alloc_totals();
-        let scopes = alloc_scopes(&self.recorder.stages())
+        let scopes = alloc_scopes(&self.recorder.stages().0)
             .into_iter()
             .map(|s| {
                 Json::Obj(vec![
@@ -992,26 +941,29 @@ fn guarded<T>(f: impl FnOnce() -> Result<T, ModelError>) -> Result<T, ModelError
 /// The normalized endpoint label a request's trace is filed under.
 /// Path parameters become placeholders and unknown paths collapse to
 /// one bucket: the label keys the slow-exemplar store and the stage
-/// histograms, so its cardinality must stay bounded no matter what
-/// clients put on the wire.
-fn endpoint_label(req: &Request) -> String {
+/// histograms, so it is one of these constants, never client bytes.
+fn endpoint_label(req: &Request) -> &'static str {
     let segments: Vec<&str> = req
         .path_only()
         .split('/')
         .filter(|s| !s.is_empty())
         .collect();
     match segments.as_slice() {
-        ["healthz"] => "/healthz".to_string(),
-        ["metrics"] => "/metrics".to_string(),
-        ["v1", "models", _, tail @ ("score" | "predict" | "reload" | "rows" | "drift" | "labels" | "refit"
-        | "refits")] => {
-            format!("/v1/models/{{name}}/{tail}")
-        }
-        ["v1", "trace", "recent"] => "/v1/trace/recent".to_string(),
-        ["v1", "trace", "slow"] => "/v1/trace/slow".to_string(),
-        ["v1", "trace", _] => "/v1/trace/{id}".to_string(),
-        ["v1", "prof"] => "/v1/prof".to_string(),
-        _ => "/unmatched".to_string(),
+        ["healthz"] => "/healthz",
+        ["metrics"] => "/metrics",
+        ["v1", "models", _, "score"] => "/v1/models/{name}/score",
+        ["v1", "models", _, "predict"] => "/v1/models/{name}/predict",
+        ["v1", "models", _, "reload"] => RELOAD_ENDPOINT,
+        ["v1", "models", _, "rows"] => "/v1/models/{name}/rows",
+        ["v1", "models", _, "drift"] => "/v1/models/{name}/drift",
+        ["v1", "models", _, "labels"] => "/v1/models/{name}/labels",
+        ["v1", "models", _, "refit"] => REFIT_ENDPOINT,
+        ["v1", "models", _, "refits"] => "/v1/models/{name}/refits",
+        ["v1", "trace", "recent"] => "/v1/trace/recent",
+        ["v1", "trace", "slow"] => "/v1/trace/slow",
+        ["v1", "trace", _] => "/v1/trace/{id}",
+        ["v1", "prof"] => "/v1/prof",
+        _ => "/unmatched",
     }
 }
 

@@ -32,9 +32,10 @@
 //!   `holo_stream::LiveModel` with streaming ingest, drift monitoring,
 //!   and background drift-triggered refit — endpoints
 //!   `POST .../rows`, `GET .../drift`, `POST .../refit`).
-//! * [`metrics`] — saturating counters, a monotonic latency histogram,
-//!   and per-category [`holo_eval::ModelError`] counts on
-//!   `GET /metrics`, rendered as parseable Prometheus text format.
+//! * [`metrics`] — saturating counters bumped once per request from
+//!   its finished trace, per-category [`holo_eval::ModelError`] counts,
+//!   and the trace recorder's latency histograms on `GET /metrics`,
+//!   rendered as parseable Prometheus text format.
 //! * [`app`] — the endpoints, request/response schemas, and the
 //!   `ModelError` → HTTP status mapping.
 //!
@@ -43,9 +44,10 @@
 //! `validate` / `score` / `encode`, and the live model's ingest and
 //! install stages) becomes a span noting its time and allocations, the
 //! trace id is echoed as the `x-holo-trace` response header, a bounded
-//! in-memory ring is served by `GET /v1/trace/recent`,
-//! `/v1/trace/{id}`, and `/v1/trace/slow`, and per-stage latency
-//! histograms land on `GET /metrics` ([`app::TraceConfig`]).
+//! in-memory ring ([`holo_trace::RecorderConfig`]'s default 1 MiB) is
+//! served by `GET /v1/trace/recent`, `/v1/trace/{id}`, and
+//! `/v1/trace/slow`, and the request-latency and per-stage latency
+//! histograms land on `GET /metrics`.
 //!
 //! The stack is continuously profiled through `holo-prof`: the serving
 //! locks (model registry, HTTP accept queue) are instrumented
@@ -79,9 +81,9 @@ pub mod json;
 pub mod metrics;
 pub mod registry;
 
-pub use app::{error_status, start, RunningServer, ServeConfig, TraceConfig};
+pub use app::{error_status, start, RunningServer};
 pub use holo_trace::{format_trace_id, parse_trace_id, SpanRecorder, Trace};
 pub use http::{HttpConfig, Request, Response, ServerHandle};
 pub use json::{parse as parse_json, Json, JsonError, ParseLimits};
-pub use metrics::{model_error_category, Histogram, Metrics};
+pub use metrics::{model_error_category, Metrics};
 pub use registry::{ModelRegistry, ServedModel};

@@ -9,8 +9,8 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
-use holo_serve::{HttpConfig, ModelRegistry, ServeConfig, TraceConfig};
-use holo_stream::{LiveModel, RefitScheduler, RefitTarget, StreamConfig};
+use holo_serve::{HttpConfig, ModelRegistry};
+use holo_stream::{LiveModel, RefitScheduler, StreamConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,7 +23,6 @@ struct Args {
     stream: StreamConfig,
     refit_interval: Duration,
     http: HttpConfig,
-    trace: TraceConfig,
 }
 
 const USAGE: &str = "\
@@ -33,7 +32,6 @@ options:
   --addr HOST:PORT       listen address          (default 127.0.0.1:7878)
   --workers N            HTTP worker threads     (default 4)
   --max-body-bytes N     request body cap        (default 1048576)
-  --trace-ring-bytes N   trace ring byte budget  (default 1048576)
 
 Every request is traced, and every traced stage notes its allocations;
 GET /v1/prof and /metrics sum them per stage next to the always-on
@@ -49,7 +47,8 @@ streaming (per model; see the README's Streaming section):
   --refit-interval-ms N  drift poll interval             (default 1000)
 ";
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
+/// The parsed command line, or `None` when it asks for `--help`.
+fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     let mut args = Args {
         addr: "127.0.0.1:7878".to_string(),
         models: Vec::new(),
@@ -57,7 +56,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         stream: StreamConfig::default(),
         refit_interval: Duration::from_millis(1000),
         http: HttpConfig::default(),
-        trace: TraceConfig::default(),
     };
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -82,10 +80,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.http.max_body_bytes =
                     parse_num(&value("--max-body-bytes")?, "--max-body-bytes")?;
             }
-            "--trace-ring-bytes" => {
-                args.trace.ring_bytes =
-                    parse_num(&value("--trace-ring-bytes")?, "--trace-ring-bytes")?;
-            }
             "--stream" => {
                 let spec = value("--stream")?;
                 let (name, log) = spec
@@ -103,7 +97,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     "--refit-interval-ms",
                 )? as u64);
             }
-            "--help" | "-h" => return Err(String::new()),
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -117,7 +111,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             ));
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 fn parse_num(s: &str, flag: &str) -> Result<usize, String> {
@@ -128,18 +122,20 @@ fn parse_num(s: &str, flag: &str) -> Result<usize, String> {
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("holo-serve: {msg}\n");
-            }
+            eprintln!("holo-serve: {msg}\n");
             eprint!("{USAGE}");
             return ExitCode::FAILURE;
         }
     };
 
     let registry = Arc::new(ModelRegistry::new());
-    let mut targets = Vec::new();
+    let mut lives = Vec::new();
     for (name, path) in &args.models {
         let path = std::path::Path::new(path);
         match args.streams.iter().find(|(n, _)| n == name) {
@@ -180,30 +176,14 @@ fn main() -> ExitCode {
                     live.method(),
                     live.epoch()
                 );
-                // The scheduler hot-swaps through the registry reload,
-                // like a manual POST .../reload would.
-                let swap = {
-                    let registry = Arc::clone(&registry);
-                    let name = name.clone();
-                    Arc::new(move || match registry.reload(&name) {
-                        Some(Ok(_)) => Ok(()),
-                        Some(Err(e)) => Err(e.to_string()),
-                        None => Err(format!("model {name:?} vanished from the registry")),
-                    }) as holo_stream::scheduler::SwapHook
-                };
                 registry.insert_live(name, Arc::clone(&live));
-                targets.push(RefitTarget { live, swap });
+                lives.push(live);
             }
         }
     }
-    let _scheduler =
-        (!targets.is_empty()).then(|| RefitScheduler::spawn(targets, args.refit_interval));
+    let _scheduler = (!lives.is_empty()).then(|| RefitScheduler::spawn(lives, args.refit_interval));
 
-    let cfg = ServeConfig {
-        http: args.http,
-        trace: args.trace,
-    };
-    let server = match holo_serve::start(&args.addr, cfg, registry) {
+    let server = match holo_serve::start(&args.addr, args.http, registry) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("holo-serve: failed to bind {}: {e}", args.addr);
@@ -220,5 +200,78 @@ fn main() -> ExitCode {
     // when the handle drops.
     loop {
         std::thread::sleep(Duration::from_secs(3600));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn help_asks_for_usage_not_an_error() {
+        for words in [&["--help"][..], &["-h"], &["--workers", "2", "--help"]] {
+            assert!(matches!(parse_args(&argv(words)), Ok(None)), "{words:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_errors() {
+        let parsed = parse_args(&argv(&["--model", "m=a.holoart", "--verbose"]));
+        assert_eq!(parsed.err().as_deref(), Some("unknown flag \"--verbose\""));
+    }
+
+    #[test]
+    fn every_flag_in_usage_parses() {
+        let words: Vec<&str> = USAGE
+            .split_whitespace()
+            .map(|w| w.trim_start_matches('['))
+            .collect();
+        let mut flags = 0;
+        for pair in words.windows(2) {
+            let (flag, placeholder) = (pair[0], pair[1]);
+            if !flag.starts_with("--") {
+                continue;
+            }
+            let value = match placeholder {
+                "NAME=PATH" => "m=a.holoart",
+                "NAME=LOGPATH" => "m=m.dlog",
+                "HOST:PORT" => "127.0.0.1:9",
+                "N" => "7",
+                other => panic!("{flag} takes an unknown placeholder {other:?}"),
+            };
+            let parsed = parse_args(&argv(&["--model", "m=a.holoart", flag, value]));
+            assert!(matches!(parsed, Ok(Some(_))), "{flag}: {:?}", parsed.err());
+            flags += 1;
+        }
+        // --model twice (the usage line), then the six options.
+        assert_eq!(flags, 8);
+        let args = parse_args(&argv(&[
+            "--model",
+            "m=a.holoart",
+            "--addr",
+            "127.0.0.1:9",
+            "--workers",
+            "3",
+            "--max-body-bytes",
+            "64",
+            "--stream",
+            "m=m.dlog",
+            "--min-refit-rows",
+            "5",
+            "--refit-interval-ms",
+            "20",
+        ]))
+        .expect("valid command line")
+        .expect("not --help");
+        assert_eq!(args.addr, "127.0.0.1:9");
+        assert_eq!(args.models, [("m".to_string(), "a.holoart".to_string())]);
+        assert_eq!(args.streams, [("m".to_string(), "m.dlog".to_string())]);
+        assert_eq!((args.http.workers, args.http.max_body_bytes), (3, 64));
+        assert_eq!(args.stream.min_rows_between_refits, 5);
+        assert_eq!(args.refit_interval, Duration::from_millis(20));
     }
 }

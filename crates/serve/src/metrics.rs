@@ -3,12 +3,14 @@
 //!
 //! Three hard rules, all enforced here rather than hoped for:
 //!
-//! * **Bucket bounds are monotonic.** [`Histogram::new`] rejects any
-//!   non-strictly-increasing bound list at construction, and every
-//!   histogram on the page — request latency, trace stages, lock waits
-//!   — goes through one writer ([`write_histogram`]) that emits
-//!   *cumulative* counts, so the `le`-series a scraper ingests is
-//!   non-decreasing by construction.
+//! * **Bucket bounds are monotonic.** Every histogram on the page —
+//!   request latency, trace stages, lock waits — goes through one
+//!   writer ([`write_histogram`]), which rejects a bound list that is
+//!   not strictly increasing and emits *cumulative* counts, so the
+//!   `le`-series a scraper ingests is non-decreasing by construction.
+//!   The const bound lists it is handed
+//!   (`holo_trace::STAGE_BOUNDS_MICROS`,
+//!   `holo_prof::LOCK_WAIT_BOUNDS_MICROS`) are checked at compile time.
 //! * **Counters saturate.** Every increment is a `saturating_add`
 //!   compare-exchange — a long-lived server pegs at `u64::MAX` instead
 //!   of wrapping to zero and faking a counter reset.
@@ -18,20 +20,37 @@
 //!   ingests the whole page — there is a unit test that parses the full
 //!   exposition output line by line.
 //!
-//! [`ModelError`] outcomes are counted *per category*, so a storm of
+//! A handled request is counted once, from its finished trace
+//! ([`Metrics::observe`]): its status class, its [`ModelError`]
+//! category, its scored cells, and the hot swap a successful reload or
+//! refit made. Outcomes are counted *per category*, so a storm of
 //! schema-mismatch requests is visible as such on the metrics page
-//! rather than drowned in a generic error total. Per-stage latency
+//! rather than drowned in a generic error total. Request latency (the
+//! recorder's histogram of every trace's root span), per-stage latency
 //! histograms ([`render_stage_histograms`]) and per-stage allocation
 //! totals ([`render_prof_metrics`]) are derived from the trace
 //! recorder's spans, so `/metrics` aggregates and `/v1/trace/*`
 //! exemplars can never disagree.
 
 use holo_eval::ModelError;
-use holo_prof::{bucket_index, sat_add, LockSnapshot};
-use holo_trace::StageStat;
+use holo_prof::{assert_bounds, sat_add, LockSnapshot};
+use holo_trace::{StageStat, Trace, Value};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+/// The trace note a request's response status is recorded under.
+pub(crate) const STATUS_NOTE: &str = "status";
+/// The trace note a failed request's [`ModelError`] category is
+/// recorded under.
+pub(crate) const CATEGORY_NOTE: &str = "category";
+/// The trace note a score or predict request's scored-cell count is
+/// recorded under, once `score_batch` succeeded.
+pub(crate) const CELLS_SCORED_NOTE: &str = "cells_scored";
+/// The endpoint label of `POST /v1/models/{name}/reload`.
+pub(crate) const RELOAD_ENDPOINT: &str = "/v1/models/{name}/reload";
+/// The endpoint label of `POST /v1/models/{name}/refit`.
+pub(crate) const REFIT_ENDPOINT: &str = "/v1/models/{name}/refit";
 
 /// Writes the `# HELP` / `# TYPE` preamble for a metric family, as the
 /// Prometheus text exposition format requires before its first sample.
@@ -63,6 +82,10 @@ pub fn escape_label(value: &str) -> String {
 /// pairs (already escaped, e.g. `stage="score"`, or empty), one
 /// non-cumulative count per bound plus the overflow bucket, its count
 /// and its sum. Every histogram on `/metrics` is written here.
+///
+/// # Panics
+/// Panics unless `bounds` are non-empty and strictly increasing
+/// ([`assert_bounds`]).
 pub fn write_histogram<'a>(
     out: &mut String,
     name: &str,
@@ -70,6 +93,7 @@ pub fn write_histogram<'a>(
     bounds: &[u64],
     series: impl IntoIterator<Item = (String, &'a [u64], u64, u64)>,
 ) {
+    assert_bounds(bounds);
     write_family_header(out, name, help, "histogram");
     for (labels, buckets, count, sum) in series {
         let (sep, braced) = match labels.as_str() {
@@ -300,73 +324,6 @@ pub fn render_nn_cache_metrics(stats: &[(String, holodetect::CacheStats)], out: 
     }
 }
 
-/// A fixed-bound histogram with saturating counters.
-pub struct Histogram {
-    bounds: Vec<u64>,
-    /// One per bound, plus the overflow bucket.
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Histogram {
-    /// Build with the given upper bounds.
-    ///
-    /// # Panics
-    /// Panics unless the bounds are non-empty and strictly increasing —
-    /// a non-monotonic bucket list silently misroutes observations, so
-    /// it is rejected at construction, not at scrape time.
-    pub fn new(bounds: Vec<u64>) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing: {bounds:?}"
-        );
-        let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
-        Histogram {
-            bounds,
-            buckets,
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    /// Record one observation (saturating everywhere).
-    pub fn observe(&self, v: u64) {
-        sat_add(&self.buckets[bucket_index(&self.bounds, v)], 1);
-        sat_add(&self.count, 1);
-        sat_add(&self.sum, v);
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative counts per bound (`le`-style), then the total; each
-    /// entry saturates rather than wrapping.
-    pub fn cumulative(&self) -> Vec<u64> {
-        let mut acc = 0u64;
-        let mut out = Vec::with_capacity(self.buckets.len());
-        for b in &self.buckets {
-            acc = acc.saturating_add(b.load(Ordering::Relaxed));
-            out.push(acc);
-        }
-        out
-    }
-
-    fn render(&self, name: &str, help: &str, out: &mut String) {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let sum = self.sum.load(Ordering::Relaxed);
-        let series = (String::new(), buckets.as_slice(), self.count(), sum);
-        write_histogram(out, name, help, &self.bounds, [series]);
-    }
-}
-
 /// [`ModelError`] categories, in render order.
 pub const MODEL_ERROR_CATEGORIES: [&str; 5] = [
     "schema_mismatch",
@@ -390,15 +347,12 @@ pub fn model_error_category(e: &ModelError) -> &'static str {
 /// All serving metrics, shared across the HTTP workers.
 pub struct Metrics {
     started: Instant,
-    requests_total: AtomicU64,
     responses_2xx: AtomicU64,
     responses_4xx: AtomicU64,
     responses_5xx: AtomicU64,
     cells_scored_total: AtomicU64,
     reloads_total: AtomicU64,
     stream_refits_total: AtomicU64,
-    /// Request latency in microseconds.
-    latency_micros: Histogram,
     model_errors: [AtomicU64; MODEL_ERROR_CATEGORIES.len()],
 }
 
@@ -409,21 +363,16 @@ impl Default for Metrics {
 }
 
 impl Metrics {
-    /// Fresh metrics with the standard bucket layouts.
+    /// Fresh metrics, every counter at zero.
     pub fn new() -> Self {
         Metrics {
             started: Instant::now(),
-            requests_total: AtomicU64::new(0),
             responses_2xx: AtomicU64::new(0),
             responses_4xx: AtomicU64::new(0),
             responses_5xx: AtomicU64::new(0),
             cells_scored_total: AtomicU64::new(0),
             reloads_total: AtomicU64::new(0),
             stream_refits_total: AtomicU64::new(0),
-            latency_micros: Histogram::new(vec![
-                100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
-                1_000_000,
-            ]),
             model_errors: Default::default(),
         }
     }
@@ -433,66 +382,59 @@ impl Metrics {
         self.started.elapsed()
     }
 
-    /// Record one finished request.
-    pub fn record_response(&self, status: u16, latency: Duration) {
-        sat_add(&self.requests_total, 1);
-        let class = match status {
+    /// Count one handled request from its finished trace: the status
+    /// class of its `status` note, the [`ModelError`] category of its
+    /// `category` note, the cells of its `cells_scored` note, and, on a
+    /// 2xx from `/reload` or `/refit`, the hot swap it made (a refit is
+    /// also a stream refit). Its latency is the trace recorder's.
+    pub fn observe(&self, trace: &Trace) {
+        let mut status = 0;
+        for (key, value) in &trace.notes {
+            match (*key, value) {
+                (STATUS_NOTE, Value::U64(s)) => status = *s,
+                (CATEGORY_NOTE, Value::Str(category)) => {
+                    for (c, counter) in MODEL_ERROR_CATEGORIES.iter().zip(&self.model_errors) {
+                        if *c == category.as_str() {
+                            sat_add(counter, 1);
+                        }
+                    }
+                }
+                (CELLS_SCORED_NOTE, Value::U64(n)) => sat_add(&self.cells_scored_total, *n),
+                _ => {}
+            }
+        }
+        sat_add(self.class(status), 1);
+        let refit = trace.endpoint == REFIT_ENDPOINT;
+        if (200..300).contains(&status) && (refit || trace.endpoint == RELOAD_ENDPOINT) {
+            sat_add(&self.reloads_total, 1);
+            if refit {
+                sat_add(&self.stream_refits_total, 1);
+            }
+        }
+    }
+
+    /// Record an error response the HTTP layer wrote itself, with no
+    /// trace: a protocol-level error (400/413/431/501) before any
+    /// handler ran, or the 500 for a handler that panicked. Counted in
+    /// its status class but not the latency histogram (no handler
+    /// finished the request).
+    pub fn record_protocol_error(&self, status: u16) {
+        sat_add(self.class(u64::from(status)), 1);
+    }
+
+    /// The response counter of `status`'s class.
+    fn class(&self, status: u64) -> &AtomicU64 {
+        match status {
             200..=299 => &self.responses_2xx,
             400..=499 => &self.responses_4xx,
             _ => &self.responses_5xx,
-        };
-        sat_add(class, 1);
-        let micros = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        self.latency_micros.observe(micros);
+        }
     }
 
-    /// Record cells that were actually scored (successful calls only —
-    /// an error storm must not inflate the scored total).
-    pub fn record_scored_cells(&self, cells: usize) {
-        sat_add(&self.cells_scored_total, cells as u64);
-    }
-
-    /// Record a typed scoring/loading failure by category.
-    pub fn record_model_error(&self, e: &ModelError) {
-        let cat = model_error_category(e);
-        let idx = MODEL_ERROR_CATEGORIES
-            .iter()
-            .position(|c| *c == cat)
-            .expect("known category");
-        sat_add(&self.model_errors[idx], 1);
-    }
-
-    /// Record an error response the HTTP layer wrote itself: a
-    /// protocol-level error (400/413/431/501) before any handler ran,
-    /// or the 500 for a handler that panicked. Counted in the request
-    /// total and status classes but not the latency histogram (no
-    /// handler finished the request).
-    pub fn record_protocol_error(&self, status: u16) {
-        sat_add(&self.requests_total, 1);
-        let class = match status {
-            400..=499 => &self.responses_4xx,
-            _ => &self.responses_5xx,
-        };
-        sat_add(class, 1);
-    }
-
-    /// Record a successful model hot-swap.
-    pub fn record_reload(&self) {
-        sat_add(&self.reloads_total, 1);
-    }
-
-    /// Record a completed (endpoint-driven) streaming refit.
-    pub fn record_stream_refit(&self) {
-        sat_add(&self.stream_refits_total, 1);
-    }
-
-    /// Total requests recorded so far.
-    pub fn requests_total(&self) -> u64 {
-        self.requests_total.load(Ordering::Relaxed)
-    }
-
-    /// The `GET /metrics` page.
-    pub fn render(&self) -> String {
+    /// The serving families of the `GET /metrics` page. `requests` is
+    /// the trace recorder's stat of every trace's root span, written as
+    /// the request-latency histogram.
+    pub fn render(&self, requests: &StageStat) -> String {
         let mut out = String::with_capacity(4096);
         write_family_header(
             &mut out,
@@ -501,29 +443,30 @@ impl Metrics {
             "gauge",
         );
         let _ = writeln!(out, "holo_serve_uptime_seconds {}", self.uptime().as_secs());
+        let classes = [
+            ("2xx", &self.responses_2xx),
+            ("4xx", &self.responses_4xx),
+            ("5xx", &self.responses_5xx),
+        ]
+        .map(|(class, counter)| (class, counter.load(Ordering::Relaxed)));
         write_family_header(
             &mut out,
             "holo_serve_requests_total",
             "Requests received, protocol errors included.",
             "counter",
         );
-        let _ = writeln!(out, "holo_serve_requests_total {}", self.requests_total());
+        let total = classes
+            .iter()
+            .fold(0u64, |acc, (_, n)| acc.saturating_add(*n));
+        let _ = writeln!(out, "holo_serve_requests_total {total}");
         write_family_header(
             &mut out,
             "holo_serve_responses_total",
             "Responses by status class.",
             "counter",
         );
-        for (class, counter) in [
-            ("2xx", &self.responses_2xx),
-            ("4xx", &self.responses_4xx),
-            ("5xx", &self.responses_5xx),
-        ] {
-            let _ = writeln!(
-                out,
-                "holo_serve_responses_total{{class=\"{class}\"}} {}",
-                counter.load(Ordering::Relaxed)
-            );
+        for (class, n) in classes {
+            let _ = writeln!(out, "holo_serve_responses_total{{class=\"{class}\"}} {n}");
         }
         for (name, help, counter) in [
             (
@@ -558,10 +501,17 @@ impl Metrics {
                 counter.load(Ordering::Relaxed)
             );
         }
-        self.latency_micros.render(
-            "holo_serve_request_latency_micros",
-            "End-to-end request latency in microseconds.",
+        write_histogram(
             &mut out,
+            "holo_serve_request_latency_micros",
+            "End-to-end request latency in microseconds, from the request's first byte.",
+            &holo_trace::STAGE_BOUNDS_MICROS,
+            [(
+                String::new(),
+                requests.buckets.as_slice(),
+                requests.count,
+                requests.sum_micros,
+            )],
         );
         out
     }
@@ -572,64 +522,112 @@ mod tests {
     use super::*;
     use holo_data::CellId;
 
+    /// A finished trace of `endpoint` carrying `notes`, as `App::route`
+    /// hands it to [`Metrics::observe`].
+    fn trace_of(endpoint: &str, notes: Vec<(&'static str, Value)>) -> Trace {
+        Trace {
+            endpoint: endpoint.to_string(),
+            notes,
+            ..Trace::default()
+        }
+    }
+
+    /// The request-latency stat of requests taking `micros` each.
+    fn requests(micros: &[u64]) -> StageStat {
+        let mut buckets = vec![0; holo_trace::STAGE_BOUNDS_MICROS.len() + 1];
+        for &m in micros {
+            buckets[holo_prof::bucket_index(&holo_trace::STAGE_BOUNDS_MICROS, m)] += 1;
+        }
+        StageStat {
+            stage: String::new(),
+            buckets,
+            count: micros.len() as u64,
+            sum_micros: micros.iter().sum(),
+            allocs: 0,
+            alloc_bytes: 0,
+        }
+    }
+
+    /// One histogram family of a single unlabeled series against
+    /// `bounds`.
+    fn histogram(bounds: &[u64], buckets: &[u64], count: u64, sum: u64) -> String {
+        let mut out = String::new();
+        let series = (String::new(), buckets, count, sum);
+        write_histogram(&mut out, "h", "Test.", bounds, [series]);
+        out
+    }
+
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn non_monotonic_bounds_are_rejected() {
-        Histogram::new(vec![10, 5, 20]);
+        histogram(&[10, 5, 20], &[0; 4], 0, 0);
     }
 
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn duplicate_bounds_are_rejected() {
-        Histogram::new(vec![10, 10]);
-    }
-
-    #[test]
-    fn observations_land_in_the_right_buckets() {
-        let h = Histogram::new(vec![10, 100, 1000]);
-        for v in [1, 10, 11, 100, 5000] {
-            h.observe(v);
-        }
-        // le=10 → {1,10}; le=100 → +{11,100}; le=1000 → +{}; +Inf → +{5000}.
-        assert_eq!(h.cumulative(), vec![2, 4, 4, 5]);
-        assert_eq!(h.count(), 5);
+        histogram(&[10, 10], &[0; 3], 0, 0);
     }
 
     #[test]
     fn cumulative_series_is_monotone_nondecreasing() {
-        let h = Histogram::new(vec![2, 4, 8, 16]);
+        let bounds = [2, 4, 8, 16];
+        let mut buckets = [0; 5];
         for v in 0..40 {
-            h.observe(v % 20);
+            buckets[holo_prof::bucket_index(&bounds, v % 20)] += 1;
         }
-        let cum = h.cumulative();
+        let page = histogram(&bounds, &buckets, 40, 380);
+        let cum: Vec<u64> = page
+            .lines()
+            .filter(|l| l.starts_with("h_bucket"))
+            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(cum.len(), bounds.len() + 1, "{page}");
         assert!(cum.windows(2).all(|w| w[0] <= w[1]), "{cum:?}");
-        assert_eq!(*cum.last().unwrap(), h.count());
+        assert_eq!(*cum.last().unwrap(), 40);
     }
 
     #[test]
     fn counters_saturate_instead_of_wrapping() {
-        let h = Histogram::new(vec![10]);
-        h.count.store(u64::MAX, Ordering::Relaxed);
-        h.sum.store(u64::MAX - 1, Ordering::Relaxed);
-        h.buckets[0].store(u64::MAX, Ordering::Relaxed);
-        h.observe(3);
-        assert_eq!(h.count(), u64::MAX, "count wrapped");
-        assert_eq!(h.sum.load(Ordering::Relaxed), u64::MAX, "sum wrapped");
-        // Cumulative rendering saturates too (MAX + overflow bucket).
-        h.observe(99);
-        let cum = h.cumulative();
-        assert_eq!(cum, vec![u64::MAX, u64::MAX]);
+        let out = histogram(&[10, 100], &[u64::MAX, 0, 7], u64::MAX, 9);
+        // Cumulative counts stay non-decreasing and peg at MAX.
+        assert_eq!(
+            out.lines().skip(2).collect::<Vec<_>>(),
+            [
+                format!("h_bucket{{le=\"10\"}} {}", u64::MAX),
+                format!("h_bucket{{le=\"100\"}} {}", u64::MAX),
+                format!("h_bucket{{le=\"+Inf\"}} {}", u64::MAX),
+                format!("h_count {}", u64::MAX),
+                "h_sum 9".to_string(),
+            ]
+        );
     }
 
     #[test]
     fn scored_cells_count_successes_only() {
         let m = Metrics::new();
-        // A failed call records a model error and no scored cells.
-        m.record_model_error(&ModelError::Format("model panicked while scoring".into()));
-        let page = m.render();
+        // A failed call notes a model error and no scored cells.
+        m.observe(&trace_of(
+            "/v1/models/{name}/score",
+            vec![
+                (CATEGORY_NOTE, Value::Str("format".into())),
+                (STATUS_NOTE, Value::U64(500)),
+            ],
+        ));
+        let page = m.render(&requests(&[]));
         assert!(page.contains("holo_serve_cells_scored_total 0"), "{page}");
-        m.record_scored_cells(100);
-        assert!(m.render().contains("holo_serve_cells_scored_total 100"));
+        // A 2xx score with cells counts them.
+        m.observe(&trace_of(
+            "/v1/models/{name}/score",
+            vec![
+                (CELLS_SCORED_NOTE, Value::U64(100)),
+                (STATUS_NOTE, Value::U64(200)),
+            ],
+        ));
+        let page = m.render(&requests(&[]));
+        assert!(page.contains("holo_serve_cells_scored_total 100"), "{page}");
+        assert!(page.contains("holo_serve_responses_total{class=\"2xx\"} 1"));
+        assert!(page.contains("holo_serve_model_reloads_total 0"));
     }
 
     #[test]
@@ -637,7 +635,7 @@ mod tests {
         let m = Metrics::new();
         m.record_protocol_error(431);
         m.record_protocol_error(501);
-        let page = m.render();
+        let page = m.render(&requests(&[]));
         assert!(page.contains("holo_serve_requests_total 2"), "{page}");
         assert!(page.contains("holo_serve_responses_total{class=\"4xx\"} 1"));
         assert!(page.contains("holo_serve_responses_total{class=\"5xx\"} 1"));
@@ -648,40 +646,85 @@ mod tests {
     #[test]
     fn model_errors_are_counted_per_category() {
         let m = Metrics::new();
-        m.record_model_error(&ModelError::SchemaMismatch {
+        let failed = |category: &str, status| {
+            trace_of(
+                "/v1/models/{name}/score",
+                vec![
+                    (CATEGORY_NOTE, Value::Str(category.into())),
+                    (STATUS_NOTE, Value::U64(status)),
+                ],
+            )
+        };
+        let schema = ModelError::SchemaMismatch {
             expected: vec!["A".into()],
             found: vec!["B".into()],
-        });
-        m.record_model_error(&ModelError::SchemaMismatch {
-            expected: vec![],
-            found: vec![],
-        });
-        m.record_model_error(&ModelError::CellOutOfBounds {
+        };
+        let oob = ModelError::CellOutOfBounds {
             cell: CellId::new(9, 9),
             n_tuples: 1,
             n_attrs: 1,
-        });
-        m.record_model_error(&ModelError::Format("bad".into()));
-        let page = m.render();
+        };
+        for e in [&schema, &schema, &oob, &ModelError::Format("bad".into())] {
+            m.observe(&failed(
+                model_error_category(e),
+                u64::from(crate::error_status(e)),
+            ));
+        }
+        let page = m.render(&requests(&[]));
         assert!(page.contains("holo_serve_model_errors_total{category=\"schema_mismatch\"} 2"));
         assert!(page.contains("holo_serve_model_errors_total{category=\"cell_out_of_bounds\"} 1"));
         assert!(page.contains("holo_serve_model_errors_total{category=\"format\"} 1"));
         assert!(page.contains("holo_serve_model_errors_total{category=\"io\"} 0"));
+        assert!(
+            page.contains("holo_serve_responses_total{class=\"4xx\"} 3"),
+            "{page}"
+        );
+        assert!(page.contains("holo_serve_responses_total{class=\"5xx\"} 1"));
+        assert!(page.contains("holo_serve_cells_scored_total 0"));
+    }
+
+    #[test]
+    fn successful_reloads_and_refits_count_as_hot_swaps() {
+        let m = Metrics::new();
+        let with_status =
+            |endpoint, status| trace_of(endpoint, vec![(STATUS_NOTE, Value::U64(status))]);
+        m.observe(&with_status(REFIT_ENDPOINT, 200));
+        m.observe(&with_status(RELOAD_ENDPOINT, 200));
+        // Failed swaps and other endpoints count nothing.
+        m.observe(&with_status(REFIT_ENDPOINT, 409));
+        m.observe(&with_status(RELOAD_ENDPOINT, 500));
+        m.observe(&with_status("/v1/models/{name}/refits", 200));
+        let page = m.render(&requests(&[]));
+        assert!(page.contains("holo_serve_model_reloads_total 2"), "{page}");
+        assert!(page.contains("holo_serve_stream_refits_total 1"), "{page}");
+        assert!(page.contains("holo_serve_requests_total 5"), "{page}");
     }
 
     #[test]
     fn render_includes_latency_and_batch_series() {
         let m = Metrics::new();
-        m.record_response(200, Duration::from_micros(300));
-        m.record_response(404, Duration::from_micros(80));
-        m.record_response(500, Duration::from_secs(30)); // beyond last bound
-        m.record_scored_cells(40);
-        let page = m.render();
-        assert!(page.contains("holo_serve_requests_total 3"));
-        assert!(page.contains("holo_serve_responses_total{class=\"2xx\"} 1"));
+        for status in [200, 404, 500] {
+            m.observe(&trace_of(
+                "/healthz",
+                vec![(STATUS_NOTE, Value::U64(status))],
+            ));
+        }
+        m.observe(&trace_of(
+            "/v1/models/{name}/predict",
+            vec![
+                (CELLS_SCORED_NOTE, Value::U64(40)),
+                (STATUS_NOTE, Value::U64(200)),
+            ],
+        ));
+        let page = m.render(&requests(&[300, 30_000_000])); // one beyond the last bound
+        assert!(page.contains("holo_serve_requests_total 4"));
+        assert!(page.contains("holo_serve_responses_total{class=\"2xx\"} 2"));
         assert!(page.contains("holo_serve_responses_total{class=\"4xx\"} 1"));
         assert!(page.contains("holo_serve_responses_total{class=\"5xx\"} 1"));
-        assert!(page.contains("holo_serve_request_latency_micros_bucket{le=\"+Inf\"} 3"));
+        assert!(page.contains("holo_serve_request_latency_micros_bucket{le=\"500\"} 1"));
+        assert!(page.contains("holo_serve_request_latency_micros_bucket{le=\"1000000\"} 1"));
+        assert!(page.contains("holo_serve_request_latency_micros_bucket{le=\"+Inf\"} 2"));
+        assert!(page.contains("holo_serve_request_latency_micros_sum 30000300"));
         assert!(page.contains("holo_serve_cells_scored_total 40"));
     }
 
@@ -795,14 +838,19 @@ mod tests {
     #[test]
     fn full_exposition_output_parses() {
         let m = Metrics::new();
-        m.record_response(200, Duration::from_micros(300));
-        m.record_response(500, Duration::from_secs(30));
+        m.observe(&trace_of(
+            REFIT_ENDPOINT,
+            vec![(STATUS_NOTE, Value::U64(200))],
+        ));
+        m.observe(&trace_of(
+            "/v1/models/{name}/score",
+            vec![
+                (CATEGORY_NOTE, Value::Str("format".into())),
+                (STATUS_NOTE, Value::U64(500)),
+            ],
+        ));
         m.record_protocol_error(431);
-        m.record_scored_cells(40);
-        m.record_model_error(&ModelError::Format("bad".into()));
-        m.record_reload();
-        m.record_stream_refit();
-        let mut page = m.render();
+        let mut page = m.render(&requests(&[300]));
         // Include the trace-derived stage family with a label value that
         // needs escaping, exactly as `/metrics` serves it.
         render_stage_histograms(
@@ -917,11 +965,14 @@ mod tests {
     #[test]
     fn histograms_render_byte_identical_to_the_golden_page() {
         let mut out = String::new();
-        let h = Histogram::new(vec![10, 100, 1000]);
-        for v in [1, 10, 11, 100, 5000] {
-            h.observe(v);
-        }
-        h.render("holo_test_latency_micros", "Test latency.", &mut out);
+        // Observations 1, 10, 11, 100 and 5000 against bounds 10, 100, 1000.
+        write_histogram(
+            &mut out,
+            "holo_test_latency_micros",
+            "Test latency.",
+            &[10, 100, 1000],
+            [(String::new(), &[2, 2, 0, 1][..], 5, 5122)],
+        );
         let stage = |name: &str, buckets: Vec<u64>, count, sum_micros| StageStat {
             stage: name.to_string(),
             buckets,

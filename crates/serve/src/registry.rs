@@ -17,10 +17,11 @@
 //! **live** entry wraps a `holo_stream::LiveModel` — the same artifact
 //! plus streaming maintenance (ingest, drift, background refit). For a
 //! live entry the registry mapping never needs to change on reload:
-//! the swap happens *inside* the `LiveModel` (load the artifact,
-//! replay the delta-log tail so mid-refit ingest survives, bump the
-//! generation), which is exactly the path the drift-triggered
-//! `RefitScheduler` hot-swaps through.
+//! the swap happens *inside* the `LiveModel`
+//! (`LiveModel::reload_install`: load the artifact, replay the
+//! delta-log tail so mid-refit ingest survives, bump the generation),
+//! the same install the drift-triggered `RefitScheduler` and
+//! `POST .../refit` run.
 
 use holo_eval::ModelError;
 use holo_prof::ProfRwLock;
@@ -66,15 +67,6 @@ impl ServedModel {
         match &self.source {
             ModelSource::Static(_) => self.static_generation,
             ModelSource::Live(l) => l.generation(),
-        }
-    }
-
-    /// The loaded model, when this is a static entry (a live entry's
-    /// state lives behind its own lock).
-    pub fn static_model(&self) -> Option<&FittedHoloDetect> {
-        match &self.source {
-            ModelSource::Static(m) => Some(m),
-            ModelSource::Live(_) => None,
         }
     }
 
@@ -221,8 +213,7 @@ impl ModelRegistry {
     ///
     /// Static entries swap the registry `Arc`. Live entries install the
     /// loaded artifact into the session (replaying the delta-log tail,
-    /// bumping the generation) and keep the mapping — the path every
-    /// drift-triggered refit hot-swaps through.
+    /// bumping the generation) and keep the mapping.
     pub fn reload(&self, name: &str) -> Option<Result<Arc<ServedModel>, ModelError>> {
         let current = self.get(name)?;
         Some(match current.live() {
@@ -298,7 +289,6 @@ mod tests {
         // The old Arc still scores — hot swap never invalidates holders.
         assert_eq!(v0.generation(), 0);
         assert_eq!(v0.name(), "food");
-        assert!(v0.static_model().is_some());
         assert!(v0.live().is_none());
         std::fs::remove_file(&path).ok();
     }

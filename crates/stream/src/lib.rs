@@ -30,9 +30,8 @@
 //!   drift signals off the hot path and, once one fires, refits
 //!   on a snapshot (classifier + calibration + threshold re-learned
 //!   over the maintained representation), persists the result, and
-//!   hot-swaps it into serving through the caller's swap hook
-//!   (`ModelRegistry::reload` in holo-serve) — scoring never blocks on
-//!   a refit. When operator labels were posted
+//!   hot-swaps it into serving with [`live::LiveModel::reload_install`]
+//!   — scoring never blocks on a refit. When operator labels were posted
 //!   ([`live::LiveModel::add_labels`]), the refit takes the *adaptive*
 //!   path: `holo_adapt::AdaptiveRefit` learns the drifted error channel
 //!   from ≤ `refit_label_budget` labels, amplifies it by augmentation,
@@ -67,4 +66,4 @@ pub use drift::{DriftMonitor, DriftReport, SignalStat};
 pub use holo_adapt::{DriftSignal, RowLabel};
 pub use holo_trace::RefitTimeline;
 pub use live::{IngestReport, LiveModel, StreamConfig};
-pub use scheduler::{RefitScheduler, RefitTarget};
+pub use scheduler::RefitScheduler;

@@ -576,9 +576,8 @@ impl LiveModel {
     /// label-free `refit_with(vec![])`.
     ///
     /// The refitted artifact is *not* installed; hot-swapping happens
-    /// through the serving registry's reload (or [`LiveModel::refit_now`]
-    /// when no registry is involved), which replays any ops that
-    /// arrived mid-refit.
+    /// through [`LiveModel::reload_install`] (or [`LiveModel::refit_now`],
+    /// which runs both), which replays any ops that arrived mid-refit.
     pub fn refit_to_disk(&self) -> Result<u64, ModelError> {
         self.refit_to_disk_as("manual")
     }

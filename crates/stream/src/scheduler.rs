@@ -1,15 +1,15 @@
 //! The background refit scheduler.
 //!
-//! One thread, many live models: each tick it asks every target
+//! One thread, many live models: each tick it asks every model
 //! [`LiveModel::should_refit`]; once a drift signal fires it runs
 //! [`LiveModel::refit_to_disk`] (the expensive retrain, off every
-//! serving lock) and then fires the target's swap hook — in holo-serve
-//! that hook is `ModelRegistry::reload`, so the refitted artifact
-//! enters serving through the exact generation-bumped hot-swap path a
-//! manual reload uses, and scoring never blocks. When operator labels
-//! are buffered on the model, the refit it triggers is the *adaptive*
-//! one: `holo_adapt::AdaptiveRefit` turns those labels into learned
-//! channel + amplified training examples before retraining.
+//! serving lock) and then [`LiveModel::reload_install`], so the
+//! refitted artifact enters serving through the exact generation-bumped
+//! hot swap a manual reload of the model uses, and scoring never
+//! blocks. When operator labels are buffered on the model, the refit it
+//! triggers is the *adaptive* one: `holo_adapt::AdaptiveRefit` turns
+//! those labels into learned channel + amplified training examples
+//! before retraining.
 //!
 //! A refit failure (degenerate snapshot, disk trouble) is recorded and
 //! retried on a later tick; it never kills the scheduler thread.
@@ -27,31 +27,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// The swap hook fired after a successful refit-to-disk. Returns a
-/// human-readable error on failure (retried next tick).
-pub type SwapHook = Arc<dyn Fn() -> Result<(), String> + Send + Sync>;
-
-/// One model under scheduler care.
-pub struct RefitTarget {
-    /// The live model to watch.
-    pub live: Arc<LiveModel>,
-    /// Hot-swap hook — `ModelRegistry::reload` when serving, or
-    /// [`LiveModel::refit_now`]-style install when standalone.
-    pub swap: SwapHook,
-}
-
-impl RefitTarget {
-    /// A standalone target: the swap hook reloads the artifact file and
-    /// installs it directly on the live model (no registry involved).
-    pub fn standalone(live: Arc<LiveModel>) -> Self {
-        let swap: SwapHook = {
-            let live = Arc::clone(&live);
-            Arc::new(move || live.reload_install().map(|_| ()).map_err(|e| e.to_string()))
-        };
-        RefitTarget { live, swap }
-    }
-}
-
 /// Handle to the background thread. Dropping (or calling
 /// [`RefitScheduler::shutdown`]) stops it and joins.
 pub struct RefitScheduler {
@@ -61,8 +36,8 @@ pub struct RefitScheduler {
 }
 
 impl RefitScheduler {
-    /// Spawn the scheduler polling `targets` every `interval`.
-    pub fn spawn(targets: Vec<RefitTarget>, interval: Duration) -> Self {
+    /// Spawn the scheduler polling `models` every `interval`.
+    pub fn spawn(models: Vec<Arc<LiveModel>>, interval: Duration) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let errors = Arc::new(AtomicU64::new(0));
         let thread_stop = Arc::clone(&stop);
@@ -73,27 +48,23 @@ impl RefitScheduler {
                 let pool = PoolStats::register("refit-scheduler");
                 while !thread_stop.load(Ordering::Relaxed) {
                     let tick = Stopwatch::start();
-                    for target in &targets {
+                    for live in &models {
                         if thread_stop.load(Ordering::Relaxed) {
                             pool.record_busy(tick.elapsed_micros());
                             return;
                         }
-                        if !target.live.should_refit() {
+                        if !live.should_refit() {
                             continue;
                         }
                         // Isolate each refit attempt: a panic inside
-                        // the retrain or the swap hook is a failed
+                        // the retrain or the install is a failed
                         // attempt to retry next tick, never a dead
                         // scheduler thread.
                         let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            target
-                                .live
-                                .refit_to_disk_as("drift")
-                                .map_err(|e| e.to_string())
-                                .and_then(|_| (target.swap)())
-                        }))
-                        .unwrap_or_else(|_| Err("refit panicked".into()));
-                        if outcome.is_err() {
+                            live.refit_to_disk_as("drift")
+                                .and_then(|_| live.reload_install())
+                        }));
+                        if !matches!(outcome, Ok(Ok(_))) {
                             sat_add(&thread_errors, 1);
                         }
                     }
@@ -151,6 +122,8 @@ mod tests {
     use holodetect::{HoloDetect, HoloDetectConfig};
     use std::path::PathBuf;
 
+    /// A live model, the fresh directory its artifact sits alone in,
+    /// and its delta log (outside that directory).
     fn live_with_constraints(tag: &str) -> (Arc<LiveModel>, PathBuf, PathBuf) {
         let mut b = DatasetBuilder::new(Schema::new(["Zip", "City"]));
         for _ in 0..25 {
@@ -173,15 +146,16 @@ mod tests {
             constraints: &dcs,
             seed: 3,
         });
-        let dir = std::env::temp_dir();
         let stamp = format!(
             "{}-{:?}-{tag}",
             std::process::id(),
             std::thread::current().id()
         );
-        let artifact = dir.join(format!("holo-sched-{stamp}.holoart"));
-        let log = dir.join(format!("holo-sched-{stamp}.dlog"));
+        let dir = std::env::temp_dir().join(format!("holo-sched-{stamp}"));
+        let log = std::env::temp_dir().join(format!("holo-sched-{stamp}.dlog"));
         std::fs::remove_file(&log).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let artifact = dir.join("model.holoart");
         model.save(&artifact).unwrap();
         let live = Arc::new(
             LiveModel::open(
@@ -195,16 +169,13 @@ mod tests {
             )
             .unwrap(),
         );
-        (live, artifact, log)
+        (live, dir, log)
     }
 
     #[test]
     fn scheduler_refits_on_drift_and_is_quiet_otherwise() {
-        let (live, artifact, log) = live_with_constraints("auto");
-        let sched = RefitScheduler::spawn(
-            vec![RefitTarget::standalone(Arc::clone(&live))],
-            Duration::from_millis(10),
-        );
+        let (live, dir, log) = live_with_constraints("auto");
+        let sched = RefitScheduler::spawn(vec![Arc::clone(&live)], Duration::from_millis(10));
 
         // Quiet traffic: no refit.
         live.ingest_rows(vec![vec!["60612".into(), "Chicago".into()]; 4])
@@ -229,22 +200,17 @@ mod tests {
         assert_eq!(live.epoch(), 32, "refit must preserve every epoch");
         assert!(!live.should_refit(), "baseline re-anchored after refit");
         sched.shutdown();
-        for p in [&artifact, &log] {
-            std::fs::remove_file(p).ok();
-        }
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&log).ok();
     }
 
     #[test]
     fn failed_swaps_are_counted_and_retried_not_fatal() {
-        let (live, artifact, log) = live_with_constraints("fail");
-        let swap: SwapHook = Arc::new(|| Err("swap refused".into()));
-        let sched = RefitScheduler::spawn(
-            vec![RefitTarget {
-                live: Arc::clone(&live),
-                swap,
-            }],
-            Duration::from_millis(10),
-        );
+        let (live, dir, log) = live_with_constraints("fail");
+        // With the artifact's directory gone, every refit fails at its
+        // persist step, before anything could be installed.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let sched = RefitScheduler::spawn(vec![Arc::clone(&live)], Duration::from_millis(10));
         let bad: Vec<Vec<String>> = (0..12)
             .map(|i| vec!["60612".to_string(), format!("Springfield{i}")])
             .collect();
@@ -257,8 +223,6 @@ mod tests {
         // The scheduler thread survives failures; shutdown still joins.
         sched.shutdown();
         assert_eq!(live.generation(), 0, "failed swap installs nothing");
-        for p in [&artifact, &log] {
-            std::fs::remove_file(p).ok();
-        }
+        std::fs::remove_file(&log).ok();
     }
 }

@@ -39,8 +39,8 @@
 //! * [`SpanRecorder`] — a bounded ring buffer of completed traces
 //!   (fixed byte budget, overwrite-oldest) plus a slow-request exemplar
 //!   store keeping the N worst traces per endpoint, plus per-stage
-//!   duration histograms and allocation totals accumulated as traces
-//!   arrive.
+//!   duration histograms and allocation totals, and one histogram of
+//!   every trace's root span, accumulated as traces arrive.
 //! * [`RefitTimeline`] / [`TimelineRing`] — the span trees of model
 //!   refits, kept per live model and served as
 //!   `GET /v1/models/{name}/refits`.
@@ -63,8 +63,10 @@
 //!
 //! assert_eq!(recorder.get(trace.id).map(|t| t.spans.len()), Some(3));
 //! assert_eq!(trace.stage_micros("score"), score_micros);
-//! let validate = recorder.stages().into_iter().find(|s| s.stage == "validate");
+//! let (stages, roots) = recorder.stages();
+//! let validate = stages.into_iter().find(|s| s.stage == "validate");
 //! assert!(validate.is_some_and(|s| s.alloc_bytes >= 80));
+//! assert_eq!((roots.count, roots.sum_micros), (1, trace.total_micros));
 //! ```
 
 #![forbid(unsafe_code)]

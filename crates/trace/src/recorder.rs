@@ -1,6 +1,7 @@
-//! The bounded trace store: ring buffer, slow-request exemplars, and
-//! per-stage histograms — all fed by the same [`Trace`]s so aggregates
-//! and exemplars cannot disagree.
+//! The bounded trace store: ring buffer, slow-request exemplars,
+//! per-stage histograms, and one histogram of every trace's root span
+//! — all fed by the same [`Trace`]s so aggregates and exemplars cannot
+//! disagree.
 //!
 //! Memory is fixed up front: the ring holds at most
 //! [`RecorderConfig::ring_bytes`] of traces (overwrite-oldest, measured
@@ -15,12 +16,14 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::PoisonError;
 
-/// Histogram bucket upper bounds (microseconds) for per-stage duration
-/// histograms, matching the serving latency histogram so stage and
-/// end-to-end distributions line up on the same axes.
+/// Histogram bucket upper bounds (microseconds, inclusive) for the
+/// per-stage duration histograms and the all-endpoints root histogram,
+/// so stage and end-to-end distributions line up on the same axes.
 pub const STAGE_BOUNDS_MICROS: [u64; 12] = [
     100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000,
 ];
+
+const _: () = holo_prof::assert_bounds(&STAGE_BOUNDS_MICROS);
 
 /// Sizing for a [`SpanRecorder`].
 #[derive(Debug, Clone)]
@@ -72,6 +75,8 @@ struct RecorderInner {
     ring_used: usize,
     slow: Vec<SlowEntry>,
     stages: Vec<StageStat>,
+    /// Every trace's root span, whatever its endpoint.
+    roots: StageStat,
 }
 
 /// Bounded store of completed traces.
@@ -100,6 +105,7 @@ impl SpanRecorder {
                     ring_used: 0,
                     slow: Vec::new(),
                     stages: Vec::new(),
+                    roots: StageStat::empty(String::new()),
                 },
             ),
             recorded: AtomicU64::new(0),
@@ -108,9 +114,10 @@ impl SpanRecorder {
     }
 
     /// Stores a completed trace: accumulates its spans into the stage
-    /// histograms and allocation totals, offers it to the slow-exemplar
-    /// store, and appends it
-    /// to the ring (evicting oldest-first to stay within budget).
+    /// histograms and allocation totals and its root span into the
+    /// all-endpoints root histogram, offers it to the slow-exemplar
+    /// store, and appends it to the ring (evicting oldest-first to stay
+    /// within budget).
     pub fn record(&self, trace: Trace) {
         sat_add(&self.recorded, 1);
         let mut evicted = 0u64;
@@ -118,6 +125,9 @@ impl SpanRecorder {
             let mut inner = self.traces.lock().unwrap_or_else(PoisonError::into_inner);
             for span in &trace.spans {
                 observe_stage(&mut inner.stages, span);
+            }
+            if let Some(root) = trace.spans.first() {
+                observe(&mut inner.roots, root);
             }
             offer_slow(&mut inner.slow, &trace, self.config.slow_per_endpoint);
             let cost = trace.approx_bytes();
@@ -181,12 +191,15 @@ impl SpanRecorder {
     }
 
     /// Snapshot of the per-stage duration histograms and allocation
-    /// totals, sorted by stage name for stable rendering.
-    pub fn stages(&self) -> Vec<StageStat> {
+    /// totals, sorted by stage name for stable rendering, and of every
+    /// trace's root span folded into one all-endpoints stat (unnamed).
+    /// Both come from one critical section, so the root stat always
+    /// equals the sum of the root-endpoint stages beside it.
+    pub fn stages(&self) -> (Vec<StageStat>, StageStat) {
         let inner = self.traces.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = inner.stages.clone();
         out.sort_by(|a, b| a.stage.cmp(&b.stage));
-        out
+        (out, inner.roots.clone())
     }
 
     /// Bytes currently attributed to the ring (always ≤ the budget).
@@ -206,25 +219,33 @@ impl SpanRecorder {
     }
 }
 
-fn observe_stage(stages: &mut Vec<StageStat>, span: &Span) {
-    let micros = span.duration_micros;
-    let stat = match stages.iter_mut().find(|s| s.stage == span.name) {
-        Some(s) => s,
-        None => {
-            stages.push(StageStat {
-                stage: span.name.clone(),
-                buckets: vec![0; STAGE_BOUNDS_MICROS.len() + 1],
-                count: 0,
-                sum_micros: 0,
-                allocs: 0,
-                alloc_bytes: 0,
-            });
-            match stages.last_mut() {
-                Some(s) => s,
-                None => return, // unreachable: just pushed
-            }
+impl StageStat {
+    fn empty(stage: String) -> Self {
+        StageStat {
+            stage,
+            buckets: vec![0; STAGE_BOUNDS_MICROS.len() + 1],
+            count: 0,
+            sum_micros: 0,
+            allocs: 0,
+            alloc_bytes: 0,
         }
-    };
+    }
+}
+
+fn observe_stage(stages: &mut Vec<StageStat>, span: &Span) {
+    match stages.iter_mut().find(|s| s.stage == span.name) {
+        Some(stat) => observe(stat, span),
+        None => {
+            let mut stat = StageStat::empty(span.name.clone());
+            observe(&mut stat, span);
+            stages.push(stat);
+        }
+    }
+}
+
+/// Folds one span's duration and allocation notes into `stat`.
+fn observe(stat: &mut StageStat, span: &Span) {
+    let micros = span.duration_micros;
     if let Some(slot) = stat
         .buckets
         .get_mut(bucket_index(&STAGE_BOUNDS_MICROS, micros))
@@ -360,17 +381,31 @@ mod tests {
         rec.record(trace_of("/s", "score", 200));
         rec.record(trace_of("/s", "score", 90));
         rec.record(trace_of("/s", "encode", 2_000_000));
-        let stages = rec.stages();
+        rec.record(trace_of("/t", "score", 300));
+        let (stages, roots) = rec.stages();
         let names: Vec<&str> = stages.iter().map(|s| s.stage.as_str()).collect();
-        // Root spans ("/s") are stages too; sorted by name.
-        assert_eq!(names, ["/s", "encode", "score"]);
-        let score = &stages[2];
-        assert_eq!(score.count, 2);
-        assert_eq!(score.sum_micros, 290);
+        // Root spans ("/s", "/t") are stages too; sorted by name.
+        assert_eq!(names, ["/s", "/t", "encode", "score"]);
+        let score = &stages[3];
+        assert_eq!(score.count, 3);
+        assert_eq!(score.sum_micros, 590);
         assert_eq!(score.buckets[0], 1); // 90 ≤ 100
         assert_eq!(score.buckets[1], 1); // 200 ≤ 250
-        let encode = &stages[1];
+        assert_eq!(score.buckets[2], 1); // 300 ≤ 500
+        let encode = &stages[2];
         assert_eq!(encode.buckets[STAGE_BOUNDS_MICROS.len()], 1); // overflow
+                                                                  // The root stat folds every endpoint's root span together.
+        let (s, t) = (&stages[0], &stages[1]);
+        assert_eq!(roots.count, 4);
+        assert_eq!(roots.sum_micros, s.sum_micros + t.sum_micros);
+        assert!(roots.sum_micros >= 2_000_590);
+        let summed: Vec<u64> = s
+            .buckets
+            .iter()
+            .zip(&t.buckets)
+            .map(|(a, b)| a + b)
+            .collect();
+        assert_eq!(roots.buckets, summed);
     }
 
     #[test]
@@ -385,6 +420,7 @@ mod tests {
         }
         let totals: Vec<(String, u64, u64)> = rec
             .stages()
+            .0
             .into_iter()
             .map(|s| (s.stage, s.allocs, s.alloc_bytes))
             .collect();

@@ -16,9 +16,7 @@
 use holodetect_repro::core::{FittedHoloDetect, HoloDetect, HoloDetectConfig};
 use holodetect_repro::data::{CellId, Dataset, DatasetBuilder, GroundTruth, Schema};
 use holodetect_repro::eval::{FitContext, TrainedModel};
-use holodetect_repro::serve::{
-    self, HttpConfig, Json, ModelRegistry, RunningServer, ServeConfig, TraceConfig,
-};
+use holodetect_repro::serve::{self, HttpConfig, Json, ModelRegistry, RunningServer};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -68,12 +66,9 @@ fn start_server(path: &std::path::Path) -> RunningServer {
     registry.load_insert("food", path).expect("load artifact");
     serve::start(
         "127.0.0.1:0",
-        ServeConfig {
-            http: HttpConfig {
-                workers: 4,
-                ..HttpConfig::default()
-            },
-            trace: TraceConfig::default(),
+        HttpConfig {
+            workers: 4,
+            ..HttpConfig::default()
         },
         registry,
     )
@@ -459,6 +454,81 @@ fn mid_flight_reload_hot_swaps_without_breaking_scoring() {
     );
     assert_eq!(status, 200);
     server.shutdown();
+}
+
+/// `/metrics` counts each handled request from its one finished trace:
+/// the request-latency histogram is the sum, bucket for bucket, of the
+/// root-endpoint `holo_trace_stage_micros{stage="/…"}` series (both
+/// timed from the request's first byte), and the request total is the
+/// sum of the status classes.
+#[test]
+fn request_latency_sums_the_root_endpoint_stage_series() {
+    let (_model, path) = fit_artifact("latency");
+    let server = start_server(&path);
+    let addr = server.addr();
+    let rows = rows_json(&unseen_batch(3)).to_string();
+    for _ in 0..4 {
+        assert_eq!(post(addr, "/v1/models/food/score", &rows).0, 200);
+    }
+    assert_eq!(post(addr, "/v1/models/food/score", "{}").0, 400);
+    assert_eq!(post(addr, "/v1/models/ghost/score", &rows).0, 404);
+    let (status, page) = http(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+
+    // (series suffix, labels other than `stage`) → value, for the
+    // latency family and summed over the root-endpoint stage series.
+    let mut latency = std::collections::BTreeMap::new();
+    let mut roots = std::collections::BTreeMap::new();
+    let sample = |line: &str, family: &str| -> Option<(String, String, u64)> {
+        let (series, value) = line.rsplit_once(' ')?;
+        let rest = series.strip_prefix(family)?;
+        let (suffix, labels) = rest.split_once('{').unwrap_or((rest, ""));
+        let value = value.parse().expect("integer sample");
+        Some((
+            suffix.to_string(),
+            labels.trim_end_matches('}').to_string(),
+            value,
+        ))
+    };
+    for line in page.lines() {
+        if let Some((suffix, labels, v)) = sample(line, "holo_serve_request_latency_micros") {
+            latency.insert((suffix, labels), v);
+        } else if let Some((suffix, labels, v)) = sample(line, "holo_trace_stage_micros") {
+            let stage = labels.strip_prefix("stage=\"").expect("stage label");
+            let (stage, le) = stage.split_once('"').expect("quoted stage");
+            if stage.starts_with('/') {
+                let key = (suffix, le.trim_start_matches(',').to_string());
+                *roots.entry(key).or_insert(0) += v;
+            }
+        }
+    }
+    let key = |suffix: &str| (suffix.to_string(), String::new());
+    assert_eq!(latency.get(&key("_count")), Some(&6), "{page}");
+    assert_eq!(latency.get(&key("_count")), roots.get(&key("_count")));
+    assert_eq!(latency.get(&key("_sum")), roots.get(&key("_sum")));
+    assert_eq!(
+        latency.len(),
+        15,
+        "12 bounds, +Inf, count, sum: {latency:?}"
+    );
+    assert_eq!(latency, roots);
+
+    let counter = |series: &str| -> u64 {
+        page.lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no {series} sample: {page}"))
+    };
+    let classes: Vec<u64> = ["2xx", "4xx", "5xx"]
+        .iter()
+        .map(|c| counter(&format!("holo_serve_responses_total{{class=\"{c}\"}}")))
+        .collect();
+    assert_eq!(classes, [4, 2, 0]);
+    assert_eq!(
+        counter("holo_serve_requests_total"),
+        classes.iter().sum::<u64>()
+    );
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

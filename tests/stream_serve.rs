@@ -7,10 +7,8 @@
 use holodetect_repro::core::{HoloDetect, HoloDetectConfig};
 use holodetect_repro::data::{CellId, Dataset, DatasetBuilder, GroundTruth, Schema};
 use holodetect_repro::eval::FitContext;
-use holodetect_repro::serve::{
-    self, HttpConfig, Json, ModelRegistry, RunningServer, ServeConfig, TraceConfig,
-};
-use holodetect_repro::stream::{LiveModel, RefitScheduler, RefitTarget, StreamConfig};
+use holodetect_repro::serve::{self, HttpConfig, Json, ModelRegistry, RunningServer};
+use holodetect_repro::stream::{LiveModel, RefitScheduler, StreamConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -58,12 +56,9 @@ fn fit_live(tag: &str, stream_cfg: StreamConfig) -> (Arc<LiveModel>, PathBuf, Pa
 fn start_server(registry: Arc<ModelRegistry>) -> RunningServer {
     serve::start(
         "127.0.0.1:0",
-        ServeConfig {
-            http: HttpConfig {
-                workers: 4,
-                ..HttpConfig::default()
-            },
-            trace: TraceConfig::default(),
+        HttpConfig {
+            workers: 4,
+            ..HttpConfig::default()
         },
         registry,
     )
@@ -441,22 +436,9 @@ fn scoring_and_ingest_stay_available_during_drift_triggered_refit() {
     );
     let registry = Arc::new(ModelRegistry::new());
     registry.insert_live("food", Arc::clone(&live));
-    // Scheduler hot-swaps through the registry's reload, as production
+    // The scheduler hot-swaps the registered session, as production
     // wiring does.
-    let scheduler = {
-        let registry = Arc::clone(&registry);
-        RefitScheduler::spawn(
-            vec![RefitTarget {
-                live: Arc::clone(&live),
-                swap: Arc::new(move || match registry.reload("food") {
-                    Some(Ok(_)) => Ok(()),
-                    Some(Err(e)) => Err(e.to_string()),
-                    None => Err("model vanished".into()),
-                }),
-            }],
-            Duration::from_millis(10),
-        )
-    };
+    let scheduler = RefitScheduler::spawn(vec![Arc::clone(&live)], Duration::from_millis(10));
     let server = start_server(registry);
     let addr = server.addr();
 
