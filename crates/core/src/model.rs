@@ -11,8 +11,7 @@
 
 use holo_features::FeatureLayout;
 use holo_nn::{
-    softmax_cross_entropy_scaled, Adam, Dense, Dropout, Highway, Layer, Matrix, Optimizer, Param,
-    Relu,
+    softmax_cross_entropy_scaled, Adam, Dense, Dropout, Highway, Layer, Matrix, Param, Relu,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -104,7 +103,7 @@ struct ShardSlot {
 /// threads. The atomic cursor hands out shard indices dynamically (the
 /// `features_batch` idiom); each claimed shard writes its own slot, so
 /// scheduling order never affects the result.
-struct SgdStep {
+struct TrainStep {
     /// Master-weights snapshot workers load before computing (empty in
     /// single-threaded runs, where the master IS the weights).
     weights: Vec<f32>,
@@ -120,7 +119,7 @@ struct SgdStep {
     done_cv: Condvar,
 }
 
-impl SgdStep {
+impl TrainStep {
     /// Block until every shard's slot has been written.
     fn wait_done(&self) {
         let mut d = self.done.lock().expect("sgd done lock");
@@ -134,7 +133,7 @@ impl SgdStep {
 /// current step, bumped under one mutex so workers never miss or
 /// double-run a step. Generation `u64::MAX` means training is over.
 struct StepBoard {
-    cell: Mutex<(u64, Option<Arc<SgdStep>>)>,
+    cell: Mutex<(u64, Option<Arc<TrainStep>>)>,
     cv: Condvar,
 }
 
@@ -146,7 +145,7 @@ impl StepBoard {
         }
     }
 
-    fn publish(&self, job: Arc<SgdStep>) {
+    fn publish(&self, job: Arc<TrainStep>) {
         let mut cell = self.cell.lock().expect("step board lock");
         cell.0 += 1;
         cell.1 = Some(job);
@@ -162,7 +161,7 @@ impl StepBoard {
 
     /// Worker side: wait for a generation newer than `last_gen`;
     /// `None` once the board is closed.
-    fn next(&self, last_gen: &mut u64) -> Option<Arc<SgdStep>> {
+    fn next(&self, last_gen: &mut u64) -> Option<Arc<TrainStep>> {
         let mut cell = self.cell.lock().expect("step board lock");
         loop {
             if cell.0 == u64::MAX {
@@ -431,7 +430,7 @@ impl WideDeepModel {
                 let shards: Vec<Vec<usize>> =
                     chunk.chunks(shard_rows).map(<[usize]>::to_vec).collect();
                 let n_shards = shards.len();
-                let job = Arc::new(SgdStep {
+                let job = Arc::new(TrainStep {
                     weights: if board.is_some() {
                         self.params_flat()
                     } else {
@@ -475,7 +474,7 @@ impl WideDeepModel {
     /// Claim shards off the step's cursor until exhausted, writing each
     /// shard's gradient + loss into its slot. Runs on the master (with
     /// `self`) and on worker replicas alike.
-    fn run_shards(&mut self, job: &SgdStep, x: &Matrix, targets: &[usize], salt: u64) {
+    fn run_shards(&mut self, job: &TrainStep, x: &Matrix, targets: &[usize], salt: u64) {
         loop {
             let si = job.cursor.fetch_add(1, Ordering::Relaxed);
             if si >= job.shards.len() {

@@ -301,20 +301,6 @@ impl Pipeline {
         best.0
     }
 
-    /// Final labels from probabilities at a threshold.
-    pub fn labels_from_proba(&self, probs: &[f32], threshold: f64) -> Vec<Label> {
-        probs
-            .iter()
-            .map(|&p| {
-                if f64::from(p) >= threshold {
-                    Label::Error
-                } else {
-                    Label::Correct
-                }
-            })
-            .collect()
-    }
-
     /// A pool of alternative values for the random-swap strategy: one
     /// representative per distinct value, capped for memory.
     fn swap_pool(&self) -> Vec<String> {
@@ -437,7 +423,5 @@ mod tests {
         let probs = p.predict_proba(&model, &platt, &xe);
         assert_eq!(probs.len(), eval.len());
         assert!(probs.iter().all(|&pr| (0.0..=1.0).contains(&pr)));
-        let labels = p.labels_from_proba(&probs, 0.5);
-        assert_eq!(labels.len(), eval.len());
     }
 }

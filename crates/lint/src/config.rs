@@ -52,6 +52,8 @@ pub struct Config {
     pub counter_metrics_files: Vec<String>,
     /// Path prefixes where time-derived seeding is allowed (benches).
     pub seed_allow_paths: Vec<String>,
+    /// The line each `[section] key` was declared on, for errors.
+    key_lines: BTreeMap<(String, String), usize>,
 }
 
 impl Default for Config {
@@ -65,6 +67,7 @@ impl Default for Config {
             counter_crates: Vec::new(),
             counter_metrics_files: Vec::new(),
             seed_allow_paths: Vec::new(),
+            key_lines: BTreeMap::new(),
         }
     }
 }
@@ -73,6 +76,7 @@ impl Config {
     /// Parse from TOML-subset text.
     pub fn parse(text: &str) -> Result<Config, ConfigError> {
         let mut sections: BTreeMap<String, BTreeMap<String, Vec<String>>> = BTreeMap::new();
+        let mut key_lines = BTreeMap::new();
         let mut current = String::new();
         let mut lines = text.lines().enumerate();
         while let Some((idx, raw)) = lines.next() {
@@ -99,13 +103,17 @@ impl Config {
                 });
             };
             let values = parse_value(value.trim(), lineno)?;
+            key_lines.insert((current.clone(), key.trim().to_string()), lineno);
             sections
                 .entry(current.clone())
                 .or_default()
                 .insert(key.trim().to_string(), values);
         }
 
-        let mut cfg = Config::default();
+        let mut cfg = Config {
+            key_lines,
+            ..Config::default()
+        };
         let take = |sections: &BTreeMap<String, BTreeMap<String, Vec<String>>>,
                     section: &str,
                     key: &str| {
@@ -134,6 +142,54 @@ impl Config {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         Ok(Config::parse(&text)?)
+    }
+
+    /// Checks every scoping entry against the workspace at `root`: each
+    /// `no-panic-paths` and `metrics-files` entry must be a file, and
+    /// each `lock-order`, `lock-instrumentation` and `counter-discipline`
+    /// crate must have a `crates/<name>` directory. Rules match entries
+    /// by exact path or crate prefix, so a renamed or deleted file or
+    /// crate would otherwise drop out of its rule without a word.
+    ///
+    /// # Errors
+    /// A [`ConfigError`] naming the first stale entry and its key's line.
+    pub fn check_entries(&self, root: &Path) -> Result<(), ConfigError> {
+        let stale = |section: &str, key: &str, what: String| ConfigError {
+            line: self
+                .key_lines
+                .get(&(section.into(), key.into()))
+                .copied()
+                .unwrap_or(0),
+            message: format!("[{section}] {key}: {what} under {}", root.display()),
+        };
+        let files = [
+            ("no-panic-paths", "paths", &self.no_panic_paths),
+            (
+                "counter-discipline",
+                "metrics-files",
+                &self.counter_metrics_files,
+            ),
+        ];
+        for (section, key, paths) in files {
+            if let Some(p) = paths.iter().find(|p| !root.join(p).is_file()) {
+                return Err(stale(section, key, format!("`{p}` is not a file")));
+            }
+        }
+        let crates = [
+            ("lock-order", &self.lock_order_crates),
+            ("lock-instrumentation", &self.lock_instr_crates),
+            ("counter-discipline", &self.counter_crates),
+        ];
+        for (section, names) in crates {
+            if let Some(n) = names.iter().find(|n| !root.join("crates").join(n).is_dir()) {
+                return Err(stale(
+                    section,
+                    "crates",
+                    format!("crate `{n}` has no crates/{n}"),
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Rank of a lock name in the declared hierarchy, if ordered.
@@ -272,6 +328,85 @@ allow-paths = ["crates/bench"]
         .unwrap();
         assert_eq!(cfg.no_panic_paths, vec!["a.rs", "b.rs"]);
         assert_eq!(cfg.seed_allow_paths, vec!["c"]);
+    }
+
+    /// A scratch workspace holding `files` (and their directories).
+    fn scratch_root(name: &str, files: &[&str]) -> std::path::PathBuf {
+        let root = std::env::temp_dir().join(format!("holo-lint-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        for f in files {
+            let path = root.join(f);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, "").unwrap();
+        }
+        root
+    }
+
+    #[test]
+    fn stale_entries_are_config_errors_that_name_them() {
+        let root = scratch_root(
+            "stale",
+            &[
+                "crates/serve/src/http.rs",
+                "crates/serve/src/metrics.rs",
+                "crates/stream/src/lib.rs",
+                "crates/bench/src/lib.rs",
+            ],
+        );
+        let cfg = Config::parse(SAMPLE).unwrap();
+        cfg.check_entries(&root).unwrap();
+        for (from, to, line, entry) in [
+            (
+                "\"crates/serve/src/http.rs\"]",
+                "\"crates/serve/src/batch.rs\"]",
+                10,
+                "crates/serve/src/batch.rs",
+            ),
+            (
+                "\"crates/serve/src/metrics.rs\"]",
+                "\"crates/serve/src/gone.rs\"]",
+                17,
+                "crates/serve/src/gone.rs",
+            ),
+            (
+                "crates = [\"serve\", \"stream\"]\norder",
+                "crates = [\"serve\", \"trace\"]\norder",
+                6,
+                "crate `trace`",
+            ),
+            (
+                "[lock-instrumentation]\ncrates = [\"serve\", \"stream\"]",
+                "[lock-instrumentation]\ncrates = [\"nope\"]",
+                13,
+                "crate `nope`",
+            ),
+            (
+                "[counter-discipline]\ncrates = [\"serve\", \"stream\"]",
+                "[counter-discipline]\ncrates = [\"prof\"]",
+                16,
+                "crate `prof`",
+            ),
+        ] {
+            assert!(SAMPLE.contains(from), "{from}");
+            let cfg = Config::parse(&SAMPLE.replace(from, to)).unwrap();
+            let err = cfg.check_entries(&root).unwrap_err();
+            assert_eq!(err.line, line, "{err}");
+            assert!(err.to_string().contains(entry), "{err}");
+        }
+        // A directory is not a file, and a file is not a crate.
+        let cfg = Config::parse("[no-panic-paths]\npaths = [\"crates/serve/src\"]").unwrap();
+        assert!(cfg.check_entries(&root).is_err());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn this_workspace_config_has_no_stale_entries() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .and_then(Path::parent)
+            .expect("workspace root");
+        let cfg = Config::load(&root.join("lint.toml")).unwrap();
+        cfg.check_entries(root).unwrap();
     }
 
     #[test]

@@ -16,11 +16,12 @@
 //!
 //! | Rule | Invariant | Where it came from |
 //! |------|-----------|--------------------|
-//! | `lock-order` | `.lock()/.read()/.write()` acquisitions must follow the declared `refit_lock -> state -> log -> drift` hierarchy (outermost first), per function, in `crates/serve` + `crates/stream`. | The hierarchy `holo_stream::live` documents and every deadlock-free interleaving depends on (streaming-ingest PR). |
-//! | `no-panic-paths` | No `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!`/postfix indexing in the request and ingest hot paths (`serve::{http,app,batch,registry}`, `stream::live`). Typed errors only. | The serving PR made panic-isolated 500s the *backstop*; this rule makes typed propagation the *design*. |
+//! | `lock-order` | `.lock()/.read()/.write()` acquisitions must follow the declared `refit_lock -> state -> log -> drift -> labels -> timelines -> traces` hierarchy (outermost first), per function, in `crates/serve`, `crates/stream` and `crates/trace`. | The hierarchy `holo_stream::live` documents and every deadlock-free interleaving depends on (streaming-ingest PR); the refit-timeline ring and the trace recorder are leaf locks. |
+//! | `no-panic-paths` | No `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!`/postfix indexing in the request and ingest hot paths (`serve::{http,app,registry}`, `stream::{live,drift}`, `adapt::{detect,probe,refit}`, `trace::{span,recorder,refit}`, `prof::{clock,alloc,lock,pool}`) or the delta-log reader (`data::delta`, untrusted bytes). Typed errors only. | The serving PR made panic-isolated 500s the *backstop*; this rule makes typed propagation the *design*. |
 //! | `thread-entry-isolation` | Every detached `thread::spawn` / `Builder::spawn` closure must route through `catch_unwind` (directly, or via the single same-file function it delegates to). Scoped `thread::scope` spawns are exempt: their panics propagate deterministically to the joining caller. | The worker-pool hardening note from the serving PR ("panic isolation at every thread entry point"). |
-//! | `counter-discipline` | Atomic metrics counters in `crates/serve` + `crates/stream` must never use wrapping `fetch_add`/`fetch_sub`; the idiom is `fetch_update` + `saturating_add` (`holo_prof::sat_add`). Declared metrics files also reject bare `+=`/`-=`. | The metrics module's "counters saturate" rule, now enforced beyond that one file. |
+//! | `counter-discipline` | Atomic metrics counters in `crates/serve`, `crates/stream`, `crates/adapt`, `crates/trace` and `crates/prof` must never use wrapping `fetch_add`/`fetch_sub`; the idiom is `fetch_update` + `saturating_add` (`holo_prof::sat_add`). Declared metrics files (`serve::metrics`) also reject bare `+=`/`-=`. | The metrics module's "counters saturate" rule, now enforced beyond that one file. |
 //! | `seed-hygiene` | No `SystemTime`, `thread_rng`, `from_entropy`, or nanosecond extraction (`.as_nanos()`/`.subsec_nanos()`) outside the bench allow-list — seeds are explicit so bitwise score parity holds. | Mechanizes the manual seed audit from the scenario-suite PR. |
+//! | `lock-instrumentation` | No raw `Mutex::new(`/`RwLock::new(` in `crates/serve` + `crates/stream`: locks there are the named `holo_prof` wrappers. | A raw lock is invisible to `/v1/prof` and `holo_prof_lock_wait_micros` (profiling PR). |
 //! | `suppression-missing-reason` | Every `lint:allow` must carry a written reason; a reasonless suppression suppresses nothing and is itself a finding. | The suppression mechanism's own integrity rule. |
 //!
 //! # Suppression
@@ -45,6 +46,12 @@
 //! cargo run -p holo-lint -- --check   # CI mode: exit 1 on any unsuppressed finding
 //! cargo run -p holo-lint -- --json lint-findings.json
 //! ```
+//!
+//! Every `lint.toml` entry must exist: a `no-panic-paths` or
+//! `metrics-files` entry that is not a file under `--root`, or a crate
+//! with no `crates/<name>` directory, is a config error naming it
+//! ([`Config::check_entries`]), so a renamed or deleted file cannot
+//! silently leave its rule's scope.
 //!
 //! Scope: every workspace member's `src/` tree (vendored crates are
 //! skipped via `lint.toml`), with `#[cfg(test)]` modules and

@@ -91,6 +91,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Err(e) = cfg.check_entries(&args.root) {
+        eprintln!("holo-lint: {e}");
+        return ExitCode::from(2);
+    }
     let report = match holo_lint::lint_workspace(&args.root, &cfg) {
         Ok(r) => r,
         Err(e) => {

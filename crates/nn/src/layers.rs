@@ -150,40 +150,10 @@ impl Layer for Relu {
     }
 }
 
-/// Logistic sigmoid activation.
-#[derive(Debug, Default)]
-pub struct Sigmoid {
-    out: Option<Matrix>,
-}
-
-impl Sigmoid {
-    /// A new sigmoid layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
+/// The logistic sigmoid of one value (the highway gate, Platt scaling).
 #[inline]
 pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
-}
-
-impl Layer for Sigmoid {
-    fn forward(&mut self, input: &Matrix, _train: bool) -> Matrix {
-        let out = input.map(sigmoid_scalar);
-        self.out = Some(out.clone());
-        out
-    }
-
-    fn infer(&self, input: &Matrix) -> Matrix {
-        input.map(sigmoid_scalar)
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let y = self.out.as_ref().expect("backward before forward");
-        let dydx = y.map(|v| v * (1.0 - v));
-        grad_out.hadamard(&dydx)
-    }
 }
 
 /// Inverted dropout: at train time, zero each activation with probability
@@ -391,18 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_range_and_grad() {
-        let mut s = Sigmoid::new();
-        let x = Matrix::from_vec(1, 3, vec![-10.0, 0.0, 10.0]);
-        let y = s.forward(&x, true);
-        assert!(y.data()[0] < 0.001);
-        assert!((y.data()[1] - 0.5).abs() < 1e-6);
-        assert!(y.data()[2] > 0.999);
-        let g = s.backward(&Matrix::from_vec(1, 3, vec![1.0; 3]));
-        assert!((g.data()[1] - 0.25).abs() < 1e-6); // σ'(0) = 0.25
-    }
-
-    #[test]
     fn dropout_eval_is_identity() {
         let mut d = Dropout::new(0.5, 1);
         let x = Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]);
@@ -553,11 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_gradients_check() {
-        grad_check(&mut Sigmoid::new(), 4);
-    }
-
-    #[test]
     #[should_panic(expected = "dropout probability")]
     fn dropout_rejects_p_one() {
         Dropout::new(1.0, 0);
@@ -588,7 +541,6 @@ mod tests {
         let layers: Vec<Box<dyn Layer>> = vec![
             Box::new(Dense::new(6, 3, &mut r)),
             Box::new(Relu::new()),
-            Box::new(Sigmoid::new()),
             Box::new(Dropout::new(0.5, 9)),
             Box::new(Highway::new(6, &mut r)),
         ];

@@ -13,10 +13,10 @@
 //!   broadcast ops backprop requires,
 //! * [`param::Param`] — a trainable tensor bundling value, gradient and
 //!   ADAM moments,
-//! * [`layers`] — `Dense`, `ReLU`, `Sigmoid`, `Dropout`, `Highway`,
+//! * [`layers`] — `Dense`, `ReLU`, `Dropout`, `Highway`,
 //! * [`loss`] — softmax cross-entropy (the paper's logistic loss) with
 //!   fused gradients,
-//! * [`optim`] — ADAM \[36\] and plain SGD,
+//! * [`optim`] — ADAM \[36\],
 //! * [`network::Sequential`] — a layer stack for simple models,
 //! * [`calibrate`] — Platt scaling \[46\] on a holdout set.
 
@@ -32,9 +32,9 @@ pub mod optim;
 pub mod param;
 
 pub use calibrate::PlattScaler;
-pub use layers::{Dense, Dropout, Highway, Layer, Relu, Sigmoid};
+pub use layers::{Dense, Dropout, Highway, Layer, Relu};
 pub use loss::{softmax_cross_entropy, softmax_cross_entropy_scaled};
 pub use matrix::Matrix;
 pub use network::Sequential;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use param::Param;

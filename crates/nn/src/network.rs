@@ -7,7 +7,7 @@
 use crate::layers::Layer;
 use crate::loss::softmax_cross_entropy;
 use crate::matrix::Matrix;
-use crate::optim::Optimizer;
+use crate::optim::Adam;
 
 /// A stack of layers applied in order.
 #[derive(Default)]
@@ -71,9 +71,9 @@ impl Sequential {
         }
     }
 
-    /// Apply the optimizer to every parameter. Call
-    /// [`Optimizer::begin_step`] is handled here, once.
-    pub fn step(&mut self, opt: &mut dyn Optimizer) {
+    /// Apply the optimizer to every parameter, calling
+    /// [`Adam::begin_step`] once first.
+    pub fn step(&mut self, opt: &mut Adam) {
         opt.begin_step();
         for l in &mut self.layers {
             for p in l.params_mut() {
@@ -84,7 +84,7 @@ impl Sequential {
 
     /// One training step on a batch: forward, softmax cross-entropy,
     /// backward, optimizer update. Returns the batch loss.
-    pub fn train_batch(&mut self, x: &Matrix, targets: &[usize], opt: &mut dyn Optimizer) -> f32 {
+    pub fn train_batch(&mut self, x: &Matrix, targets: &[usize], opt: &mut Adam) -> f32 {
         self.zero_grad();
         let logits = self.forward(x, true);
         let (loss, grad) = softmax_cross_entropy(&logits, targets);
@@ -108,7 +108,6 @@ impl Sequential {
 mod tests {
     use super::*;
     use crate::layers::{Dense, Relu};
-    use crate::optim::Adam;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

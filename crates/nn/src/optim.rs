@@ -1,69 +1,51 @@
-//! Optimizers: ADAM \[36\] (the paper's choice, §4.2) and SGD.
+//! The optimizer: ADAM \[36\], the paper's choice (§4.2).
 
 use crate::param::Param;
 
-/// An optimizer updates parameters in place from their accumulated
-/// gradients. Call [`Optimizer::begin_step`] once per batch before
-/// applying to each parameter (ADAM's bias correction tracks the step
-/// count there).
-pub trait Optimizer {
-    /// Advance the global step counter (once per mini-batch).
-    fn begin_step(&mut self);
-    /// Apply the update rule to one parameter.
-    fn update(&mut self, p: &mut Param);
-}
+/// The first-moment decay `β1`.
+const BETA1: f32 = 0.9;
+/// The second-moment decay `β2`.
+const BETA2: f32 = 0.999;
+/// The denominator's `ε`.
+const EPS: f32 = 1e-8;
 
-/// ADAM with the standard defaults `β1 = 0.9`, `β2 = 0.999`, `ε = 1e-8`.
+/// ADAM with the standard constants `β1 = 0.9`, `β2 = 0.999`,
+/// `ε = 1e-8`. It updates parameters in place from their accumulated
+/// gradients. Call [`Adam::begin_step`] once per batch before applying
+/// it to each parameter (the bias correction tracks the step count there).
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
     t: i32,
 }
 
 impl Adam {
-    /// ADAM with a learning rate and default moment decays.
+    /// ADAM with a learning rate.
     pub fn new(lr: f32) -> Self {
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-        }
-    }
-
-    /// Override the moment decays.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
+        Adam { lr, t: 0 }
     }
 
     /// Current learning rate.
     pub fn lr(&self) -> f32 {
         self.lr
     }
-}
 
-impl Optimizer for Adam {
-    fn begin_step(&mut self) {
+    /// Advance the global step counter (once per mini-batch).
+    pub fn begin_step(&mut self) {
         self.t += 1;
     }
 
-    fn update(&mut self, p: &mut Param) {
+    /// Apply the update rule to one parameter.
+    pub fn update(&mut self, p: &mut Param) {
         assert!(self.t > 0, "begin_step must be called before update");
-        let bc1 = 1.0 - self.beta1.powi(self.t);
-        let bc2 = 1.0 - self.beta2.powi(self.t);
-        let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
+        let bc1 = 1.0 - BETA1.powi(self.t);
+        let bc2 = 1.0 - BETA2.powi(self.t);
         let g = p.grad.data().to_vec();
         let m = p.m.data_mut();
         let v = p.v.data_mut();
         for ((m_i, v_i), &g_i) in m.iter_mut().zip(v.iter_mut()).zip(&g) {
-            *m_i = b1 * *m_i + (1.0 - b1) * g_i;
-            *v_i = b2 * *v_i + (1.0 - b2) * g_i * g_i;
+            *m_i = BETA1 * *m_i + (1.0 - BETA1) * g_i;
+            *v_i = BETA2 * *v_i + (1.0 - BETA2) * g_i * g_i;
         }
         let value = p.value.data_mut();
         let m = &p.m;
@@ -71,32 +53,7 @@ impl Optimizer for Adam {
         for ((val, &m_i), &v_i) in value.iter_mut().zip(m.data()).zip(v.data()) {
             let m_hat = m_i / bc1;
             let v_hat = v_i / bc2;
-            *val -= lr * m_hat / (v_hat.sqrt() + eps);
-        }
-    }
-}
-
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// SGD with a fixed learning rate.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn begin_step(&mut self) {}
-
-    fn update(&mut self, p: &mut Param) {
-        let lr = self.lr;
-        let grad = p.grad.data().to_vec();
-        for (v, g) in p.value.data_mut().iter_mut().zip(grad) {
-            *v -= lr * g;
+            *val -= self.lr * m_hat / (v_hat.sqrt() + EPS);
         }
     }
 }
@@ -106,8 +63,8 @@ mod tests {
     use super::*;
     use crate::matrix::Matrix;
 
-    /// Minimize f(x) = (x - 3)² from x = 0 with each optimizer.
-    fn minimize(opt: &mut dyn Optimizer, steps: usize, lr_hint: f32) -> f32 {
+    /// Minimize f(x) = (x - 3)² from x = 0.
+    fn minimize(opt: &mut Adam, steps: usize, lr_hint: f32) -> f32 {
         let mut p = Param::new(Matrix::from_vec(1, 1, vec![0.0]));
         for _ in 0..steps {
             let x = p.value.data()[0];
@@ -118,13 +75,6 @@ mod tests {
         }
         let _ = lr_hint;
         p.value.data()[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut sgd = Sgd::new(0.1);
-        let x = minimize(&mut sgd, 100, 0.1);
-        assert!((x - 3.0).abs() < 1e-3, "x = {x}");
     }
 
     #[test]
@@ -151,14 +101,5 @@ mod tests {
         let mut adam = Adam::new(0.1);
         let mut p = Param::new(Matrix::zeros(1, 1));
         adam.update(&mut p);
-    }
-
-    #[test]
-    fn zero_grad_is_noop_update_for_sgd() {
-        let mut sgd = Sgd::new(0.5);
-        let mut p = Param::new(Matrix::from_vec(1, 2, vec![1.0, 2.0]));
-        sgd.begin_step();
-        sgd.update(&mut p);
-        assert_eq!(p.value.data(), &[1.0, 2.0]);
     }
 }

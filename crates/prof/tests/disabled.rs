@@ -5,7 +5,8 @@
 #[test]
 fn always_on_instruments_work_while_disabled() {
     let t0 = holo_prof::thread_alloc_bytes();
-    let v: Vec<u8> = Vec::with_capacity(2048);
+    // black_box keeps the optimizer from eliding the unused allocation.
+    let v: Vec<u8> = std::hint::black_box(Vec::with_capacity(2048));
     let t1 = holo_prof::thread_alloc_bytes();
     drop(v);
     assert_eq!(t1.wrapping_sub(t0), 2048);

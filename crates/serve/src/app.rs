@@ -42,9 +42,9 @@
 //! `validate`, `score`, `encode`; `log-append` / `apply-delta` /
 //! `drift-update` on ingest; `install` on refit and reload), and
 //! echoes the trace id back as the `x-holo-trace` response header.
-//! Finished traces land in a bounded in-memory ring
-//! ([`holo_trace::SpanRecorder`]) the three `/v1/trace/*` endpoints
-//! page, and their span durations feed the
+//! Once [`Metrics::observe`] has counted a finished trace, it is moved
+//! into a bounded in-memory ring ([`holo_trace::SpanRecorder`]) the
+//! three `/v1/trace/*` endpoints page, and its span durations feed the
 //! `holo_trace_stage_micros{stage=...}` histograms on `/metrics`.
 //!
 //! The four streaming endpoints answer 409 for a model served
@@ -101,7 +101,7 @@ use crate::registry::{ModelRegistry, ServedModel};
 use holo_data::{CellId, Dataset, DatasetBuilder, Schema};
 use holo_eval::ModelError;
 use holo_trace::{
-    format_trace_id, parse_trace_id, stage, RecorderConfig, SpanRecorder, Trace, Value,
+    format_trace_id, parse_trace_id, stage, ActiveTrace, RecorderConfig, SpanRecorder, Trace, Value,
 };
 use std::io;
 use std::sync::Arc;
@@ -136,7 +136,7 @@ struct App {
     registry: Arc<ModelRegistry>,
     metrics: Arc<Metrics>,
     limits: ParseLimits,
-    recorder: Arc<SpanRecorder>,
+    recorder: SpanRecorder,
 }
 
 /// A running serving stack: HTTP server + registry.
@@ -180,7 +180,7 @@ pub fn start(
         registry,
         metrics: Arc::new(Metrics::new()),
         limits: ParseLimits::default(),
-        recorder: Arc::new(SpanRecorder::new(RecorderConfig::default())),
+        recorder: SpanRecorder::new(RecorderConfig::default()),
     });
     let handler: Handler = {
         let app = Arc::clone(&app);
@@ -193,7 +193,7 @@ pub fn start(
         let metrics = Arc::clone(&app.metrics);
         Arc::new(move |status: u16| metrics.record_protocol_error(status))
     };
-    let http = http::serve_with_observer(addr, cfg, handler, Some(observer))?;
+    let http = http::serve(addr, cfg, handler, observer)?;
     Ok(RunningServer {
         addr: http.addr(),
         http: Some(http),
@@ -250,18 +250,21 @@ impl App {
     fn route(&self, req: &Request) -> Response {
         // The trace starts at the request's first byte, so `parse`
         // sits at offset 0 and the handler's stages follow it.
-        let trace = self.recorder.begin(endpoint_label(req), req.received);
+        let trace = ActiveTrace::begin(endpoint_label(req), req.received);
         holo_trace::note("method", Value::Str(req.method.clone()));
         if req.parse_micros > 0 {
             trace.child_at("parse", 0, req.parse_micros);
         }
         let resp = self.dispatch(req).unwrap_or_else(Failure::into_response);
         holo_trace::note(STATUS_NOTE, Value::U64(u64::from(resp.status)));
-        // The finished trace is the request's one record: the recorder
-        // has its latency and stages, the metrics count its outcome.
+        // The finished trace is the request's one record: the metrics
+        // count its outcome, then it moves into the recorder, which
+        // keeps its latency and stages.
         let trace = trace.finish();
         self.metrics.observe(&trace);
-        resp.with_header("x-holo-trace", format_trace_id(trace.id))
+        let id = trace.id;
+        self.recorder.record(trace);
+        resp.with_header("x-holo-trace", format_trace_id(id))
     }
 
     fn dispatch(&self, req: &Request) -> Result<Response, Failure> {
@@ -752,7 +755,7 @@ impl App {
             .into_iter()
             .map(|s| {
                 Json::Obj(vec![
-                    ("scope".into(), Json::Str(s.stage.clone())),
+                    ("scope".into(), Json::Str(s.stage.into())),
                     ("allocs".into(), Json::Num(s.allocs as f64)),
                     ("bytes".into(), Json::Num(s.alloc_bytes as f64)),
                 ])
@@ -811,7 +814,7 @@ impl App {
             200,
             Json::Obj(vec![(
                 "traces".into(),
-                Json::Arr(traces.iter().map(trace_json).collect()),
+                Json::Arr(traces.iter().map(|t| trace_json(t)).collect()),
             )])
             .to_string(),
         )
@@ -835,10 +838,10 @@ impl App {
             .into_iter()
             .map(|(endpoint, traces)| {
                 Json::Obj(vec![
-                    ("endpoint".into(), Json::Str(endpoint)),
+                    ("endpoint".into(), Json::Str(endpoint.into())),
                     (
                         "traces".into(),
-                        Json::Arr(traces.iter().map(trace_json).collect()),
+                        Json::Arr(traces.iter().map(|t| trace_json(t)).collect()),
                     ),
                 ])
             })
@@ -858,7 +861,7 @@ impl App {
             .into_iter()
             .map(|t| {
                 Json::Obj(vec![
-                    ("trigger".into(), Json::Str(t.trigger.clone())),
+                    ("trigger".into(), Json::Str(t.trigger.into())),
                     ("base_epoch".into(), Json::Num(t.base_epoch as f64)),
                     ("installed".into(), Json::Bool(t.installed())),
                     ("total_micros".into(), Json::Num(t.total_micros() as f64)),
@@ -971,9 +974,7 @@ fn endpoint_label(req: &Request) -> &'static str {
 fn value_json(v: &Value) -> Json {
     match v {
         Value::U64(x) => Json::Num(*x as f64),
-        Value::F64(x) => Json::Num(*x),
         Value::Str(s) => Json::Str(s.clone()),
-        Value::Bool(b) => Json::Bool(*b),
     }
 }
 
@@ -993,7 +994,7 @@ fn notes_json(notes: &[(&'static str, Value)]) -> Json {
 fn trace_json(t: &Trace) -> Json {
     Json::Obj(vec![
         ("id".into(), Json::Str(format_trace_id(t.id))),
-        ("endpoint".into(), Json::Str(t.endpoint.clone())),
+        ("endpoint".into(), Json::Str(t.endpoint.into())),
         ("total_micros".into(), Json::Num(t.total_micros as f64)),
         ("notes".into(), notes_json(&t.notes)),
         (
@@ -1003,7 +1004,7 @@ fn trace_json(t: &Trace) -> Json {
                     .iter()
                     .map(|s| {
                         Json::Obj(vec![
-                            ("name".into(), Json::Str(s.name.clone())),
+                            ("name".into(), Json::Str(s.name.into())),
                             (
                                 "parent".into(),
                                 s.parent.map_or(Json::Null, |p| Json::Num(p as f64)),

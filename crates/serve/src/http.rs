@@ -226,18 +226,13 @@ impl Drop for ServerHandle {
 }
 
 /// Bind `addr` and serve `handler` on a fixed worker pool until
-/// [`ServerHandle::shutdown`].
-pub fn serve(addr: &str, cfg: HttpConfig, handler: Handler) -> io::Result<ServerHandle> {
-    serve_with_observer(addr, cfg, handler, None)
-}
-
-/// [`serve`], with an observer notified of every error response the
-/// layer writes on its own (see [`ProtocolErrorObserver`]).
-pub fn serve_with_observer(
+/// [`ServerHandle::shutdown`], notifying `observer` of every error
+/// response the layer writes on its own (see [`ProtocolErrorObserver`]).
+pub fn serve(
     addr: &str,
     cfg: HttpConfig,
     handler: Handler,
-    observer: Option<ProtocolErrorObserver>,
+    observer: ProtocolErrorObserver,
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
@@ -252,10 +247,10 @@ pub fn serve_with_observer(
             let handler = Arc::clone(&handler);
             let cfg = cfg.clone();
             let shutdown = Arc::clone(&shutdown);
-            let observer = observer.clone();
+            let observer = Arc::clone(&observer);
             std::thread::Builder::new()
                 .name(format!("holo-serve-worker-{i}"))
-                .spawn(move || worker_loop(&rx, &cfg, &handler, &shutdown, observer.as_ref()))
+                .spawn(move || worker_loop(&rx, &cfg, &handler, &shutdown, &observer))
         })
         .collect::<io::Result<Vec<_>>>()?;
 
@@ -301,7 +296,7 @@ fn worker_loop(
     cfg: &HttpConfig,
     handler: &Handler,
     shutdown: &AtomicBool,
-    observer: Option<&ProtocolErrorObserver>,
+    observer: &ProtocolErrorObserver,
 ) {
     // All workers share the "http-worker" slot: the pool-wide busy
     // ratio is what answers "are four workers enough".
@@ -340,7 +335,7 @@ fn handle_connection(
     cfg: &HttpConfig,
     handler: &Handler,
     shutdown: &AtomicBool,
-    observer: Option<&ProtocolErrorObserver>,
+    observer: &ProtocolErrorObserver,
 ) {
     let _ = stream.set_read_timeout(Some(cfg.read_timeout));
     let _ = stream.set_nodelay(true);
@@ -363,9 +358,7 @@ fn handle_connection(
             Ok(r) => r,
             Err(ReadError::Eof | ReadError::Io) => break,
             Err(ReadError::Bad(status, msg)) => {
-                if let Some(obs) = observer {
-                    obs(status);
-                }
+                observer(status);
                 let _ = write_response(&mut writer, &Response::text(status, msg), true);
                 break;
             }
@@ -382,9 +375,7 @@ fn handle_connection(
             Ok(r) => (r, false),
             Err(_) => {
                 // The handler died before it could book its response.
-                if let Some(obs) = observer {
-                    obs(500);
-                }
+                observer(500);
                 (
                     Response::text(500, "internal error: request handler panicked"),
                     true,
@@ -578,7 +569,7 @@ mod tests {
                 ),
             ),
         });
-        serve("127.0.0.1:0", cfg, handler).expect("bind")
+        serve("127.0.0.1:0", cfg, handler, Arc::new(|_| {})).expect("bind")
     }
 
     /// One raw round-trip on a fresh connection; returns (status, body).
@@ -803,13 +794,7 @@ mod tests {
             "/boom" => panic!("poisoned request"),
             _ => Response::text(200, "ok"),
         });
-        let server = serve_with_observer(
-            "127.0.0.1:0",
-            HttpConfig::default(),
-            handler,
-            Some(observer),
-        )
-        .expect("bind");
+        let server = serve("127.0.0.1:0", HttpConfig::default(), handler, observer).expect("bind");
         let (status, _) = roundtrip(server.addr(), "GARBAGE\r\n\r\n");
         assert_eq!(status, 400);
         assert_eq!(seen.load(Ordering::SeqCst), 1);

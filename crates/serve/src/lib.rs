@@ -42,12 +42,14 @@
 //! Every request is traced through `holo-trace`: each request begins a
 //! trace on its worker, every `holo_trace::stage` it runs (`parse` /
 //! `validate` / `score` / `encode`, and the live model's ingest and
-//! install stages) becomes a span noting its time and allocations, the
-//! trace id is echoed as the `x-holo-trace` response header, a bounded
-//! in-memory ring ([`holo_trace::RecorderConfig`]'s default 1 MiB) is
-//! served by `GET /v1/trace/recent`, `/v1/trace/{id}`, and
-//! `/v1/trace/slow`, and the request-latency and per-stage latency
-//! histograms land on `GET /metrics`.
+//! install stages) becomes a span noting its time and allocations, and
+//! the trace id is echoed as the `x-holo-trace` response header. Once
+//! `/metrics` has counted the finished trace, it is moved into the
+//! recorder, whose bounded in-memory ring
+//! ([`holo_trace::RecorderConfig`]'s default 1 MiB) is served by
+//! `GET /v1/trace/recent`, `/v1/trace/{id}`, and `/v1/trace/slow`; the
+//! request-latency and per-stage latency histograms land on
+//! `GET /metrics`.
 //!
 //! The stack is continuously profiled through `holo-prof`: the serving
 //! locks (model registry, HTTP accept queue) are instrumented

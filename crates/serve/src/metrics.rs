@@ -122,7 +122,7 @@ pub fn render_stage_histograms(stages: &[StageStat], out: &mut String) {
         "Per-stage latency derived from recorded trace spans.",
         &holo_trace::STAGE_BOUNDS_MICROS,
         stages.iter().map(|s| {
-            let labels = format!("stage=\"{}\"", escape_label(&s.stage));
+            let labels = format!("stage=\"{}\"", escape_label(s.stage));
             (labels, s.buckets.as_slice(), s.count, s.sum_micros)
         }),
     );
@@ -133,11 +133,7 @@ pub fn render_stage_histograms(stages: &[StageStat], out: &mut String) {
 /// allocation scopes and the `holo_prof_alloc_bytes` series.
 pub fn alloc_scopes(stages: &[StageStat]) -> Vec<&StageStat> {
     let mut scopes: Vec<&StageStat> = stages.iter().filter(|s| s.allocs > 0).collect();
-    scopes.sort_by(|a, b| {
-        b.alloc_bytes
-            .cmp(&a.alloc_bytes)
-            .then(a.stage.cmp(&b.stage))
-    });
+    scopes.sort_by(|a, b| b.alloc_bytes.cmp(&a.alloc_bytes).then(a.stage.cmp(b.stage)));
     scopes
 }
 
@@ -202,7 +198,7 @@ pub fn render_prof_metrics(stages: &[StageStat], out: &mut String) {
         "counter",
     );
     for s in alloc_scopes(stages) {
-        let scope = escape_label(&s.stage);
+        let scope = escape_label(s.stage);
         let _ = writeln!(
             out,
             "holo_prof_alloc_bytes{{scope=\"{scope}\"}} {}",
@@ -524,9 +520,9 @@ mod tests {
 
     /// A finished trace of `endpoint` carrying `notes`, as `App::route`
     /// hands it to [`Metrics::observe`].
-    fn trace_of(endpoint: &str, notes: Vec<(&'static str, Value)>) -> Trace {
+    fn trace_of(endpoint: &'static str, notes: Vec<(&'static str, Value)>) -> Trace {
         Trace {
-            endpoint: endpoint.to_string(),
+            endpoint,
             notes,
             ..Trace::default()
         }
@@ -539,7 +535,7 @@ mod tests {
             buckets[holo_prof::bucket_index(&holo_trace::STAGE_BOUNDS_MICROS, m)] += 1;
         }
         StageStat {
-            stage: String::new(),
+            stage: "",
             buckets,
             count: micros.len() as u64,
             sum_micros: micros.iter().sum(),
@@ -855,7 +851,7 @@ mod tests {
         // needs escaping, exactly as `/metrics` serves it.
         render_stage_histograms(
             &[holo_trace::StageStat {
-                stage: "score\"odd\\name".to_string(),
+                stage: "score\"odd\\name",
                 buckets: vec![1; holo_trace::STAGE_BOUNDS_MICROS.len() + 1],
                 count: 13,
                 sum_micros: 999,
@@ -876,8 +872,8 @@ mod tests {
         p.record_busy(300);
         p.record_idle(100);
         // Allocation scopes are the stages that allocated, heaviest first.
-        let stage = |name: &str, allocs, alloc_bytes| StageStat {
-            stage: name.to_string(),
+        let stage = |name: &'static str, allocs, alloc_bytes| StageStat {
+            stage: name,
             buckets: Vec::new(),
             count: 1,
             sum_micros: 1,
@@ -942,7 +938,7 @@ mod tests {
         let mut out = String::new();
         render_stage_histograms(
             &[StageStat {
-                stage: "log-append".to_string(),
+                stage: "log-append",
                 buckets,
                 count: 4,
                 sum_micros: 2_000_400,
@@ -973,8 +969,8 @@ mod tests {
             &[10, 100, 1000],
             [(String::new(), &[2, 2, 0, 1][..], 5, 5122)],
         );
-        let stage = |name: &str, buckets: Vec<u64>, count, sum_micros| StageStat {
-            stage: name.to_string(),
+        let stage = |name: &'static str, buckets: Vec<u64>, count, sum_micros| StageStat {
+            stage: name,
             buckets,
             count,
             sum_micros,

@@ -56,7 +56,7 @@ use holo_adapt::{AdaptConfig, AdaptiveRefit, RowLabel};
 use holo_data::{binio, CellId, Dataset, DeltaLog, DeltaOp, Schema};
 use holo_eval::{ModelError, TrainedModel};
 use holo_prof::{sat_add, ProfMutex, ProfRwLock};
-use holo_trace::{stage, ActiveTrace, RefitTimeline, TimelineRing};
+use holo_trace::{stage, ActiveTrace, RefitTimeline, Stopwatch, TimelineRing};
 use holodetect::FittedHoloDetect;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -206,7 +206,7 @@ impl LiveModel {
     /// [`ModelError::Degenerate`] for an artifact with no fitted state
     /// (streaming needs a schema and a reference to maintain);
     /// [`ModelError::Format`] when the log's schema does not match.
-    pub fn new(
+    fn new(
         mut model: FittedHoloDetect,
         log: DeltaLog,
         artifact_path: &Path,
@@ -592,13 +592,13 @@ impl LiveModel {
     ///
     /// # Errors
     /// Exactly those of [`LiveModel::refit_to_disk`].
-    pub fn refit_to_disk_as(&self, trigger: &str) -> Result<u64, ModelError> {
+    pub fn refit_to_disk_as(&self, trigger: &'static str) -> Result<u64, ModelError> {
         // A poisoned refit lock guards no data (`Mutex<()>`) — recover.
         let _serialized = self
             .refit_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let trace = ActiveTrace::detached("refit");
+        let trace = ActiveTrace::begin("refit", Stopwatch::start());
         let snapshot_stage = stage("snapshot");
         let (copy, base_epoch, label_snapshot) = self.snapshot()?;
         drop(snapshot_stage);

@@ -28,19 +28,22 @@
 //!   (drop, or [`Stage::end`], which returns the microseconds) closes
 //!   the span with the stage's `allocs` and `alloc_bytes` noted on it.
 //!   Without a current trace it only times.
-//! * [`SpanRecorder::begin`] / [`ActiveTrace`] — a trace installed as the
-//!   thread's current one, so stages inside code that takes no trace
-//!   parameter (ingest, refit) still land in it. A trace begun while
-//!   another is current shadows it until it finishes; finishing or
-//!   dropping uninstalls it. [`ActiveTrace::finish`] hands the
-//!   completed [`Trace`] to the recorder. Trace ids are u64s from a
-//!   process-wide counter mixed through splitmix64, rendered as 16
-//!   hex digits.
+//! * [`ActiveTrace`] — a trace installed as the thread's current one,
+//!   so stages inside code that takes no trace parameter (ingest,
+//!   refit) still land in it. [`ActiveTrace::begin`] is the one way to
+//!   start a trace. A trace begun while another is current shadows it
+//!   until it finishes; finishing or dropping uninstalls it.
+//!   [`ActiveTrace::finish`] only returns the completed [`Trace`]: a
+//!   trace is built once and then moved, never copied. The server
+//!   moves each finished request trace into its recorder once
+//!   `/metrics` has counted it. Trace ids are u64s from a process-wide
+//!   counter mixed through splitmix64, rendered as 16 hex digits.
 //! * [`SpanRecorder`] — a bounded ring buffer of completed traces
 //!   (fixed byte budget, overwrite-oldest) plus a slow-request exemplar
 //!   store keeping the N worst traces per endpoint, plus per-stage
 //!   duration histograms and allocation totals, and one histogram of
-//!   every trace's root span, accumulated as traces arrive.
+//!   every trace's root span, accumulated as traces arrive. The ring
+//!   and the exemplar store share one `Arc` per trace.
 //! * [`RefitTimeline`] / [`TimelineRing`] — the span trees of model
 //!   refits, kept per live model and served as
 //!   `GET /v1/models/{name}/refits`.
@@ -48,11 +51,10 @@
 //! ## Example
 //!
 //! ```
-//! use holo_trace::{stage, RecorderConfig, SpanRecorder, Stopwatch, Value};
-//! use std::sync::Arc;
+//! use holo_trace::{stage, ActiveTrace, RecorderConfig, SpanRecorder, Stopwatch, Value};
 //!
-//! let recorder = Arc::new(SpanRecorder::new(RecorderConfig::default()));
-//! let trace = recorder.begin("/v1/models/{name}/score", Stopwatch::start());
+//! let recorder = SpanRecorder::new(RecorderConfig::default());
+//! let trace = ActiveTrace::begin("/v1/models/{name}/score", Stopwatch::start());
 //! {
 //!     let validate = stage("validate");
 //!     let rows: Vec<u64> = Vec::with_capacity(10);
@@ -60,13 +62,15 @@
 //! }
 //! let score_micros = stage("score").end();
 //! let trace = trace.finish();
-//!
-//! assert_eq!(recorder.get(trace.id).map(|t| t.spans.len()), Some(3));
 //! assert_eq!(trace.stage_micros("score"), score_micros);
+//!
+//! let (id, total_micros) = (trace.id, trace.total_micros);
+//! recorder.record(trace);
+//! assert_eq!(recorder.get(id).map(|t| t.spans.len()), Some(3));
 //! let (stages, roots) = recorder.stages();
 //! let validate = stages.into_iter().find(|s| s.stage == "validate");
 //! assert!(validate.is_some_and(|s| s.alloc_bytes >= 80));
-//! assert_eq!((roots.count, roots.sum_micros), (1, trace.total_micros));
+//! assert_eq!((roots.count, roots.sum_micros), (1, total_micros));
 //! ```
 
 #![forbid(unsafe_code)]

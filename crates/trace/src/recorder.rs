@@ -7,14 +7,15 @@
 //! [`RecorderConfig::ring_bytes`] of traces (overwrite-oldest, measured
 //! by [`Trace::approx_bytes`]), and the exemplar store holds at most
 //! [`RecorderConfig::slow_per_endpoint`] traces per normalized endpoint
-//! label. Recording is one short [`Mutex`] critical section — no
-//! allocation beyond moving the already-built trace in, no I/O.
+//! label. A recorded trace is kept once, as an [`Arc`] the ring and the
+//! exemplar store share. Recording is one short critical section: the
+//! trace is moved into its `Arc` before the lock is taken, and nothing
+//! under the lock does I/O.
 
 use crate::span::{Span, Trace, Value, ALLOCS_NOTE, ALLOC_BYTES_NOTE};
-use holo_prof::{bucket_index, sat_add, ProfMutex};
+use holo_prof::{bucket_index, ProfMutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::PoisonError;
+use std::sync::{Arc, PoisonError};
 
 /// Histogram bucket upper bounds (microseconds, inclusive) for the
 /// per-stage duration histograms and the all-endpoints root histogram,
@@ -39,7 +40,7 @@ pub struct RecorderConfig {
 impl Default for RecorderConfig {
     fn default() -> Self {
         RecorderConfig {
-            ring_bytes: 1 << 20, // 1 MiB ≈ a few thousand score traces
+            ring_bytes: 1 << 20, // 1 MiB ≈ a thousand score traces
             slow_per_endpoint: 8,
         }
     }
@@ -49,7 +50,7 @@ impl Default for RecorderConfig {
 #[derive(Debug, Clone)]
 pub struct StageStat {
     /// Stage (span) name.
-    pub stage: String,
+    pub stage: &'static str,
     /// Per-bucket counts; index `i` counts durations `<=
     /// STAGE_BOUNDS_MICROS[i]`, with one final overflow bucket.
     pub buckets: Vec<u64>,
@@ -65,18 +66,22 @@ pub struct StageStat {
 }
 
 struct SlowEntry {
-    endpoint: String,
+    endpoint: &'static str,
     /// Worst-first by `total_micros`.
-    traces: Vec<Trace>,
+    traces: Vec<Arc<Trace>>,
 }
 
 struct RecorderInner {
-    ring: VecDeque<Trace>,
+    ring: VecDeque<Arc<Trace>>,
     ring_used: usize,
     slow: Vec<SlowEntry>,
     stages: Vec<StageStat>,
     /// Every trace's root span, whatever its endpoint.
     roots: StageStat,
+    /// Traces ever recorded.
+    recorded: u64,
+    /// Traces evicted from (or refused by) the ring.
+    evicted: u64,
 }
 
 /// Bounded store of completed traces.
@@ -84,13 +89,11 @@ struct RecorderInner {
 /// Lock discipline: one internal mutex (`traces`, registered in the
 /// workspace lock hierarchy and instrumented as the `"traces"`
 /// [`ProfMutex`] so `/v1/prof` sees its contention) guarding ring +
-/// exemplars + histograms; it is never held across a call into
-/// another crate.
+/// exemplars + histograms + the two totals; it is never held across a
+/// call into another crate.
 pub struct SpanRecorder {
     config: RecorderConfig,
     traces: ProfMutex<RecorderInner>,
-    recorded: AtomicU64,
-    evicted: AtomicU64,
 }
 
 impl SpanRecorder {
@@ -105,88 +108,75 @@ impl SpanRecorder {
                     ring_used: 0,
                     slow: Vec::new(),
                     stages: Vec::new(),
-                    roots: StageStat::empty(String::new()),
+                    roots: StageStat::empty(""),
+                    recorded: 0,
+                    evicted: 0,
                 },
             ),
-            recorded: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
         }
     }
 
-    /// Stores a completed trace: accumulates its spans into the stage
-    /// histograms and allocation totals and its root span into the
-    /// all-endpoints root histogram, offers it to the slow-exemplar
-    /// store, and appends it to the ring (evicting oldest-first to stay
-    /// within budget).
+    /// Stores a completed trace, taking ownership of it: accumulates
+    /// its spans into the stage histograms and allocation totals and
+    /// its root span into the all-endpoints root histogram, offers it
+    /// to the slow-exemplar store, and appends it to the ring (evicting
+    /// oldest-first to stay within budget).
     pub fn record(&self, trace: Trace) {
-        sat_add(&self.recorded, 1);
-        let mut evicted = 0u64;
-        {
-            let mut inner = self.traces.lock().unwrap_or_else(PoisonError::into_inner);
-            for span in &trace.spans {
-                observe_stage(&mut inner.stages, span);
-            }
-            if let Some(root) = trace.spans.first() {
-                observe(&mut inner.roots, root);
-            }
-            offer_slow(&mut inner.slow, &trace, self.config.slow_per_endpoint);
-            let cost = trace.approx_bytes();
-            if cost <= self.config.ring_bytes {
-                inner.ring.push_back(trace);
-                inner.ring_used = inner.ring_used.saturating_add(cost);
-                while inner.ring_used > self.config.ring_bytes {
-                    match inner.ring.pop_front() {
-                        Some(old) => {
-                            inner.ring_used = inner.ring_used.saturating_sub(old.approx_bytes());
-                            evicted += 1;
-                        }
-                        None => break,
-                    }
-                }
-            } else {
-                // Larger than the whole budget: never enters the ring
-                // (it may still survive as a slow exemplar).
-                evicted = 1;
-            }
+        let cost = trace.approx_bytes();
+        let trace = Arc::new(trace);
+        let mut inner = self.traces.lock().unwrap_or_else(PoisonError::into_inner);
+        inner.recorded = inner.recorded.saturating_add(1);
+        for span in &trace.spans {
+            observe_stage(&mut inner.stages, span);
         }
-        if evicted > 0 {
-            sat_add(&self.evicted, evicted);
+        if let Some(root) = trace.spans.first() {
+            observe(&mut inner.roots, root);
+        }
+        offer_slow(&mut inner.slow, &trace, self.config.slow_per_endpoint);
+        if cost > self.config.ring_bytes {
+            // Larger than the whole budget: never enters the ring (it
+            // may still survive as a slow exemplar).
+            inner.evicted = inner.evicted.saturating_add(1);
+            return;
+        }
+        inner.ring.push_back(trace);
+        inner.ring_used = inner.ring_used.saturating_add(cost);
+        while inner.ring_used > self.config.ring_bytes {
+            let Some(old) = inner.ring.pop_front() else {
+                break;
+            };
+            inner.ring_used = inner.ring_used.saturating_sub(old.approx_bytes());
+            inner.evicted = inner.evicted.saturating_add(1);
         }
     }
 
     /// The most recent traces, newest first, up to `limit`.
-    pub fn recent(&self, limit: usize) -> Vec<Trace> {
+    pub fn recent(&self, limit: usize) -> Vec<Arc<Trace>> {
         let inner = self.traces.lock().unwrap_or_else(PoisonError::into_inner);
         inner.ring.iter().rev().take(limit).cloned().collect()
     }
 
     /// Looks a trace up by id, searching the ring and then the
     /// slow-exemplar store (a slow trace outlives its ring slot).
-    pub fn get(&self, id: u64) -> Option<Trace> {
+    pub fn get(&self, id: u64) -> Option<Arc<Trace>> {
         let inner = self.traces.lock().unwrap_or_else(PoisonError::into_inner);
         inner
             .ring
             .iter()
             .rev()
+            .chain(inner.slow.iter().flat_map(|e| e.traces.iter()))
             .find(|t| t.id == id)
-            .or_else(|| {
-                inner
-                    .slow
-                    .iter()
-                    .flat_map(|e| e.traces.iter())
-                    .find(|t| t.id == id)
-            })
             .cloned()
     }
 
     /// The slow-request exemplars: for each endpoint label, its worst
     /// traces ordered worst-first.
-    pub fn slow(&self) -> Vec<(String, Vec<Trace>)> {
+    pub fn slow(&self) -> Vec<(&'static str, Vec<Arc<Trace>>)> {
         let inner = self.traces.lock().unwrap_or_else(PoisonError::into_inner);
         inner
             .slow
             .iter()
-            .map(|e| (e.endpoint.clone(), e.traces.clone()))
+            .map(|e| (e.endpoint, e.traces.clone()))
             .collect()
     }
 
@@ -198,7 +188,7 @@ impl SpanRecorder {
     pub fn stages(&self) -> (Vec<StageStat>, StageStat) {
         let inner = self.traces.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = inner.stages.clone();
-        out.sort_by(|a, b| a.stage.cmp(&b.stage));
+        out.sort_by(|a, b| a.stage.cmp(b.stage));
         (out, inner.roots.clone())
     }
 
@@ -210,17 +200,19 @@ impl SpanRecorder {
 
     /// Total traces ever recorded.
     pub fn recorded_total(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
+        let inner = self.traces.lock().unwrap_or_else(PoisonError::into_inner);
+        inner.recorded
     }
 
     /// Total traces evicted from (or refused by) the ring.
     pub fn evicted_total(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
+        let inner = self.traces.lock().unwrap_or_else(PoisonError::into_inner);
+        inner.evicted
     }
 }
 
 impl StageStat {
-    fn empty(stage: String) -> Self {
+    fn empty(stage: &'static str) -> Self {
         StageStat {
             stage,
             buckets: vec![0; STAGE_BOUNDS_MICROS.len() + 1],
@@ -236,7 +228,7 @@ fn observe_stage(stages: &mut Vec<StageStat>, span: &Span) {
     match stages.iter_mut().find(|s| s.stage == span.name) {
         Some(stat) => observe(stat, span),
         None => {
-            let mut stat = StageStat::empty(span.name.clone());
+            let mut stat = StageStat::empty(span.name);
             observe(&mut stat, span);
             stages.push(stat);
         }
@@ -265,7 +257,7 @@ fn observe(stat: &mut StageStat, span: &Span) {
     }
 }
 
-fn offer_slow(slow: &mut Vec<SlowEntry>, trace: &Trace, cap: usize) {
+fn offer_slow(slow: &mut Vec<SlowEntry>, trace: &Arc<Trace>, cap: usize) {
     if cap == 0 {
         return;
     }
@@ -273,7 +265,7 @@ fn offer_slow(slow: &mut Vec<SlowEntry>, trace: &Trace, cap: usize) {
         Some(e) => e,
         None => {
             slow.push(SlowEntry {
-                endpoint: trace.endpoint.clone(),
+                endpoint: trace.endpoint,
                 traces: Vec::new(),
             });
             match slow.last_mut() {
@@ -282,19 +274,14 @@ fn offer_slow(slow: &mut Vec<SlowEntry>, trace: &Trace, cap: usize) {
             }
         }
     };
-    let worse_than_floor = entry
-        .traces
-        .last()
-        .map(|t| trace.total_micros > t.total_micros)
-        .unwrap_or(true);
-    if entry.traces.len() < cap {
-        entry.traces.push(trace.clone());
-    } else if worse_than_floor {
+    if entry.traces.len() >= cap {
+        let floor = entry.traces.last().map_or(0, |t| t.total_micros);
+        if trace.total_micros <= floor {
+            return;
+        }
         entry.traces.pop();
-        entry.traces.push(trace.clone());
-    } else {
-        return;
     }
+    entry.traces.push(Arc::clone(trace));
     entry
         .traces
         .sort_by_key(|t| std::cmp::Reverse(t.total_micros));
@@ -303,10 +290,14 @@ fn offer_slow(slow: &mut Vec<SlowEntry>, trace: &Trace, cap: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ActiveTrace;
+    use crate::{ActiveTrace, Stopwatch};
 
-    fn trace_of(endpoint: &str, stage: &str, micros: u64) -> Trace {
-        let t = ActiveTrace::detached(endpoint);
+    fn begin(endpoint: &'static str) -> ActiveTrace {
+        ActiveTrace::begin(endpoint, Stopwatch::start())
+    }
+
+    fn trace_of(endpoint: &'static str, stage: &'static str, micros: u64) -> Trace {
+        let t = begin(endpoint);
         t.child_at(stage, 0, micros);
         t.finish()
     }
@@ -356,7 +347,7 @@ mod tests {
             slow_per_endpoint: 2,
         });
         for micros in [5, 500, 50, 5_000, 1] {
-            let t = ActiveTrace::detached("/score");
+            let t = begin("/score");
             t.child_at("score", 0, micros);
             std::thread::sleep(std::time::Duration::from_micros(micros));
             rec.record(t.finish());
@@ -366,7 +357,7 @@ mod tests {
         assert_eq!(slow.len(), 2);
         let score = slow
             .iter()
-            .find(|(e, _)| e == "/score")
+            .find(|(e, _)| *e == "/score")
             .map(|(_, t)| t)
             .expect("score endpoint present");
         assert_eq!(score.len(), 2);
@@ -383,7 +374,7 @@ mod tests {
         rec.record(trace_of("/s", "encode", 2_000_000));
         rec.record(trace_of("/t", "score", 300));
         let (stages, roots) = rec.stages();
-        let names: Vec<&str> = stages.iter().map(|s| s.stage.as_str()).collect();
+        let names: Vec<&str> = stages.iter().map(|s| s.stage).collect();
         // Root spans ("/s", "/t") are stages too; sorted by name.
         assert_eq!(names, ["/s", "/t", "encode", "score"]);
         let score = &stages[3];
@@ -412,19 +403,19 @@ mod tests {
     fn stage_allocation_notes_sum_per_stage() {
         let rec = SpanRecorder::new(RecorderConfig::default());
         for bytes in [100, 24] {
-            let t = ActiveTrace::detached("/s");
+            let t = begin("/s");
             let score = crate::stage("score");
             drop(std::hint::black_box(vec![0u8; bytes]));
             drop(score);
             rec.record(t.finish());
         }
-        let totals: Vec<(String, u64, u64)> = rec
+        let totals: Vec<(&str, u64, u64)> = rec
             .stages()
             .0
             .into_iter()
             .map(|s| (s.stage, s.allocs, s.alloc_bytes))
             .collect();
-        assert_eq!(totals, [("/s".into(), 0, 0), ("score".into(), 2, 124)]);
+        assert_eq!(totals, [("/s", 0, 0), ("score", 2, 124)]);
     }
 
     #[test]
@@ -433,7 +424,35 @@ mod tests {
         let t = trace_of("/s", "score", 7);
         let id = t.id;
         rec.record(t);
-        assert_eq!(rec.get(id).map(|t| t.endpoint), Some("/s".to_string()));
+        assert_eq!(rec.get(id).map(|t| t.endpoint), Some("/s"));
         assert!(rec.get(id ^ 1).is_none());
+    }
+
+    #[test]
+    fn a_trace_in_the_ring_and_the_slow_store_is_one_allocation() {
+        let rec = SpanRecorder::new(RecorderConfig::default());
+        rec.record(trace_of("/s", "score", 7));
+        let recent = rec.recent(1);
+        let slow = rec.slow();
+        let (Some(ring), Some(exemplar)) = (recent.first(), slow[0].1.first()) else {
+            panic!("the trace is in neither store");
+        };
+        assert!(Arc::ptr_eq(ring, exemplar));
+        assert!(Arc::ptr_eq(ring, &rec.get(ring.id).expect("found by id")));
+    }
+
+    #[test]
+    fn finishing_a_trace_records_nothing() {
+        let rec = SpanRecorder::new(RecorderConfig::default());
+        let trace = begin("/s");
+        drop(crate::stage("score"));
+        let trace = trace.finish();
+        assert_eq!(rec.recorded_total(), 0);
+        assert!(rec.recent(usize::MAX).is_empty());
+        assert_eq!(rec.stages().1.count, 0);
+        let id = trace.id;
+        rec.record(trace);
+        assert_eq!(rec.recorded_total(), 1);
+        assert_eq!(rec.get(id).map(|t| t.spans.len()), Some(2));
     }
 }

@@ -12,18 +12,19 @@
 
 use crate::span::Trace;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The record of one refit attempt (each live model keeps its own).
 #[derive(Debug, Clone)]
 pub struct RefitTimeline {
     /// What initiated it: `"manual"` (the refit endpoint) or `"drift"`
     /// (the background scheduler).
-    pub trigger: String,
+    pub trigger: &'static str,
     /// The epoch the refit snapshot was taken at; the install step is
     /// matched back to its timeline through this.
     pub base_epoch: u64,
     /// The refit's span tree; every span below the root is a phase.
-    pub trace: Trace,
+    pub trace: Arc<Trace>,
     /// How long the install took, once the refitted artifact was
     /// swapped into serving.
     pub install_micros: Option<u64>,
@@ -31,11 +32,11 @@ pub struct RefitTimeline {
 
 impl RefitTimeline {
     /// A timeline for the refit traced by `trace`, not yet installed.
-    pub fn new(trigger: &str, base_epoch: u64, trace: Trace) -> Self {
+    pub fn new(trigger: &'static str, base_epoch: u64, trace: Trace) -> Self {
         RefitTimeline {
-            trigger: trigger.to_string(),
+            trigger,
             base_epoch,
-            trace,
+            trace: Arc::new(trace),
             install_micros: None,
         }
     }
@@ -61,7 +62,7 @@ impl RefitTimeline {
                     Some(parent) if parent.parent.is_some() => {
                         format!("{}.{}", parent.name, s.name)
                     }
-                    _ => s.name.clone(),
+                    _ => s.name.to_string(),
                 };
                 (name, s.duration_micros.max(1))
             })
@@ -137,9 +138,9 @@ mod tests {
 
     /// A refit timeline whose trace spans are `(name, parent, micros)`;
     /// parent 0 is the root.
-    fn timeline(epoch: u64, spans: &[(&str, usize, u64)]) -> RefitTimeline {
-        let span = |name: &str, parent, duration_micros| Span {
-            name: name.to_string(),
+    fn timeline(epoch: u64, spans: &[(&'static str, usize, u64)]) -> RefitTimeline {
+        let span = |name, parent, duration_micros| Span {
+            name,
             parent,
             start_micros: 0,
             duration_micros,

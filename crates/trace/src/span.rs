@@ -4,29 +4,29 @@
 //! A trace is a flat `Vec` of spans in creation order whose tree shape
 //! is carried by parent *indices* — index 0 is always the root span
 //! (named after the endpoint), and every other span's parent index is
-//! strictly smaller than its own. That representation is what makes
-//! the recorder's byte accounting and the JSON rendering in holo-serve
-//! trivial: no boxes, no recursion, clone is a memcpy of strings.
+//! strictly smaller than its own. Span names, the endpoint and note
+//! keys are `&'static str`, so the only heap a trace owns is its two
+//! kinds of `Vec` and its string notes. A trace is built once and
+//! moved: into the [`crate::SpanRecorder`], or into a refit timeline.
 //!
 //! All offsets are microseconds on the trace's own monotonic clock
 //! ([`crate::Stopwatch`]), relative to trace start.
 //!
 //! ## The current trace
 //!
-//! [`SpanRecorder::begin`] and [`ActiveTrace::detached`] install a trace as
-//! the calling thread's *current* one, so code that cannot take a trace
-//! parameter (the live model's ingest and refit, the adaptive refit)
-//! still records its stages into it. A trace begun while another is
-//! current shadows it until it finishes. Finishing or dropping an
-//! [`ActiveTrace`] uninstalls it, so a panic unwinding out of a handler
-//! never leaves its trace behind for the thread's next request.
+//! [`ActiveTrace::begin`] installs a trace as the calling thread's
+//! *current* one, so code that cannot take a trace parameter (the live
+//! model's ingest and refit, the adaptive refit) still records its
+//! stages into it. A trace begun while another is current shadows it
+//! until it finishes. Finishing or dropping an [`ActiveTrace`]
+//! uninstalls it, so a panic unwinding out of a handler never leaves
+//! its trace behind for the thread's next request.
 
-use crate::recorder::SpanRecorder;
 use holo_prof::Stopwatch;
 use std::cell::RefCell;
+use std::mem::size_of;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// The note key a closed [`Stage`] records its allocation count under.
 pub(crate) const ALLOCS_NOTE: &str = "allocs";
@@ -36,21 +36,17 @@ pub(crate) const ALLOC_BYTES_NOTE: &str = "alloc_bytes";
 /// A typed span/trace annotation value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
-    /// Unsigned counter-like values (row counts, byte sizes, epochs).
+    /// Unsigned counter-like values (row counts, byte sizes, statuses).
     U64(u64),
-    /// Measurements (scores, rates).
-    F64(f64),
     /// Labels (model names, error categories).
     Str(String),
-    /// Boolean flags.
-    Bool(bool),
 }
 
-/// One completed span inside a [`Trace`].
-#[derive(Debug, Clone)]
+/// One span inside a [`Trace`].
+#[derive(Debug)]
 pub struct Span {
     /// Stage name, e.g. `"score"` or `"apply-delta"`.
-    pub name: String,
+    pub name: &'static str,
     /// Index of the parent span within [`Trace::spans`]; `None` only
     /// for the root span at index 0.
     pub parent: Option<usize>,
@@ -63,13 +59,14 @@ pub struct Span {
 }
 
 /// A completed span tree for one request (or one background unit of
-/// work), as stored in the [`SpanRecorder`].
-#[derive(Debug, Clone, Default)]
+/// work), as stored in the [`crate::SpanRecorder`]. It is moved, never
+/// copied, so it is not `Clone`: holders share it through an `Arc`.
+#[derive(Debug, Default)]
 pub struct Trace {
     /// Process-unique trace id (rendered via [`format_trace_id`]).
     pub id: u64,
     /// Normalized endpoint label, e.g. `"/v1/models/{name}/score"`.
-    pub endpoint: String,
+    pub endpoint: &'static str,
     /// End-to-end duration in microseconds (the root span's duration).
     pub total_micros: u64,
     /// Spans in creation order; index 0 is the root.
@@ -87,26 +84,25 @@ impl Trace {
             .fold(0u64, |acc, s| acc.saturating_add(s.duration_micros))
     }
 
-    /// Approximate heap + inline footprint, used by the recorder's
-    /// ring-buffer byte budget. Deliberately an over-estimate: strings
-    /// count their length plus a fixed per-node overhead.
+    /// The bytes the recorder's ring-buffer budget charges this trace:
+    /// the `Trace` itself, `size_of` of each span and each note, and
+    /// the heap bytes of string notes. Names and keys are static, so
+    /// they cost nothing.
     pub fn approx_bytes(&self) -> usize {
-        const TRACE_OVERHEAD: usize = 64;
-        const SPAN_OVERHEAD: usize = 48;
-        const NOTE_OVERHEAD: usize = 32;
         let note_bytes = |notes: &[(&'static str, Value)]| {
-            notes.iter().fold(0usize, |acc, (k, v)| {
-                let vlen = match v {
+            notes.iter().fold(0usize, |acc, (_, v)| {
+                let heap = match v {
                     Value::Str(s) => s.len(),
-                    _ => 8,
+                    Value::U64(_) => 0,
                 };
-                acc.saturating_add(NOTE_OVERHEAD + k.len() + vlen)
+                acc.saturating_add(size_of::<(&'static str, Value)>() + heap)
             })
         };
-        let span_bytes = self.spans.iter().fold(0usize, |acc, s| {
-            acc.saturating_add(SPAN_OVERHEAD + s.name.len() + note_bytes(&s.notes))
-        });
-        TRACE_OVERHEAD + self.endpoint.len() + span_bytes + note_bytes(&self.notes)
+        self.spans
+            .iter()
+            .fold(size_of::<Trace>() + note_bytes(&self.notes), |acc, s| {
+                acc.saturating_add(size_of::<Span>() + note_bytes(&s.notes))
+            })
     }
 }
 
@@ -147,62 +143,30 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl SpanRecorder {
-    /// Starts a trace whose root span is named `endpoint` and whose
-    /// clock started at `started` (e.g. when a request's first bytes
-    /// arrived, so work measured before the trace existed can be
-    /// attached at its true offset with [`ActiveTrace::child_at`]), and
-    /// installs it as the calling thread's current trace. It is
-    /// recorded here when [`ActiveTrace::finish`] is called.
-    ///
-    /// The endpoint label should be *normalized* (path parameters
-    /// replaced by placeholders) — it keys the slow-exemplar store, so
-    /// unbounded label cardinality would unbound its memory.
-    pub fn begin(self: &Arc<Self>, endpoint: &str, started: Stopwatch) -> ActiveTrace {
-        ActiveTrace::install(TraceBuilder::new(endpoint, Some(Arc::clone(self)), started))
-    }
-}
-
-struct OpenSpan {
-    name: String,
-    parent: Option<usize>,
-    start_micros: u64,
-    end_micros: Option<u64>,
-    notes: Vec<(&'static str, Value)>,
-}
-
 /// The in-progress span tree behind an [`ActiveTrace`]. Stages open
 /// spans nested under the innermost open one and close them in any
-/// order; spans still open at [`TraceBuilder::finish`] are closed there.
+/// order; a span still open (on the stack) at [`TraceBuilder::finish`]
+/// is closed there.
 struct TraceBuilder {
     id: u64,
-    endpoint: String,
+    endpoint: &'static str,
     clock: Stopwatch,
-    spans: Vec<OpenSpan>,
+    spans: Vec<Span>,
     /// Indices into `spans` of currently-open spans; the root (index 0)
     /// is always at the bottom.
     stack: Vec<usize>,
     notes: Vec<(&'static str, Value)>,
-    recorder: Option<Arc<SpanRecorder>>,
 }
 
 impl TraceBuilder {
-    fn new(endpoint: &str, recorder: Option<Arc<SpanRecorder>>, clock: Stopwatch) -> Self {
-        let root = OpenSpan {
-            name: endpoint.to_string(),
-            parent: None,
-            start_micros: 0,
-            end_micros: None,
-            notes: Vec::new(),
-        };
+    fn new(endpoint: &'static str, clock: Stopwatch) -> Self {
         TraceBuilder {
             id: next_trace_id(),
-            endpoint: endpoint.to_string(),
+            endpoint,
             clock,
-            spans: vec![root],
+            spans: vec![span(endpoint, None, 0, 0)],
             stack: vec![0],
             notes: Vec::new(),
-            recorder,
         }
     }
 
@@ -212,16 +176,9 @@ impl TraceBuilder {
 
     /// Opens a span named `name` under the innermost open span,
     /// returning its index.
-    fn open(&mut self, name: &str) -> usize {
-        let parent = self.current();
+    fn open(&mut self, name: &'static str) -> usize {
         let start = self.clock.elapsed_micros();
-        self.spans.push(OpenSpan {
-            name: name.to_string(),
-            parent: Some(parent),
-            start_micros: start,
-            end_micros: None,
-            notes: Vec::new(),
-        });
+        self.spans.push(span(name, Some(self.current()), start, 0));
         let idx = self.spans.len() - 1;
         self.stack.push(idx);
         idx
@@ -231,29 +188,22 @@ impl TraceBuilder {
     /// stage's allocations on it.
     fn close_stage(&mut self, idx: usize, micros: u64, allocs: u64, bytes: u64) {
         if let Some(span) = self.spans.get_mut(idx) {
-            span.end_micros = Some(span.start_micros.saturating_add(micros));
+            span.duration_micros = micros;
             span.notes.push((ALLOCS_NOTE, Value::U64(allocs)));
             span.notes.push((ALLOC_BYTES_NOTE, Value::U64(bytes)));
         }
-        if idx != 0 {
-            self.stack.retain(|&i| i != idx);
-        }
+        self.stack.retain(|&i| i != idx);
     }
 
     /// Attaches an already-completed child span with an explicit start
     /// offset, under the innermost open span. The start offset is
     /// clamped to be no earlier than the parent's.
-    fn child_at(&mut self, name: &str, start_micros: u64, duration_micros: u64) {
+    fn child_at(&mut self, name: &'static str, start_micros: u64, duration_micros: u64) {
         let parent = self.current();
-        let parent_start = self.spans.get(parent).map(|p| p.start_micros).unwrap_or(0);
+        let parent_start = self.spans.get(parent).map_or(0, |p| p.start_micros);
         let start = start_micros.max(parent_start);
-        self.spans.push(OpenSpan {
-            name: name.to_string(),
-            parent: Some(parent),
-            start_micros: start,
-            end_micros: Some(start.saturating_add(duration_micros)),
-            notes: Vec::new(),
-        });
+        self.spans
+            .push(span(name, Some(parent), start, duration_micros));
     }
 
     fn annotate(&mut self, idx: usize, key: &'static str, value: Value) {
@@ -262,52 +212,43 @@ impl TraceBuilder {
         }
     }
 
-    /// Closes every open span (root included), records the completed
-    /// trace into its recorder, if any, and returns it. The builder is
-    /// left empty: a stage that outlives its trace closes into nothing.
+    /// Closes every open span (root included) and moves the completed
+    /// trace out. The builder is left empty: a stage that outlives its
+    /// trace closes into nothing.
     fn finish(&mut self) -> Trace {
         let clock_end = self.clock.elapsed_micros();
-        while let Some(idx) = self.stack.pop() {
+        for idx in std::mem::take(&mut self.stack) {
             if let Some(span) = self.spans.get_mut(idx) {
-                if span.end_micros.is_none() {
-                    span.end_micros = Some(clock_end.max(span.start_micros));
-                }
+                span.duration_micros = clock_end.saturating_sub(span.start_micros);
             }
         }
         // The trace covers every span: a completed child attached with
         // an explicit start (child_at), or one clamped forward to its
         // parent's start, may end past this builder's own elapsed time.
-        let end = self
-            .spans
-            .iter()
-            .fold(clock_end, |acc, s| acc.max(s.end_micros.unwrap_or(0)));
-        if let Some(root) = self.spans.get_mut(0) {
-            root.end_micros = Some(end);
+        let end = self.spans.iter().fold(clock_end, |acc, s| {
+            acc.max(s.start_micros.saturating_add(s.duration_micros))
+        });
+        if let Some(root) = self.spans.first_mut() {
+            root.duration_micros = end;
         }
-        let spans = std::mem::take(&mut self.spans)
-            .into_iter()
-            .map(|s| {
-                let span_end = s.end_micros.unwrap_or(end).max(s.start_micros);
-                Span {
-                    name: s.name,
-                    parent: s.parent,
-                    start_micros: s.start_micros,
-                    duration_micros: span_end - s.start_micros,
-                    notes: s.notes,
-                }
-            })
-            .collect();
-        let trace = Trace {
+        Trace {
             id: self.id,
-            endpoint: std::mem::take(&mut self.endpoint),
+            endpoint: self.endpoint,
             total_micros: end,
-            spans,
+            spans: std::mem::take(&mut self.spans),
             notes: std::mem::take(&mut self.notes),
-        };
-        if let Some(recorder) = self.recorder.take() {
-            recorder.record(trace.clone());
         }
-        trace
+    }
+}
+
+/// A span without notes; a stage's span is timed when it closes.
+fn span(name: &'static str, parent: Option<usize>, start: u64, micros: u64) -> Span {
+    Span {
+        name,
+        parent,
+        start_micros: start,
+        duration_micros: micros,
+        notes: Vec::new(),
     }
 }
 
@@ -327,51 +268,47 @@ fn current() -> Option<SharedBuilder> {
 }
 
 /// A trace installed as the calling thread's current one, so every
-/// [`stage`] the thread opens records a span into it. Obtained from
-/// [`SpanRecorder::begin`] (recorded on finish) or [`ActiveTrace::detached`]
-/// (not recorded). Finishing or dropping it uninstalls it, handing the
-/// thread back to whichever trace it shadowed.
+/// [`stage`] the thread opens records a span into it. Finishing or
+/// dropping it uninstalls it, handing the thread back to whichever
+/// trace it shadowed.
 #[must_use = "the trace is uninstalled when dropped"]
 pub struct ActiveTrace {
-    id: u64,
     builder: SharedBuilder,
 }
 
 impl ActiveTrace {
-    fn install(builder: TraceBuilder) -> Self {
-        let id = builder.id;
-        let builder = Rc::new(RefCell::new(builder));
+    /// Starts a trace whose root span is named `endpoint` and whose
+    /// clock started at `started` (e.g. when a request's first bytes
+    /// arrived, so work measured before the trace existed can be
+    /// attached at its true offset with [`ActiveTrace::child_at`]), and
+    /// installs it as the calling thread's current trace.
+    ///
+    /// The endpoint label should be *normalized* (path parameters
+    /// replaced by placeholders) — it keys the recorder's slow-exemplar
+    /// store, so unbounded label cardinality would unbound its memory.
+    pub fn begin(endpoint: &'static str, started: Stopwatch) -> Self {
+        let builder = Rc::new(RefCell::new(TraceBuilder::new(endpoint, started)));
         let _ = CURRENT.try_with(|c| {
             if let Ok(mut traces) = c.try_borrow_mut() {
                 traces.push(Rc::clone(&builder));
             }
         });
-        ActiveTrace { id, builder }
-    }
-
-    /// Installs a trace whose root span is named `endpoint` and that no
-    /// recorder receives: [`ActiveTrace::finish`] just returns it.
-    pub fn detached(endpoint: &str) -> Self {
-        Self::install(TraceBuilder::new(endpoint, None, Stopwatch::start()))
-    }
-
-    /// This trace's id (echoed to clients before the trace finishes).
-    pub fn id(&self) -> u64 {
-        self.id
+        ActiveTrace { builder }
     }
 
     /// Attaches an already-completed child span (measured before the
     /// trace existed, or elsewhere) under the innermost open span, at
     /// `start_micros` from trace start — clamped to be no earlier than
     /// its parent's start.
-    pub fn child_at(&self, name: &str, start_micros: u64, duration_micros: u64) {
+    pub fn child_at(&self, name: &'static str, start_micros: u64, duration_micros: u64) {
         if let Ok(mut b) = self.builder.try_borrow_mut() {
             b.child_at(name, start_micros, duration_micros);
         }
     }
 
-    /// Uninstalls the trace, closes every span still open, records it
-    /// (when begun by [`SpanRecorder::begin`]) and returns it.
+    /// Uninstalls the trace, closes every span still open and returns
+    /// it. Nothing is recorded: the caller moves the trace on, e.g.
+    /// into [`crate::SpanRecorder::record`].
     pub fn finish(self) -> Trace {
         self.uninstall();
         // A failed borrow is unreachable: no borrow of a builder
@@ -412,12 +349,12 @@ pub fn note(key: &'static str, value: Value) {
 ///
 /// Entering reads the clock and the thread's allocation counters, and
 /// opens a child span of the innermost open stage when the thread has
-/// a current trace ([`SpanRecorder::begin`]). Closing — on drop, or through
-/// [`Stage::end`], which also returns the stage's microseconds —
-/// closes the span and notes the stage's allocation count (`allocs`)
+/// a current trace ([`ActiveTrace::begin`]). Closing — on drop, or
+/// through [`Stage::end`], which also returns the stage's microseconds
+/// — closes the span and notes the stage's allocation count (`allocs`)
 /// and bytes (`alloc_bytes`) on it. Those include nested stages; the
 /// stage's own span bookkeeping falls outside both readings.
-pub fn stage(name: &str) -> Stage {
+pub fn stage(name: &'static str) -> Stage {
     let span = current().and_then(|builder| {
         let idx = builder.try_borrow_mut().ok()?.open(name);
         Some((builder, idx))
@@ -482,8 +419,12 @@ impl Drop for Stage {
 mod tests {
     use super::*;
 
+    fn begin(endpoint: &'static str) -> ActiveTrace {
+        ActiveTrace::begin(endpoint, Stopwatch::start())
+    }
+
     fn names(trace: &Trace) -> Vec<&str> {
-        trace.spans.iter().map(|s| s.name.as_str()).collect()
+        trace.spans.iter().map(|s| s.name).collect()
     }
 
     fn note_of(span: &Span, key: &str) -> Option<Value> {
@@ -506,7 +447,7 @@ mod tests {
 
     #[test]
     fn builder_yields_rooted_tree() {
-        let t = ActiveTrace::detached("/score");
+        let t = begin("/score");
         stage("validate").note("rows", Value::U64(3));
         let score = stage("score");
         let featurize = stage("featurize");
@@ -529,7 +470,7 @@ mod tests {
 
     #[test]
     fn excess_closes_are_ignored() {
-        let t = ActiveTrace::detached("/x");
+        let t = begin("/x");
         let a = stage("a");
         let b = stage("b");
         // Closing `a` before `b` leaves `b` the innermost open stage.
@@ -547,15 +488,13 @@ mod tests {
 
     #[test]
     fn span_since_places_earlier_work_before_later_stages() {
-        let recorder = Arc::new(SpanRecorder::new(crate::recorder::RecorderConfig::default()));
         let started = Stopwatch::start();
         std::thread::sleep(std::time::Duration::from_millis(2));
         let parse = started.elapsed_micros();
-        let t = recorder.begin("/x", started);
+        let t = ActiveTrace::begin("/x", started);
         t.child_at("parse", 0, parse);
         drop(stage("validate"));
         let trace = t.finish();
-        assert_eq!(recorder.get(trace.id).map(|r| r.id), Some(trace.id));
         assert_eq!(trace.spans[1].start_micros, 0);
         let validate = &trace.spans[2];
         assert!(
@@ -567,7 +506,7 @@ mod tests {
 
     #[test]
     fn completed_children_clamp_into_parent() {
-        let t = ActiveTrace::detached("/x");
+        let t = begin("/x");
         t.child_at("log-append", 0, 5_000);
         let validate = stage("validate");
         t.child_at("score", 0, 250);
@@ -583,10 +522,10 @@ mod tests {
 
     #[test]
     fn a_trace_begun_inside_another_shadows_it_then_hands_it_back() {
-        let outer = ActiveTrace::detached("/outer");
+        let outer = begin("/outer");
         let before = stage("before");
         let mut held: Vec<Vec<u8>> = Vec::with_capacity(1);
-        let inner = ActiveTrace::detached("/inner");
+        let inner = begin("/inner");
         {
             let _shadowed = stage("shadowed");
             held.push(Vec::with_capacity(100));
@@ -612,7 +551,7 @@ mod tests {
     #[test]
     fn a_panic_inside_a_trace_leaves_no_current_trace_behind() {
         let caught = std::panic::catch_unwind(|| {
-            let _trace = ActiveTrace::detached("/panics");
+            let _trace = begin("/panics");
             let _stage = stage("doomed");
             panic!("handler panicked");
         });
@@ -621,17 +560,44 @@ mod tests {
         // The thread's next trace starts clean; without one, a stage
         // only times.
         let _ = stage("untraced").end();
-        let next = ActiveTrace::detached("/next");
+        let next = begin("/next");
         drop(stage("fresh"));
         assert_eq!(names(&next.finish()), ["/next", "fresh"]);
     }
 
     #[test]
     fn approx_bytes_grows_with_content() {
-        let small = ActiveTrace::detached("/a").finish();
-        let b = ActiveTrace::detached("/a");
+        let small = begin("/a").finish();
+        let b = begin("/a");
         stage("a-much-longer-span-name").note("key", Value::Str("value".into()));
         let big = b.finish();
         assert!(big.approx_bytes() > small.approx_bytes());
+    }
+
+    #[test]
+    fn approx_bytes_charges_every_span_note_and_string() {
+        let empty = begin("/a").finish();
+        assert_eq!(empty.approx_bytes(), size_of::<Trace>() + size_of::<Span>());
+        let b = begin("/a");
+        stage("a-much-longer-span-name").note("key", Value::Str("value".into()));
+        note("status", Value::U64(200));
+        let trace = b.finish();
+        let notes = trace.notes.len() + trace.spans.iter().map(|s| s.notes.len()).sum::<usize>();
+        // key, allocs and alloc_bytes on the stage; status on the trace.
+        assert_eq!(notes, 4);
+        let floor = size_of::<Trace>()
+            + trace.spans.len() * size_of::<Span>()
+            + notes * size_of::<(&str, Value)>()
+            + "value".len();
+        assert!(
+            trace.approx_bytes() >= floor,
+            "{} < {floor}",
+            trace.approx_bytes()
+        );
+        // Static names cost nothing: a longer one charges the same.
+        let c = begin("/a-longer-endpoint");
+        stage("s").note("key", Value::Str("value".into()));
+        note("status", Value::U64(200));
+        assert_eq!(c.finish().approx_bytes(), trace.approx_bytes());
     }
 }

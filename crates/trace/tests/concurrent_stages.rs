@@ -9,7 +9,7 @@
 //! exactly M allocations and M×S bytes — no losses, no double-counting,
 //! no cross-thread bleed.
 
-use holo_trace::{stage, ActiveTrace, Trace, Value};
+use holo_trace::{stage, ActiveTrace, Stopwatch, Trace, Value};
 use proptest::collection;
 use proptest::prelude::*;
 use std::thread;
@@ -35,7 +35,7 @@ proptest! {
                 .take(threads)
                 .map(|&size| {
                     s.spawn(move || {
-                        let trace = ActiveTrace::detached("/prop");
+                        let trace = ActiveTrace::begin("/prop", Stopwatch::start());
                         let mut holder: Vec<Vec<u8>> = Vec::with_capacity(allocs);
                         {
                             let _stage = stage("alloc");

@@ -8,7 +8,6 @@ use holo_trace::{
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// Structural well-formedness: rooted at index 0, parents precede
 /// children, children start no earlier than their parents, and every
@@ -50,12 +49,33 @@ fn assert_well_formed(trace: &Trace) -> Result<(), String> {
 /// pool: the keys the server writes, plus the ones stages record.
 const NOTE_KEYS: [&str; 6] = ["method", "status", "model", "rows", "allocs", "alloc_bytes"];
 
+/// Span names are `&'static str` too: stages draw theirs from a fixed
+/// pool of short and long names, repeats included.
+const SPAN_NAMES: [&str; 8] = [
+    "a",
+    "b",
+    "parse",
+    "validate",
+    "score",
+    "encode",
+    "apply-delta",
+    "an-intentionally-longer-stage-name",
+];
+
+/// Each worker's endpoint label, and the stage names only it runs.
+const WORKERS: [(&str, [&str; 3]); 4] = [
+    ("/w0", ["w0-s0", "w0-s1", "w0-s2"]),
+    ("/w1", ["w1-s0", "w1-s1", "w1-s2"]),
+    ("/w2", ["w2-s0", "w2-s1", "w2-s2"]),
+    ("/w3", ["w3-s0", "w3-s1", "w3-s2"]),
+];
+
 /// Applies one encoded op to the trace and its open stages. The op
 /// space deliberately includes pathological shapes: closing a stage
 /// that is not the innermost one, closing with nothing open, leaving
 /// stages open for finish to sweep, and attaching completed children
 /// with arbitrary offsets/durations.
-fn apply_op(t: &ActiveTrace, open: &mut Vec<Stage>, op: u8, name: &str, amount: u64) {
+fn apply_op(t: &ActiveTrace, open: &mut Vec<Stage>, op: u8, name: &'static str, amount: u64) {
     let key = NOTE_KEYS[amount as usize % NOTE_KEYS.len()];
     match op % 5 {
         0 => open.push(stage(name)),
@@ -79,13 +99,13 @@ proptest! {
     #[test]
     fn any_open_close_sequence_is_well_formed(
         ops in proptest::collection::vec(0u8..5, 0..40),
-        names in proptest::collection::vec("[a-e]{1,6}", 40..41),
+        names in proptest::collection::vec(0..SPAN_NAMES.len(), 40..41),
         amounts in proptest::collection::vec(0u64..50_000, 40..41),
     ) {
-        let t = ActiveTrace::detached("/prop");
+        let t = ActiveTrace::begin("/prop", Stopwatch::start());
         let mut open = Vec::new();
         for (i, &op) in ops.iter().enumerate() {
-            apply_op(&t, &mut open, op, &names[i], amounts[i]);
+            apply_op(&t, &mut open, op, SPAN_NAMES[names[i]], amounts[i]);
         }
         let trace = t.finish();
         drop(open);
@@ -109,12 +129,15 @@ proptest! {
             slow_per_endpoint: 2,
         });
         for &(endpoint, spans, micros) in &shapes {
-            let t = ActiveTrace::detached(match endpoint {
-                0 => "/score",
-                1 => "/predict",
-                2 => "/rows",
-                _ => "/an/intentionally/longer/endpoint/label/to/vary/cost",
-            });
+            let t = ActiveTrace::begin(
+                match endpoint {
+                    0 => "/score",
+                    1 => "/predict",
+                    2 => "/rows",
+                    _ => "/an/intentionally/longer/endpoint/label",
+                },
+                Stopwatch::start(),
+            );
             for s in 0..spans {
                 t.child_at(if s % 2 == 0 { "score" } else { "encode" }, 0, micros);
             }
@@ -137,20 +160,20 @@ proptest! {
         per_thread in 1usize..5,
         spans_per_trace in 1usize..4,
     ) {
-        let rec = Arc::new(SpanRecorder::new(RecorderConfig {
+        let rec = SpanRecorder::new(RecorderConfig {
             ring_bytes: 1 << 20,
             slow_per_endpoint: 4,
-        }));
+        });
         std::thread::scope(|s| {
-            for worker in 0..4usize {
-                let rec = Arc::clone(&rec);
+            for (endpoint, stages) in WORKERS {
+                let rec = &rec;
                 s.spawn(move || {
-                    for i in 0..per_thread {
-                        let t = rec.begin(&format!("/w{worker}"), Stopwatch::start());
-                        for j in 0..spans_per_trace {
-                            drop(stage(&format!("w{worker}-t{i}-s{j}")));
+                    for _ in 0..per_thread {
+                        let t = ActiveTrace::begin(endpoint, Stopwatch::start());
+                        for &name in &stages[..spans_per_trace] {
+                            drop(stage(name));
                         }
-                        t.finish();
+                        rec.record(t.finish());
                     }
                 });
             }
@@ -162,14 +185,14 @@ proptest! {
             prop_assert!(ids.insert(trace.id), "duplicate trace id");
             // Root name identifies the owning worker; every non-root
             // span must carry that worker's tag.
-            let owner = trace.endpoint.clone();
-            let tag = owner.trim_start_matches('/').to_string();
+            let owner = trace.endpoint;
+            let tag = owner.trim_start_matches('/');
             for span in trace.spans.iter().skip(1) {
                 prop_assert!(
-                    span.name.starts_with(&tag),
+                    span.name.starts_with(tag),
                     "span {} leaked into trace for {}",
-                    span.name.clone(),
-                    owner.clone()
+                    span.name,
+                    owner
                 );
             }
         }
